@@ -81,7 +81,6 @@ from .tableau import (
     RuleError,
     apply_rule,
     branch_closed,
-    tableau_closed,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

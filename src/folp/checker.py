@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .axioms import ConstantSpecification, cs_contains
+from .axioms import ConstantSpecification
 from .syntax import (
-    Assert,
     Formula,
     Neg,
-    TermConst,
     elem_set,
     is_closed_par_formula,
 )
@@ -29,6 +27,7 @@ from .tableau import (
     ProofTree,
     RuleError,
     apply_rule,
+    cs_closing_constant,
 )
 
 
@@ -105,26 +104,12 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
                 f"{f} and {other} are not contradictory",
             )
     elif isinstance(mark, CsClosure):
-        f = leaf.formula
-        ok = (
-            isinstance(f, Neg)
-            and isinstance(f.body, Assert)
-            and isinstance(f.body.term, TermConst)
-            and f.body.term.name == mark.constant
-            and not f.body.window
-        )
-        if not ok:
+        if cs_closing_constant(leaf.formula, cs) != mark.constant:
             _reject(
                 leaf.id,
                 "closure-cs",
-                f"leaf is not a negated empty-window assertion of {mark.constant}",
-            )
-        assert isinstance(f, Neg) and isinstance(f.body, Assert)
-        if not cs_contains(cs, mark.constant, f.body.body):
-            _reject(
-                leaf.id,
-                "closure-cs",
-                f"{mark.constant} : {f.body.body} is not in the constant specification",
+                f"{leaf.formula} is not ~{mark.constant} : A with "
+                f"{mark.constant} : A in the constant specification",
             )
     else:
         _reject(leaf.id, "closure-kind", f"unknown closure mark {mark!r}")

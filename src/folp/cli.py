@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success / positive verdicts, 1 for negative
 verdicts (unproved goal, rejected proof, falsified formula, no axiom
-match), 2 for malformed input or internal errors.
+match), 2 for malformed input or internal errors.  An exception that no
+command expects is an internal error: it is reported as ``internal
+error:`` with its traceback on stderr, never as a negative verdict.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .axioms import ConstantSpecification, match_axiom
@@ -172,11 +175,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileFormatError, ModelError, CliError, ValueError) as exc:
+    except (
+        ParseError, FileFormatError, ModelError, CliError, ValueError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
 
 

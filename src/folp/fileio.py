@@ -267,72 +267,74 @@ def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
     )
 
 
+# What a wrongly shaped proof JSON value raises while it is read.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ParseError)
+
+
 def _parse_rule(data: Optional[dict], decls: Iterable[str]) -> Optional[RuleApp]:
     if data is None:
         return None
-    try:
-        name = data["name"]
-        premises = tuple(int(i) for i in data["premises"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"bad rule annotation {data!r}: {exc}") from exc
     p: Optional[Atom] = None
-    if "param" in data and data["param"] is not None:
+    if data.get("param") is not None:
         text = data["param"]
         if not (isinstance(text, str) and text.startswith("@")):
             raise FileFormatError(f"rule parameter {text!r} must be written @name")
         p = param(text[1:])
-    cut: Optional[Formula] = None
-    if "cut" in data and data["cut"] is not None:
-        cut = parse_formula(data["cut"], decls)
+    cut = None if data.get("cut") is None else parse_formula(data["cut"], decls)
     v = data.get("var")
-    try:
-        return RuleApp(name=name, premises=premises, param=p, cut=cut, var=v)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+    if v is not None and not isinstance(v, str):
+        raise FileFormatError(f"rule variable {v!r} must be a string")
+    return RuleApp(
+        name=data["name"],
+        premises=tuple(int(i) for i in data["premises"]),
+        param=p,
+        cut=cut,
+        var=v,
+    )
 
 
-def _parse_closure(data: Optional[dict]):
+def _parse_closure(data: Optional[dict], nid: int):
     if data is None:
         return None
     kind = data.get("kind")
     if kind == "contradiction":
-        return Contradiction(node_id=-1, with_id=int(data["with"]))
+        return Contradiction(node_id=nid, with_id=int(data["with"]))
     if kind == "cs":
-        return CsClosure(node_id=-1, constant=str(data["constant"]))
+        return CsClosure(node_id=nid, constant=str(data["constant"]))
     raise FileFormatError(f"unknown closure kind {kind!r}")
 
 
 def _parse_node(data: dict, decls: Iterable[str], arities: dict[str, int]) -> ProofNode:
     try:
         nid = int(data["id"])
-        formula = parse_formula(data["formula"], decls, arities)
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
-        raise FileFormatError(f"bad proof node {data!r}: {exc}") from exc
-    rule = _parse_rule(data.get("rule"), decls)
-    closure = _parse_closure(data.get("closure"))
-    if isinstance(closure, (Contradiction, CsClosure)):
-        closure = (
-            Contradiction(nid, closure.with_id)
-            if isinstance(closure, Contradiction)
-            else CsClosure(nid, closure.constant)
+        node = ProofNode(
+            id=nid,
+            formula=parse_formula(data["formula"], decls, arities),
+            rule=_parse_rule(data.get("rule"), decls),
+            closure=_parse_closure(data.get("closure"), nid),
+            children=[_parse_node(c, decls, arities) for c in data.get("children", [])],
         )
-    children = [
-        _parse_node(c, decls, arities) for c in data.get("children", [])
-    ]
-    if len(children) > 2:
+    except _MALFORMED as exc:
+        where = data.get("id") if isinstance(data, dict) else data
+        raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
+    if len(node.children) > 2:
         raise FileFormatError(f"node {nid} has more than two children")
-    return ProofNode(
-        id=nid, formula=formula, rule=rule, children=children, closure=closure
-    )
+    return node
 
 
 def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
-    if "roots" not in data or "tree" not in data:
+    """Build a proof tree from its JSON dict (the output of
+    ``proof_to_dict``); malformed input raises :class:`FileFormatError`."""
+    if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")
     arities: dict[str, int] = {}
-    roots = [parse_formula(text, decls, arities) for text in data["roots"]]
-    root = _parse_node(data["tree"], decls, arities)
-    return ProofTree(roots=roots, root=root)
+    if not isinstance(data["roots"], list):
+        raise FileFormatError("proof 'roots' must be a list of formulas")
+    try:
+        roots = [parse_formula(text, decls, arities) for text in data["roots"]]
+    except _MALFORMED as exc:
+        raise FileFormatError(f"bad proof root: {exc!r}") from exc
+    return ProofTree(roots=roots, root=_parse_node(data["tree"], decls, arities))
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:

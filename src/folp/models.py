@@ -3,16 +3,19 @@ evaluation, and bounded countermodel search.
 
 A model is a finite domain, a predicate interpretation, and a finitely
 presented evidence function mapping justification terms to sets of
-domain formulas.  The closure conditions E1-E6 are checked over the
-presented fragment only; membership in an evidence set is structural
-equality up to renaming of bound variables.
+domain formulas.  The closure conditions E1-E6 are written once, in
+``_demands``, which yields each formula the conditions require in the
+evidence of one term.  ``validate_model`` reports the demands the
+presented fragment does not meet; countermodel search closes candidate
+evidence under the same demands.  Membership in an evidence set is
+structural equality up to renaming of bound variables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .axioms import ConstantSpecification
 from .syntax import (
@@ -29,6 +32,7 @@ from .syntax import (
     Sum,
     Term,
     TermConst,
+    Window,
     canonical,
     elem,
     elem_set,
@@ -54,11 +58,8 @@ class MkrtychevModel:
     interp: dict[str, frozenset[tuple[str, ...]]]
     evidence: dict[Term, tuple[Formula, ...]]
 
-    def evidence_of(self, t: Term) -> tuple[Formula, ...]:
-        return self.evidence.get(t, ())
-
     def canon_evidence(self, t: Term) -> frozenset[Formula]:
-        return frozenset(canonical(f) for f in self.evidence_of(t))
+        return frozenset(canonical(f) for f in self.evidence.get(t, ()))
 
 
 @dataclass(frozen=True)
@@ -92,97 +93,87 @@ def _arity_map(m: MkrtychevModel) -> dict[str, int]:
     return arities
 
 
+def _windows(f: Formula, domain: tuple[str, ...]) -> Iterator[Window]:
+    """The windows E4 demands for ``f``: its own elements plus any subset
+    of the rest of the domain."""
+    base = sorted(elem_set(f))
+    rest = [d for d in domain if d not in base]
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            yield mkwindow(elem(d) for d in [*base, *extra])
+
+
+def _instances(f: Formula, domain: tuple[str, ...]) -> Iterator[Formula]:
+    """The instances E6 demands for ``f``: one free variable replaced by
+    one domain element."""
+    for x in sorted(free_vars(f)):
+        for d in domain:
+            yield substitute(f, x, elem(d))
+
+
+# Evidence keyed by canonical form: term -> {canonical(f): f}.
+Evidence = dict[Term, dict[Formula, Formula]]
+
+
+def _demands(
+    t: Term, ev: Evidence, domain: tuple[str, ...], cs: ConstantSpecification
+) -> Iterator[tuple[str, Formula, Optional[Term], Formula]]:
+    """Yield each formula that E1-E6 require in ``evidence(t)``.
+
+    Items are ``(condition, formula, source, source formula)``: the source
+    formula lies in ``evidence(source)``, or is the CS entry ``c : A``
+    when the source is ``None`` (E1).  E2-E5 read only proper subterms
+    of ``t``; E6 reads ``evidence(t)`` itself.
+    """
+    if isinstance(t, TermConst):
+        for c, a in cs.concrete:
+            if c == t.name:
+                yield "E1", a, None, Assert(t, (), a)
+    elif isinstance(t, App):
+        for f in ev.get(t.left, {}).values():
+            if isinstance(f, Impl) and canonical(f.left) in ev.get(t.right, {}):
+                yield "E2", f.right, t.left, f
+    elif isinstance(t, Sum):
+        for part in (t.left, t.right):
+            for f in ev.get(part, {}).values():
+                yield "E3", f, part, f
+    elif isinstance(t, Bang):
+        for f in ev.get(t.inner, {}).values():
+            for window in _windows(f, domain):
+                yield "E4", Assert(t.inner, window, f), t.inner, f
+    elif isinstance(t, Gen):
+        for f in ev.get(t.inner, {}).values():
+            yield "E5", Forall(t.bound, f), t.inner, f
+    for f in tuple(ev.get(t, {}).values()):
+        for inst in _instances(f, domain):
+            yield "E6", inst, t, f
+
+
 def validate_model(
     m: MkrtychevModel, cs: ConstantSpecification
 ) -> list[Violation]:
-    """Check E1-E6 over the finitely presented fragment.
+    """Report every formula E1-E6 demand that the presented evidence lacks.
 
     E1 is checked for concrete CS entries only; schematic and total
     specifications have infinitely many instances and are out of reach
-    of a finite check.  Compound conditions are checked for every
-    compound term present in the evidence map.
+    of a finite check.  E2-E6 are checked for every term present in the
+    evidence map.
     """
     if not m.domain:
         raise ModelError("domain must be non-empty")
     _arity_map(m)
-    violations: list[Violation] = []
-    canon = {t: m.canon_evidence(t) for t in m.evidence}
-
-    def member(t: Term, f: Formula) -> bool:
-        return canonical(f) in canon.get(t, m.canon_evidence(t))
-
-    for c, a in cs.concrete:
-        if not member(TermConst(c), a):
-            violations.append(
-                Violation("E1", f"{c} : {a} in CS but {a} not in evidence({c})")
-            )
-
-    for t in m.evidence:
-        if isinstance(t, App):
-            for f in m.evidence_of(t.left):
-                if not isinstance(f, Impl):
-                    continue
-                if member(t.right, f.left) and not member(t, f.right):
-                    violations.append(
-                        Violation(
-                            "E2",
-                            f"{f.left} -> {f.right} in evidence({t.left}) and "
-                            f"{f.left} in evidence({t.right}) but "
-                            f"{f.right} not in evidence({t})",
-                        )
-                    )
-        elif isinstance(t, Sum):
-            for part in (t.left, t.right):
-                for f in m.evidence_of(part):
-                    if not member(t, f):
-                        violations.append(
-                            Violation(
-                                "E3",
-                                f"{f} in evidence({part}) but not in evidence({t})",
-                            )
-                        )
-        elif isinstance(t, Bang):
-            for f in m.evidence_of(t.inner):
-                base = sorted(elem_set(f))
-                rest = [d for d in m.domain if d not in base]
-                for k in range(len(rest) + 1):
-                    for extra in itertools.combinations(rest, k):
-                        window = mkwindow(elem(d) for d in [*base, *extra])
-                        want = Assert(t.inner, window, f)
-                        if not member(t, want):
-                            violations.append(
-                                Violation(
-                                    "E4",
-                                    f"{f} in evidence({t.inner}) but {want} "
-                                    f"not in evidence({t})",
-                                )
-                            )
-        elif isinstance(t, Gen):
-            for f in m.evidence_of(t.inner):
-                want = Forall(t.bound, f)
-                if not member(t, want):
-                    violations.append(
-                        Violation(
-                            "E5",
-                            f"{f} in evidence({t.inner}) but {want} "
-                            f"not in evidence({t})",
-                        )
-                    )
-
-    for t, formulas in m.evidence.items():
-        for f in formulas:
-            for x in sorted(free_vars(f)):
-                for d in m.domain:
-                    inst = substitute(f, x, elem(d))
-                    if not member(t, inst):
-                        violations.append(
-                            Violation(
-                                "E6",
-                                f"{f} in evidence({t}) but instance {inst} "
-                                f"is not",
-                            )
-                        )
-    return violations
+    ev = {t: {canonical(f): f for f in fs} for t, fs in m.evidence.items()}
+    terms = dict.fromkeys([*m.evidence, *(TermConst(c) for c, _ in cs.concrete)])
+    return [
+        Violation(
+            cond,
+            f"{f} not in evidence({t}), demanded by {source_f} in "
+            + ("the CS" if source is None else f"evidence({source})"),
+        )
+        for t in terms
+        for cond, f, source, source_f in _demands(t, ev, m.domain, cs)
+        if canonical(f) not in ev.get(t, {})
+    ]
 
 
 def satisfies(m: MkrtychevModel, f: Formula) -> bool:
@@ -231,13 +222,13 @@ class CountermodelSearch:
 
 
 _DOMAIN_NAMES = "abcdefgh"
+_POOL_CAP = 8
 
 
 def _instantiation_closure(
-    bodies: Iterable[Formula], domain: tuple[str, ...], cap: int
+    bodies: Iterable[Formula], domain: tuple[str, ...]
 ) -> list[Formula]:
-    """Close a formula pool under single-variable instantiation over the
-    domain (the shape E6 demands)."""
+    """Close a formula pool under the instances E6 demands."""
     pool: dict[Formula, Formula] = {}
     work = list(bodies)
     while work:
@@ -246,11 +237,9 @@ def _instantiation_closure(
         if key in pool:
             continue
         pool[key] = f
-        if len(pool) > cap:
+        if len(pool) > _POOL_CAP:
             raise _PoolOverflow()
-        for x in sorted(free_vars(f)):
-            for d in domain:
-                work.append(substitute(f, x, elem(d)))
+        work.extend(_instances(f, domain))
     return sorted(pool.values(), key=lambda g: str(g))
 
 
@@ -259,73 +248,45 @@ class _PoolOverflow(Exception):
 
 
 def _close_evidence(
-    ev: dict[Term, dict[Formula, Formula]],
+    ev: Evidence,
     terms: list[Term],
     domain: tuple[str, ...],
     cs: ConstantSpecification,
 ) -> None:
-    """Mutate ``ev`` to the least fixpoint of E1-E6 over ``terms``."""
-    term_set = set(terms)
-    for c, a in cs.concrete:
-        t = TermConst(c)
-        if t in term_set:
-            ev.setdefault(t, {})[canonical(a)] = a
+    """Mutate ``ev`` to the least fixpoint of E1-E6 over ``terms``.
 
-    def add(t: Term, f: Formula) -> bool:
-        key = canonical(f)
+    ``terms`` lists every term after its proper subterms, so one pass
+    suffices: E2-E5 read only proper subterms, which are already
+    saturated, and each E6 instance has one free variable fewer than its
+    source, so saturating a single term ends.
+    """
+    for t in terms:
         bucket = ev.setdefault(t, {})
-        if key in bucket:
-            return False
-        bucket[key] = f
-        return True
-
-    changed = True
-    rounds = 0
-    while changed and rounds < 50:
-        changed = False
-        rounds += 1
-        for t in terms:
-            if isinstance(t, App):
-                for f in list(ev.get(t.left, {}).values()):
-                    if isinstance(f, Impl) and canonical(f.left) in ev.get(
-                        t.right, {}
-                    ):
-                        changed |= add(t, f.right)
-            elif isinstance(t, Sum):
-                for part in (t.left, t.right):
-                    for f in list(ev.get(part, {}).values()):
-                        changed |= add(t, f)
-            elif isinstance(t, Bang):
-                for f in list(ev.get(t.inner, {}).values()):
-                    base = sorted(elem_set(f))
-                    rest = [d for d in domain if d not in base]
-                    for k in range(len(rest) + 1):
-                        for extra in itertools.combinations(rest, k):
-                            window = mkwindow(elem(d) for d in [*base, *extra])
-                            changed |= add(t, Assert(t.inner, window, f))
-            elif isinstance(t, Gen):
-                for f in list(ev.get(t.inner, {}).values()):
-                    changed |= add(t, Forall(t.bound, f))
-        for t in terms:
-            for f in list(ev.get(t, {}).values()):
-                for x in sorted(free_vars(f)):
-                    for d in domain:
-                        changed |= add(t, substitute(f, x, elem(d)))
+        grew = True
+        while grew:
+            grew = False
+            for _, f, _, _ in _demands(t, ev, domain, cs):
+                key = canonical(f)
+                if key not in bucket:
+                    bucket[key] = f
+                    grew = True
 
 
 def find_countermodel(
     goal: Formula,
     cs: ConstantSpecification,
     max_domain: int = 2,
-    formula_pool_depth: int = 2,
     max_models: int = 200_000,
 ) -> CountermodelSearch:
     """Enumerate small models looking for one that falsifies ``goal``.
 
     Evidence sets are drawn from the goal's assertion bodies (and CS
-    bodies), instantiated over the domain and closed under E1-E6.
-    Absence proves nothing; hitting the enumeration cap is reported as
-    exhaustion, distinct from absence.
+    bodies), instantiated over the domain, assigned to every term and
+    closed under E1-E6 in one subterms-first pass, so every candidate is
+    admissible by construction.  Only a candidate that falsifies the goal
+    is passed to ``validate_model``, so a returned model is always valid.
+    Absence proves nothing; hitting ``max_models`` or a formula pool of
+    more than 8 formulas is reported as exhaustion, distinct from absence.
     """
     if free_vars(goal) or par_set(goal) or elem_set(goal):
         raise ModelError(f"countermodel goals must be sentences: {goal}")
@@ -343,16 +304,16 @@ def find_countermodel(
     for t in list(terms):
         terms.update(subterms(t))
     term_list = sorted(terms, key=str)
+    closure_order = sorted(term_list, key=lambda t: sum(1 for _ in subterms(t)))
 
     bodies = [f.body for f in subformulas(goal) if isinstance(f, Assert)]
     bodies += [a for _, a in cs.concrete]
 
     checked = 0
-    pool_cap = max(8, 4 * formula_pool_depth)
     for n in range(1, max_domain + 1):
         domain = tuple(_DOMAIN_NAMES[:n])
         try:
-            pool = _instantiation_closure(bodies, domain, pool_cap)
+            pool = _instantiation_closure(bodies, domain)
         except _PoolOverflow:
             return CountermodelSearch(None, "exhausted", checked)
 
@@ -376,22 +337,20 @@ def find_countermodel(
                 checked += 1
                 if checked > max_models:
                     return CountermodelSearch(None, "exhausted", checked)
-                ev: dict[Term, dict[Formula, Formula]] = {
+                ev: Evidence = {
                     t: {canonical(f): f for f in fs}
                     for t, fs in zip(term_list, assignment)
                 }
-                _close_evidence(ev, term_list, domain, cs)
+                _close_evidence(ev, closure_order, domain, cs)
                 model = MkrtychevModel(
                     domain=domain,
                     interp=interp,
                     evidence={
-                        t: tuple(sorted(ev.get(t, {}).values(), key=str))
+                        t: tuple(sorted(ev[t].values(), key=str))
                         for t in term_list
                     },
                 )
-                if validate_model(model, cs):
-                    continue
-                if not satisfies(model, goal):
+                if not satisfies(model, goal) and not validate_model(model, cs):
                     return CountermodelSearch(model, "found", checked)
     return CountermodelSearch(None, "absent", checked)
 

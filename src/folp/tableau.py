@@ -325,6 +325,20 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
     raise RuleError("unknown-rule", name)
 
 
+def cs_closing_constant(f: Formula, cs: ConstantSpecification) -> Optional[str]:
+    """The constant ``c`` if ``f`` is ``~c : A`` with an empty window and
+    ``c : A`` in the CS, so that ``f`` closes its branch; else ``None``."""
+    if (
+        isinstance(f, Neg)
+        and isinstance(f.body, Assert)
+        and isinstance(f.body.term, TermConst)
+        and not f.body.window
+        and cs_contains(cs, f.body.term.name, f.body.body)
+    ):
+        return f.body.term.name
+    return None
+
+
 def closure_against(
     new_id: int,
     f: Formula,
@@ -335,17 +349,11 @@ def closure_against(
 
     ``seen`` maps earlier branch formulas to their node ids.
     """
-    if isinstance(f, Neg):
-        if f.body in seen:
-            return Contradiction(new_id, seen[f.body])
-        a = f.body
-        if (
-            isinstance(a, Assert)
-            and isinstance(a.term, TermConst)
-            and not a.window
-            and cs_contains(cs, a.term.name, a.body)
-        ):
-            return CsClosure(new_id, a.term.name)
+    if isinstance(f, Neg) and f.body in seen:
+        return Contradiction(new_id, seen[f.body])
+    constant = cs_closing_constant(f, cs)
+    if constant is not None:
+        return CsClosure(new_id, constant)
     if Neg(f) in seen:
         return Contradiction(new_id, seen[Neg(f)])
     return None
@@ -390,51 +398,3 @@ class ProofTree:
             out.append(n)
             stack.extend(reversed(n.children))
         return out
-
-    def branches(self) -> list[list[ProofNode]]:
-        """All root-to-leaf paths, leftmost first."""
-        out: list[list[ProofNode]] = []
-
-        def walk(node: ProofNode, path: list[ProofNode]) -> None:
-            path = path + [node]
-            if not node.children:
-                out.append(path)
-            for child in node.children:
-                walk(child, path)
-
-        walk(self.root, [])
-        return out
-
-
-def tableau_closed(tree: ProofTree, cs: ConstantSpecification) -> bool:
-    """True iff every leaf-to-root branch carries a valid closure."""
-    for path in tree.branches():
-        leaf = path[-1]
-        branch: Branch = [(n.id, n.formula) for n in path]
-        mark = leaf.closure
-        if mark is None:
-            return False
-        by_id = dict(branch)
-        if isinstance(mark, Contradiction):
-            f = by_id.get(mark.node_id)
-            g = by_id.get(mark.with_id)
-            if f is None or g is None:
-                return False
-            if f != Neg(g) and Neg(f) != g:
-                return False
-        elif isinstance(mark, CsClosure):
-            f = by_id.get(mark.node_id)
-            if f is None or not isinstance(f, Neg):
-                return False
-            a = f.body
-            if not (
-                isinstance(a, Assert)
-                and isinstance(a.term, TermConst)
-                and a.term.name == mark.constant
-                and not a.window
-                and cs_contains(cs, mark.constant, a.body)
-            ):
-                return False
-        else:
-            return False
-    return True

@@ -18,6 +18,12 @@ class TestParse:
         assert main(["parse", "Q0 ->"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_internal_error_exits_2(self, capsys):
+        # Nesting this deep exhausts the recursive parser: the crash is
+        # reported as an internal error, not as a negative verdict.
+        assert main(["parse", "~" * 2000 + "Q0"]) == 2
+        assert "internal error:" in capsys.readouterr().err
+
 
 class TestAxiomMatch:
     def test_match(self, capsys):
@@ -69,6 +75,18 @@ class TestCheck:
         out.write_text(json.dumps(data))
         assert main(["check", str(out), "--cs", CS]) == 1
         assert "reject" in capsys.readouterr().out
+
+    def test_malformed_proof_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "proof.json"
+        assert main(["prove", "Q0 -> Q0", "--cs", CS, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        node = data["tree"]
+        while node["children"]:
+            node = node["children"][0]
+        del node["closure"]["with"]
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), "--cs", CS]) == 2
+        assert "error: bad proof node" in capsys.readouterr().err
 
 
 class TestModelCheck:

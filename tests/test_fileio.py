@@ -111,3 +111,36 @@ class TestProofFiles:
                     },
                 }
             )
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"closure": {"kind": "contradiction"}},  # no "with"
+            {"closure": {"kind": "cs"}},  # no "constant"
+            {"closure": {"kind": "contradiction", "with": "one"}},
+            {"closure": ["cs"]},  # not an object
+            {"closure": "cs"},
+            {"id": "one"},
+            {"formula": 7},
+            {"children": 7},
+            {"children": [7]},
+            {"rule": ["TImp"]},
+            {"rule": {"name": "TImp", "premises": 1}},
+            {"rule": {"name": "Zap", "premises": [1]}},
+            {"rule": {"name": "FDot", "premises": [1], "cut": 7}},  # non-string cut
+            {"rule": {"name": "FDot", "premises": [1], "cut": "Q0 ->"}},
+            {"rule": {"name": "Ins", "premises": [1], "param": "@u", "var": 7}},
+        ],
+    )
+    def test_malformed_node(self, tree):
+        node = {"id": 1, "formula": "~Q0", "rule": None, "children": [],
+                "closure": None, **tree}
+        with pytest.raises(FileFormatError):
+            parse_proof({"roots": ["~Q0"], "tree": node})
+
+    @pytest.mark.parametrize(
+        "data", [[], 7, {"roots": "~Q0", "tree": {}}, {"roots": [7], "tree": {}}]
+    )
+    def test_malformed_document(self, data):
+        with pytest.raises(FileFormatError):
+            parse_proof(data)

@@ -137,20 +137,36 @@ class TestSatisfaction:
             satisfies(build(CLEAN), parse_formula("Q(@u)"))
 
 
+# Each non-theorem with the number of models its search enumerates.
 NON_THEOREMS = (
-    "Q0 -> p : Q0",
-    "p : Q(x)",
-    "exists x. Q(x) -> forall x. Q(x)",
-    "p : Q0 -> q : Q0",
-    "(p + q) : Q0 -> p : Q0",
+    ("Q0 -> p : Q0", 65),
+    ("p : Q(x)", 1),
+    ("exists x. Q(x) -> forall x. Q(x)", 25),
+    ("p : Q0 -> q : Q0", 521),
+    ("(p + q) : Q0 -> p : Q0", 4098),
 )
 
 
 class TestCountermodels:
-    @pytest.mark.parametrize("text", NON_THEOREMS)
-    def test_falsified(self, text, corpus_cs):
+    @pytest.mark.parametrize(
+        "text, checked", NON_THEOREMS, ids=[text for text, _ in NON_THEOREMS]
+    )
+    def test_falsified(self, text, checked, corpus_cs):
         goal = parse_formula(text, corpus_cs.constants)
         result = find_countermodel(goal, corpus_cs, max_domain=2)
+        assert result.status == "found"
+        assert result.models_checked == checked
+        assert validate_model(result.model, corpus_cs) == []
+        assert not satisfies(result.model, goal)
+
+    def test_deep_sum_closes_in_one_pass(self, corpus_cs):
+        # z's evidence must climb 60 nested sums to reach the outer term;
+        # the closure saturates subterms first, so no round count limits it.
+        term = "z"
+        for _ in range(60):
+            term = f"(q + {term})"
+        goal = parse_formula(f"z : ~Q0 -> {term} : ~Q1", corpus_cs.constants)
+        result = find_countermodel(goal, corpus_cs, max_domain=1, max_models=40)
         assert result.status == "found"
         assert validate_model(result.model, corpus_cs) == []
         assert not satisfies(result.model, goal)
