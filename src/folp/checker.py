@@ -16,7 +16,7 @@ from .syntax import (
     Formula,
     Neg,
     elem_set,
-    is_closed_par_formula,
+    free_vars,
 )
 from .tableau import (
     BRANCHING_RULES,
@@ -67,7 +67,7 @@ def _reject(node_id: Optional[int], condition: str, message: str) -> None:
 
 
 def _check_label(node: ProofNode) -> None:
-    if not is_closed_par_formula(node.formula):
+    if free_vars(node.formula):
         _reject(
             node.id,
             "structural:open-formula",
@@ -85,11 +85,10 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
     mark = leaf.closure
     if mark is None:
         _reject(leaf.id, "open-leaf", "leaf carries no closure mark")
-    by_id = dict(branch)
     if isinstance(mark, Contradiction):
         if mark.node_id != leaf.id:
             _reject(leaf.id, "closure-witness", "contradiction mark must cite the leaf")
-        other = by_id.get(mark.with_id)
+        other = branch.get(mark.with_id)
         if other is None:
             _reject(
                 leaf.id,
@@ -235,17 +234,18 @@ def _check_tree(tree: ProofTree, cs: ConstantSpecification) -> None:
     chain = _root_chain(tree)
     for node in chain:
         _check_label(node)
-    branch: Branch = [(n.id, n.formula) for n in chain]
+    branch = {n.id: n.formula for n in chain}
     last_root = chain[-1]
     _descend(last_root, branch, tree, cs)
 
 
 def _descend(
     node: ProofNode,
-    branch: Branch,
+    branch: dict[int, Formula],
     tree: ProofTree,
     cs: ConstantSpecification,
 ) -> None:
+    """Check below ``node``; ``branch`` maps ``node`` and its ancestors."""
     if not node.children:
         _check_closure(node, branch, cs)
         return
@@ -256,4 +256,6 @@ def _descend(
         assert child.rule is not None
         _check_label(child)
         _check_rule_node(child, i, children, branch)
-        _descend(child, branch + [(child.id, child.formula)], tree, cs)
+        branch[child.id] = child.formula
+        _descend(child, branch, tree, cs)
+        del branch[child.id]

@@ -2,17 +2,15 @@
 
 Grammar (ASCII, unambiguous)::
 
-    formula := impl
-    impl    := unary ("->" impl)?                    right associative
+    formula := unary ("->" unary)*                   right associative
     unary   := "~" unary
              | ("forall" | "exists") IVAR "." unary
              | term ":" window? unary
-             | primary
-    primary := PRED ("(" atomlist ")")? | "(" formula ")"
+             | "(" formula ")"
+             | PRED ("(" atomlist ")")?
     window  := "[" atomlist? "]"                     omitted = empty set
 
-    term    := tsum
-    tsum    := tapp ("+" tapp)*                      left associative
+    term    := tapp ("+" tapp)*                      left associative
     tapp    := tpre ("*" tpre)*                      left associative
     tpre    := "!" tpre | "gen" "<" IVAR ">" "(" term ")" | JID | "(" term ")"
 
@@ -21,6 +19,10 @@ identifiers (a JID is a constant iff declared); parameters are
 ``@name`` and domain elements ``$name``.  ``:`` binds the immediately
 following unary-level formula, so ``t:[x]A -> B`` reads ``(t:[x]A) -> B``
 and ``p : forall x. A(x) -> B`` reads ``(p : forall x. A(x)) -> B``.
+
+Chains are read iteratively.  Input nested deeper than ``MAX_DEPTH``
+levels (each prefix operator, parenthesis and chain link is one) is a
+:class:`ParseError`, so no recursive walker over it runs out of stack.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ from .syntax import (
 )
 
 KEYWORDS = {"forall", "exists", "gen"}
+
+# The chain-256 benchmark goal nests 258 levels.  Formula equality and
+# this parser on nested parentheses take three stack frames per level, so
+# 280 levels leave room under Python's default limit of 1000 frames.
+MAX_DEPTH = 280
 
 
 class ParseError(Exception):
@@ -123,6 +130,7 @@ class Parser:
         self.pos = 0
         self.decls = set(decls)
         self.arities = arities if arities is not None else {}
+        self.depth = 0  # nesting levels entered, at most MAX_DEPTH
 
     # -- token plumbing ----------------------------------------------------
 
@@ -153,20 +161,38 @@ class Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def deeper(self) -> None:
+        """Enter a nesting level; the caller lowers ``depth`` to leave."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"input nested deeper than {MAX_DEPTH} levels")
+
+    def nested(self, parse):
+        """``parse()`` one level deeper."""
+        self.deeper()
+        out = parse()
+        self.depth -= 1
+        return out
+
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.unary()
-        if self.peek().kind == "ARROW":
+        parts = [self.unary()]
+        while self.peek().kind == "ARROW":
             self.next()
-            return Impl(left, self.formula())
-        return left
+            self.deeper()
+            parts.append(self.unary())
+        self.depth -= len(parts) - 1
+        f = parts.pop()
+        while parts:
+            f = Impl(parts.pop(), f)
+        return f
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "~":
             self.next()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         if tok.kind == "LID" and tok.text in ("forall", "exists"):
             self.next()
             bound = self.peek()
@@ -181,12 +207,12 @@ class Parser:
                     f"{name_tok.text!r} is reserved", name_tok.line, name_tok.col
                 )
             self.expect(".")
-            body = self.unary()
+            body = self.nested(self.unary)
             return (Forall if tok.text == "forall" else Exists)(name_tok.text, body)
         if tok.kind in ("LID", "!", "("):
             # Could be an assertion "term : ..." or, for "(", a
             # parenthesised formula.  Try the term reading first.
-            save = self.pos
+            save = self.pos, self.depth
             try:
                 t = self.term()
                 if self.peek().kind == ":":
@@ -197,22 +223,22 @@ class Parser:
                         if self.peek().kind != "]":
                             window = tuple(self.atom_list())
                         self.expect("]")
-                    return Assert(t, window, self.unary())
+                    return Assert(t, window, self.nested(self.unary))
                 if tok.kind != "(":
                     raise self.error("expected ':' after justification term")
             except ParseError:
                 if tok.kind != "(":
                     raise
-            self.pos = save
+            self.pos, self.depth = save
+        if tok.kind == "(":
+            self.next()
+            f = self.nested(self.formula)
+            self.expect(")")
+            return f
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
         if tok.kind == "UID":
             self.next()
             args: tuple[Atom, ...] = ()
@@ -258,24 +284,29 @@ class Parser:
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.tapp()
-        while self.peek().kind == "+":
-            self.next()
-            t = Sum(t, self.tapp())
-        return t
-
-    def tapp(self) -> Term:
-        t = self.tpre()
-        while self.peek().kind == "*":
-            self.next()
-            t = App(t, self.tpre())
-        return t
+        # One loop for tsum and tapp: ``total`` holds the sum so far and
+        # ``product`` the application being read.
+        links = 0
+        total: Optional[Term] = None
+        product = self.tpre()
+        while self.peek().kind in ("+", "*"):
+            op = self.next().kind
+            self.deeper()
+            links += 1
+            right = self.tpre()
+            if op == "*":
+                product = App(product, right)
+            else:
+                total = product if total is None else Sum(total, product)
+                product = right
+        self.depth -= links
+        return product if total is None else Sum(total, product)
 
     def tpre(self) -> Term:
         tok = self.peek()
         if tok.kind == "!":
             self.next()
-            return Bang(self.tpre())
+            return Bang(self.nested(self.tpre))
         if tok.kind == "LID" and tok.text == "gen":
             self.next()
             self.expect("<")
@@ -284,7 +315,7 @@ class Parser:
                 raise ParseError(f"{name.text!r} is reserved", name.line, name.col)
             self.expect(">")
             self.expect("(")
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")")
             return Gen(name.text, t)
         if tok.kind == "LID":
@@ -296,7 +327,7 @@ class Parser:
             return TermVar(tok.text)
         if tok.kind == "(":
             self.next()
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")")
             return t
         raise self.error(

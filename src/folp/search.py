@@ -6,13 +6,24 @@ non-branching rules fire first, then one-shot fresh-parameter rules,
 then the branching implication rule, and finally the generative rules
 (parameter instantiation, window contraction, application cuts), which
 are rationed round-robin per premise.
+
+The search runs off an agenda.  A node is classified once, when it joins
+the branch, into per-rule queues in branch order: one per deterministic
+rule, then delta (fresh parameter), TImp and gamma (generative).  A
+premise that has fired, or can never fire usefully again, is marked
+spent.  The same pass indexes the node's subformulas, FDot's cut
+candidates.  Formulas cache their hash and atom sets.  All branches
+share one agenda: each change is logged on a trail, which is unwound to
+the branch point before the second child of a branching rule grows.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Any, Optional, Sequence, Union
 
 from .axioms import ConstantSpecification
 from .syntax import (
@@ -32,11 +43,10 @@ from .syntax import (
     elem_set,
     free_vars,
     par_set,
-    subformulas,
     param as mk_param,
 )
 from .tableau import (
-    Branch,
+    FRESH_PARAM_RULES,
     Closure,
     ProofNode,
     ProofTree,
@@ -80,6 +90,8 @@ class Exhausted:
 SearchOutcome = Union[Proved, Open, Exhausted]
 
 _DETERMINISTIC = ("FNeg", "FImp", "FPlus", "FBang", "GenX", "Exp", "TColon", "Ins")
+_QUEUES = (*_DETERMINISTIC, "delta", "TImp", "gamma")
+_TERM_RULES = {Sum: "FPlus", Bang: "FBang", Gen: "GenX"}
 
 
 class _ExhaustedError(Exception):
@@ -89,47 +101,150 @@ class _ExhaustedError(Exception):
 
 
 class _OpenBranch(Exception):
-    def __init__(self, branch: Branch, diagnostics: str):
+    def __init__(self, branch: list[Formula], diagnostics: str):
         super().__init__(diagnostics)
         self.branch = branch
         self.diagnostics = diagnostics
 
 
-@dataclass
-class _BranchState:
-    """Per-branch bookkeeping; copied at branch points."""
+def _agenda_entries(nid: int, pos: int, f: Formula):
+    """``(queue, entry)`` for each rule class ``f`` is a premise of.
+    Every entry starts with the node id; a deterministic entry carries
+    its rule instance (Ins gets its variable when examined)."""
+    if isinstance(f, Impl):
+        yield "TImp", (nid, f)
+    elif isinstance(f, Exists):
+        yield "delta", (nid, "TExists")
+    elif isinstance(f, Forall):
+        yield "gamma", (nid, pos, "TForall", f)
+    elif isinstance(f, Assert):
+        yield "TColon", (nid, RuleApp("TColon", (nid,)))
+    elif isinstance(f, Neg):
+        body = f.body
+        if isinstance(body, Neg):
+            yield "FNeg", (nid, RuleApp("FNeg", (nid,)))
+        elif isinstance(body, Impl):
+            yield "FImp", (nid, RuleApp("FImp", (nid,)))
+        elif isinstance(body, Forall):
+            yield "delta", (nid, "FForall")
+        elif isinstance(body, Exists):
+            yield "gamma", (nid, pos, "FExists", f)
+        elif isinstance(body, Assert):
+            name = _TERM_RULES.get(type(body.term))
+            if name is not None:
+                yield name, (nid, RuleApp(name, (nid,)))
+            pars = par_set(body.body)
+            drop = [w for w in body.window if w.kind == PARAM and w.name not in pars]
+            if drop:
+                yield "Exp", (nid, RuleApp("Exp", (nid,), param=drop[0]))
+            if pars:
+                yield "Ins", (nid, RuleApp("Ins", (nid,), param=mk_param(min(pars))))
+            if isinstance(body.term, App):
+                yield "gamma", (nid, pos, "FDot", body)
+            if all(w.kind == PARAM for w in body.window):
+                yield "gamma", (nid, pos, "Ctr", body)
 
-    formulas: dict[Formula, int]
-    branch: Branch
-    applied: set
-    gamma_used: dict[int, set[str]]
-    gamma_fresh_used: set[int]
-    gamma_uses: dict[int, int]
-    fdot_done: dict[int, set[Formula]]
-    param_order: list[str]
-    fresh_params: int = 0
-    limits_hit: list[str] = field(default_factory=list)
 
-    def fork(self) -> "_BranchState":
-        return _BranchState(
-            formulas=dict(self.formulas),
-            branch=list(self.branch),
-            applied=set(self.applied),
-            gamma_used={k: set(v) for k, v in self.gamma_used.items()},
-            gamma_fresh_used=set(self.gamma_fresh_used),
-            gamma_uses=dict(self.gamma_uses),
-            fdot_done={k: set(v) for k, v in self.fdot_done.items()},
-            param_order=list(self.param_order),
-            fresh_params=self.fresh_params,
-            limits_hit=list(self.limits_hit),
-        )
+class _Agenda:
+    """The current branch, its rule queues and its per-premise
+    bookkeeping.  Every change is logged on ``trail`` so that ``undo``
+    can return to an earlier branch point."""
 
-    def note(self, f: Formula, nid: int) -> None:
-        self.formulas.setdefault(f, nid)
-        self.branch.append((nid, f))
+    def __init__(self) -> None:
+        self.branch: dict[int, Formula] = {}  # root first
+        self.formulas: dict[Formula, int] = {}  # first node id per formula
+        self.param_order: list[str] = []
+        self.queues: dict[str, list] = {name: [] for name in _QUEUES}
+        self.heads: dict[str, int] = dict.fromkeys(_QUEUES, 0)
+        self.spent: set[tuple[str, int]] = set()
+        self.gamma_used: dict[int, set[str]] = defaultdict(set)
+        self.gamma_fresh_used: set[int] = set()
+        self.gamma_uses: dict[int, int] = {}
+        self.fdot_done: dict[int, set[Formula]] = defaultdict(set)
+        # Cut sources: distinct subformulas in order of first occurrence,
+        # and the antecedents of asserted implications by consequent.
+        self.subformulas: dict[Formula, None] = {}
+        self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
+        self.fresh_params = 0
+        self.limit_hit: Optional[str] = None
+        self.trail: list[tuple[Any, ...]] = []
+
+    # -- logged changes ----------------------------------------------------
+
+    def put(self, d: dict, key: Any, value: Any) -> None:
+        d[key] = value
+        self.trail.append((d.pop, key))
+
+    def append(self, items: list, x: Any) -> None:
+        items.append(x)
+        self.trail.append((items.pop,))
+
+    def add(self, s: set, x: Any) -> None:
+        if x not in s:
+            s.add(x)
+            self.trail.append((s.discard, x))
+
+    def setitem(self, d: dict, key: Any, value: Any) -> None:
+        self.trail.append((d.__setitem__, key, d.get(key, 0)))
+        d[key] = value
+
+    def assign(self, attr: str, value: Any) -> None:
+        self.trail.append((setattr, self, attr, getattr(self, attr)))
+        setattr(self, attr, value)
+
+    def hit(self, dimension: str) -> None:
+        """Record a budget dimension that stopped a rule; only the first
+        one is reported."""
+        if self.limit_hit is None:
+            self.assign("limit_hit", dimension)
+
+    def undo(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            fn, *args = trail.pop()
+            fn(*args)
+
+    # -- the branch ----------------------------------------------------------
+
+    def note(self, nid: int, f: Formula) -> None:
+        """Add node ``nid`` to the branch and to the queues it belongs to."""
+        pos = len(self.branch)
+        self.put(self.branch, nid, f)
+        if f not in self.formulas:
+            self.put(self.formulas, f, nid)
         for u in sorted(par_set(f)):
             if u not in self.param_order:
-                self.param_order.append(u)
+                self.append(self.param_order, u)
+        for queue, entry in _agenda_entries(nid, pos, f):
+            self.append(self.queues[queue], entry)
+        # Index the subformulas not seen yet; a seen one had all of its
+        # own subformulas indexed with it.
+        stack = [f]
+        while stack:
+            sub = stack.pop()
+            if sub in self.subformulas:
+                continue
+            self.put(self.subformulas, sub, None)
+            if isinstance(sub, Neg):
+                stack.append(sub.body)
+            elif isinstance(sub, Impl):
+                stack += (sub.right, sub.left)
+            elif isinstance(sub, (Forall, Exists, Assert)):
+                stack.append(sub.body)
+                if isinstance(sub, Assert) and isinstance(sub.body, Impl):
+                    self.append(self.antecedents[sub.body.right], sub.body.left)
+
+    def pending(self, queue: str):
+        """Unspent entries of ``queue`` in branch order."""
+        entries, spent = self.queues[queue], self.spent
+        i = self.heads[queue]
+        while i < len(entries) and (queue, entries[i][0]) in spent:
+            i += 1
+        if i != self.heads[queue]:
+            self.setitem(self.heads, queue, i)
+        for entry in entries[i:]:
+            if (queue, entry[0]) not in spent:
+                yield entry
 
 
 class _Search:
@@ -144,34 +259,30 @@ class _Search:
         self.cs = cs
         self.budget = budget
         self.hints = list(hints)
+        self.cs_antecedents = [
+            entry.left for _, entry in cs.concrete if isinstance(entry, Impl)
+        ]
         self.next_id = 1
         self.nodes_created = 0
-        self.fresh_param_counter = 0
-        self.fresh_var_counter = 0
+        self.fresh_counters = {"u": 0, "v": 0}  # parameters, variables
         self.deadline = time.monotonic() + budget.time_limit
-        reserved: set[str] = set()
-        for f in [goal, *hints, *(a for _, a in cs.concrete)]:
-            reserved |= {a.name for a in atoms_of(f)}
-            reserved |= free_vars(f)
-        self.reserved_names = reserved
+        # Free variables occur as atoms, so atoms_of covers them.
+        sources = (goal, *hints, *(e for _, e in cs.concrete))
+        self.reserved_names = {a.name for f in sources for a in atoms_of(f)}
 
     # -- fresh symbols -----------------------------------------------------
 
-    def fresh_param(self) -> Atom:
+    def fresh_name(self, prefix: str) -> str:
+        """``prefix`` numbered by its own counter, skipping used names."""
         while True:
-            name = f"u{self.fresh_param_counter}"
-            self.fresh_param_counter += 1
-            if name not in self.reserved_names:
-                self.reserved_names.add(name)
-                return mk_param(name)
-
-    def fresh_var(self) -> str:
-        while True:
-            name = f"v{self.fresh_var_counter}"
-            self.fresh_var_counter += 1
+            name = f"{prefix}{self.fresh_counters[prefix]}"
+            self.fresh_counters[prefix] += 1
             if name not in self.reserved_names:
                 self.reserved_names.add(name)
                 return name
+
+    def fresh_param(self) -> Atom:
+        return mk_param(self.fresh_name("u"))
 
     # -- node plumbing -----------------------------------------------------
 
@@ -183,347 +294,205 @@ class _Search:
         self.next_id += 1
         return node
 
-    def check_budget(self, state: _BranchState) -> None:
+    def check_budget(self, agenda: _Agenda) -> None:
         if time.monotonic() > self.deadline:
             raise _ExhaustedError("time_limit")
-        if len(state.branch) > self.budget.max_depth:
+        if len(agenda.branch) > self.budget.max_depth:
             raise _ExhaustedError("max_depth")
 
     # -- rule selection ----------------------------------------------------
 
-    def _try_rule(
-        self, state: _BranchState, rule: RuleApp
-    ) -> Optional[list[list[Formula]]]:
-        """Conclusions of the instance, or None if inapplicable or
-        redundant (all conclusions already on the branch)."""
+    def _try_rule(self, agenda: _Agenda, rule: RuleApp) -> bool:
+        """Whether the instance applies and adds a formula to the branch."""
         try:
-            extensions = apply_rule(state.branch, rule)
+            extensions = apply_rule(agenda.branch, rule)
         except RuleError:
-            return None
-        if all(f in state.formulas for ext in extensions for f in ext):
-            return None
-        return extensions
+            return False
+        return not all(f in agenda.formulas for ext in extensions for f in ext)
 
-    def _deterministic_instance(self, state: _BranchState) -> Optional[RuleApp]:
+    def select(self, agenda: _Agenda) -> Optional[RuleApp]:
         for name in _DETERMINISTIC:
-            for nid, f in state.branch:
-                key = (name, nid)
-                if key in state.applied:
-                    continue
-                rule = self._shape_rule(name, nid, f, state)
-                if rule is None:
-                    continue
-                if self._try_rule(state, rule) is None:
-                    continue
-                return rule
-        return None
-
-    def _shape_rule(
-        self, name: str, nid: int, f: Formula, state: _BranchState
-    ) -> Optional[RuleApp]:
-        body = f.body if isinstance(f, Neg) else None
-        if name == "FNeg":
-            if isinstance(body, Neg):
-                return RuleApp("FNeg", (nid,))
-            return None
-        if name == "FImp":
-            if isinstance(body, Impl):
-                return RuleApp("FImp", (nid,))
-            return None
-        if name == "FPlus":
-            if isinstance(body, Assert) and isinstance(body.term, Sum):
-                return RuleApp("FPlus", (nid,))
-            return None
-        if name == "FBang":
-            if isinstance(body, Assert) and isinstance(body.term, Bang):
-                return RuleApp("FBang", (nid,))
-            return None
-        if name == "GenX":
-            if isinstance(body, Assert) and isinstance(body.term, Gen):
-                return RuleApp("GenX", (nid,))
-            return None
-        if name == "Exp":
-            if isinstance(body, Assert):
-                pars = par_set(body.body)
-                for w in body.window:
-                    if w.kind == PARAM and w.name not in pars:
-                        return RuleApp("Exp", (nid,), param=w)
-            return None
-        if name == "TColon":
-            if isinstance(f, Assert):
-                return RuleApp("TColon", (nid,))
-            return None
-        if name == "Ins":
-            if isinstance(body, Assert) and par_set(body.body):
-                u = sorted(par_set(body.body))[0]
-                return RuleApp(
-                    "Ins", (nid,), param=mk_param(u), var=self.fresh_var()
-                )
-            return None
-        return None
-
-    def _delta_instance(self, state: _BranchState) -> Optional[RuleApp]:
-        for nid, f in state.branch:
-            key = ("delta", nid)
-            if key in state.applied:
-                continue
-            name = None
-            if isinstance(f, Exists):
-                name = "TExists"
-            elif isinstance(f, Neg) and isinstance(f.body, Forall):
-                name = "FForall"
-            if name is None:
-                continue
-            if state.fresh_params >= self.budget.max_params:
-                state.limits_hit.append("max_params")
+            for nid, rule in agenda.pending(name):
+                if name == "Ins":
+                    # A fresh variable per examination, applicable or not.
+                    rule = replace(rule, var=self.fresh_name("v"))
+                if self._try_rule(agenda, rule):
+                    return rule
+                if name != "Ins":
+                    # Inapplicable or redundant, and stays so on this branch.
+                    agenda.add(agenda.spent, (name, nid))
+        for nid, name in agenda.pending("delta"):
+            if agenda.fresh_params >= self.budget.max_params:
+                agenda.hit("max_params")
                 continue
             return RuleApp(name, (nid,), param=self.fresh_param())
-        return None
-
-    def _timp_instance(self, state: _BranchState) -> Optional[RuleApp]:
-        for nid, f in state.branch:
-            if not isinstance(f, Impl):
-                continue
-            if ("TImp", nid) in state.applied:
-                continue
-            if Neg(f.left) in state.formulas or f.right in state.formulas:
+        for nid, f in agenda.pending("TImp"):
+            if Neg(f.left) in agenda.formulas or f.right in agenda.formulas:
+                agenda.add(agenda.spent, ("TImp", nid))
                 continue
             return RuleApp("TImp", (nid,))
-        return None
+        # Every gamma premise is examined, even after an instance is found:
+        # examining may draw a fresh parameter or retire used ones, which
+        # later proofs depend on.  The least used, earliest instance wins.
+        best: Optional[tuple[tuple[int, int, str], RuleApp]] = None
+        for nid, pos, name, premise in agenda.queues["gamma"]:
+            find = self._fdot_rule if name == "FDot" else self._param_rule
+            rule = find(name, nid, premise, agenda)
+            if rule is not None:
+                key = (agenda.gamma_uses.get(nid, 0), pos, name)
+                if best is None or key < best[0]:
+                    best = (key, rule)
+        return None if best is None else best[1]
 
-    def _gamma_instances(self, state: _BranchState) -> list[tuple[int, int, RuleApp]]:
-        """Enabled generative instances as (uses, branch position, rule)."""
-        out: list[tuple[int, int, RuleApp]] = []
-        for pos, (nid, f) in enumerate(state.branch):
-            body = f.body if isinstance(f, Neg) else None
-            uses = state.gamma_uses.get(nid, 0)
-            if isinstance(f, Forall) or (
-                isinstance(body, Exists)
-            ):
-                name = "TForall" if isinstance(f, Forall) else "FExists"
-                rule = self._gamma_param_rule(name, nid, state)
-                if rule is not None:
-                    out.append((uses, pos, rule))
-            elif isinstance(body, Assert):
-                if isinstance(body.term, App):
-                    rule = self._fdot_rule(nid, body, state)
-                    if rule is not None:
-                        out.append((uses, pos, rule))
-                if all(w.kind == PARAM for w in body.window):
-                    rule = self._ctr_rule(nid, body, state)
-                    if rule is not None:
-                        out.append((uses, pos, rule))
-        return out
-
-    def _gamma_param_rule(
-        self, name: str, nid: int, state: _BranchState
+    def _param_rule(
+        self, name: str, nid: int, premise: Formula, agenda: _Agenda
     ) -> Optional[RuleApp]:
-        used = state.gamma_used.setdefault(nid, set())
+        """TForall, FExists or Ctr with the first branch parameter not
+        yet used on ``premise``; a quantifier premise may then take one
+        fresh parameter."""
+        used = agenda.gamma_used[nid]
         if len(used) >= self.budget.max_params:
-            state.limits_hit.append("max_params")
+            agenda.hit("max_params")
             return None
-        for p in state.param_order:
-            if p in used:
-                continue
-            rule = RuleApp(name, (nid,), param=mk_param(p))
-            if self._try_rule(state, rule) is None:
-                used.add(p)
-                continue
-            return rule
-        if nid not in state.gamma_fresh_used:
-            if state.fresh_params >= self.budget.max_params:
-                state.limits_hit.append("max_params")
-                return None
-            return RuleApp(name, (nid,), param=self.fresh_param())
-        return None
-
-    def _ctr_rule(self, nid: int, a: Assert, state: _BranchState) -> Optional[RuleApp]:
-        used = state.gamma_used.setdefault(nid, set())
-        if len(used) >= self.budget.max_params:
-            state.limits_hit.append("max_params")
-            return None
-        window = {w.name for w in a.window}
-        for p in state.param_order:
+        window = {w.name for w in premise.window} if name == "Ctr" else ()
+        for p in agenda.param_order:
             if p in used or p in window:
                 continue
-            rule = RuleApp("Ctr", (nid,), param=mk_param(p))
-            if self._try_rule(state, rule) is None:
-                used.add(p)
-                continue
-            return rule
-        return None
-
-    def _fdot_rule(self, nid: int, a: Assert, state: _BranchState) -> Optional[RuleApp]:
-        done = state.fdot_done.setdefault(nid, set())
-        if len(done) >= self.budget.max_cut_candidates:
-            state.limits_hit.append("max_cut_candidates")
+            rule = RuleApp(name, (nid,), param=mk_param(p))
+            if self._try_rule(agenda, rule):
+                return rule
+            agenda.add(used, p)
+        if name == "Ctr" or nid in agenda.gamma_fresh_used:
             return None
-        for cut in self._cut_candidates(a, state):
+        if agenda.fresh_params >= self.budget.max_params:
+            agenda.hit("max_params")
+            return None
+        return RuleApp(name, (nid,), param=self.fresh_param())
+
+    def _fdot_rule(
+        self, name: str, nid: int, a: Assert, agenda: _Agenda
+    ) -> Optional[RuleApp]:
+        done = agenda.fdot_done[nid]
+        if len(done) >= self.budget.max_cut_candidates:
+            agenda.hit("max_cut_candidates")
+            return None
+        for cut in self._cut_candidates(a, agenda):
             if cut in done:
                 continue
             rule = RuleApp("FDot", (nid,), cut=cut)
-            left = Neg(Assert(a.term.left, a.window, Impl(cut, a.body)))  # type: ignore[union-attr]
-            right = Neg(Assert(a.term.right, a.window, cut))  # type: ignore[union-attr]
-            if left in state.formulas or right in state.formulas:
-                done.add(cut)
+            left = Neg(Assert(a.term.left, a.window, Impl(cut, a.body)))  # type: ignore[attr-defined]
+            right = Neg(Assert(a.term.right, a.window, cut))  # type: ignore[attr-defined]
+            if left in agenda.formulas or right in agenda.formulas:
+                agenda.add(done, cut)
                 continue
-            if self._try_rule(state, rule) is None:
-                done.add(cut)
+            if not self._try_rule(agenda, rule):
+                agenda.add(done, cut)
                 continue
             return rule
         return None
 
-    def _cut_candidates(self, a: Assert, state: _BranchState) -> list[Formula]:
+    def _cut_candidates(self, a: Assert, agenda: _Agenda) -> list[Formula]:
+        """The first admissible candidates, in order: hints, antecedents
+        of asserted implications whose consequent is the premise's body,
+        antecedents of concrete CS entries, then the branch's
+        subformulas."""
         window_pars = {w.name for w in a.window}
-
-        def admissible(f: Formula) -> bool:
-            return par_set(f) <= window_pars and not elem_set(f)
-
+        limit = self.budget.max_cut_candidates
         out: list[Formula] = []
         seen: set[Formula] = set()
-
-        def push(f: Formula) -> None:
-            if f not in seen and admissible(f):
+        for f in chain(
+            self.hints,
+            agenda.antecedents.get(a.body, ()),
+            self.cs_antecedents,
+            agenda.subformulas,
+        ):
+            if f not in seen and par_set(f) <= window_pars and not elem_set(f):
                 seen.add(f)
                 out.append(f)
-
-        for h in self.hints:
-            push(h)
-        # Antecedents of implications asserted on the branch whose
-        # consequent is the premise's body.
-        for _, f in state.branch:
-            for sub in subformulas(f):
-                if (
-                    isinstance(sub, Assert)
-                    and isinstance(sub.body, Impl)
-                    and sub.body.right == a.body
-                ):
-                    push(sub.body.left)
-        # Antecedents of concrete CS axiom instances.
-        for _, entry in self.cs.concrete:
-            if isinstance(entry, Impl):
-                push(entry.left)
-        # Subformulas of branch formulas.
-        for _, f in state.branch:
-            for sub in subformulas(f):
-                push(sub)
-        return out[: self.budget.max_cut_candidates]
-
-    def select(self, state: _BranchState) -> Optional[RuleApp]:
-        rule = self._deterministic_instance(state)
-        if rule is not None:
-            return rule
-        rule = self._delta_instance(state)
-        if rule is not None:
-            return rule
-        rule = self._timp_instance(state)
-        if rule is not None:
-            return rule
-        gammas = self._gamma_instances(state)
-        if gammas:
-            gammas.sort(key=lambda g: (g[0], g[1], g[2].name))
-            return gammas[0][2]
-        return None
+                if len(out) == limit:
+                    break
+        return out
 
     # -- main loop ---------------------------------------------------------
 
-    def close_branch(self, leaf: ProofNode, state: _BranchState) -> None:
+    def close_branch(self, leaf: ProofNode, agenda: _Agenda) -> None:
         """Extend the branch below ``leaf`` until it closes.
 
         Raises _OpenBranch on saturation and _ExhaustedError on budget
         exhaustion.
         """
         while True:
-            self.check_budget(state)
-            rule = self.select(state)
+            self.check_budget(agenda)
+            rule = self.select(agenda)
             if rule is None:
-                if state.limits_hit:
-                    raise _ExhaustedError(state.limits_hit[0])
+                if agenda.limit_hit is not None:
+                    raise _ExhaustedError(agenda.limit_hit)
                 raise _OpenBranch(
-                    state.branch,
+                    list(agenda.branch.values()),
                     "branch saturated without closing; the goal may not be "
                     "provable with the current strategy",
                 )
-            extensions = apply_rule(state.branch, rule)
-            self._mark_applied(state, rule)
+            extensions = apply_rule(agenda.branch, rule)
+            self._mark_applied(agenda, rule)
             if len(extensions) == 1:
-                closed = False
                 for f in extensions[0]:
                     node = self.make_node(f, rule)
                     leaf.children.append(node)
                     leaf = node
-                    mark = self._note_and_close(state, node)
+                    mark = self._note_and_close(agenda, node)
                     if mark is not None:
                         node.closure = mark
-                        closed = True
-                        break
-                if closed:
-                    return
+                        return
             else:
                 children = [self.make_node(ext[0], rule) for ext in extensions]
                 leaf.children.extend(children)
-                states = [state.fork() for _ in children]
-                for child, child_state in zip(children, states):
-                    mark = self._note_and_close(child_state, child)
+                branch_point = len(agenda.trail)
+                for child in children:
+                    mark = self._note_and_close(agenda, child)
                     if mark is not None:
                         child.closure = mark
                     else:
-                        self.close_branch(child, child_state)
+                        self.close_branch(child, agenda)
+                    agenda.undo(branch_point)
                 return
 
-    def _mark_applied(self, state: _BranchState, rule: RuleApp) -> None:
+    def _mark_applied(self, agenda: _Agenda, rule: RuleApp) -> None:
         nid = rule.premises[0]
-        if rule.name in _DETERMINISTIC:
-            state.applied.add((rule.name, nid))
-        elif rule.name in ("TExists", "FForall"):
-            state.applied.add(("delta", nid))
-            state.fresh_params += 1
-        elif rule.name == "TImp":
-            state.applied.add(("TImp", nid))
+        if rule.name in FRESH_PARAM_RULES:
+            agenda.add(agenda.spent, ("delta", nid))
+            agenda.assign("fresh_params", agenda.fresh_params + 1)
         elif rule.name in ("TForall", "FExists", "Ctr"):
             assert rule.param is not None
-            used = state.gamma_used.setdefault(nid, set())
-            if rule.param.name not in state.param_order:
-                state.fresh_params += 1
-                state.gamma_fresh_used.add(nid)
-            used.add(rule.param.name)
-            state.gamma_uses[nid] = state.gamma_uses.get(nid, 0) + 1
+            if rule.param.name not in agenda.param_order:
+                agenda.assign("fresh_params", agenda.fresh_params + 1)
+                agenda.add(agenda.gamma_fresh_used, nid)
+            agenda.add(agenda.gamma_used[nid], rule.param.name)
+            agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
         elif rule.name == "FDot":
             assert rule.cut is not None
-            state.fdot_done.setdefault(nid, set()).add(rule.cut)
-            state.gamma_uses[nid] = state.gamma_uses.get(nid, 0) + 1
+            agenda.add(agenda.fdot_done[nid], rule.cut)
+            agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
+        else:
+            agenda.add(agenda.spent, (rule.name, nid))
 
-    def _note_and_close(
-        self, state: _BranchState, node: ProofNode
-    ) -> Optional[Closure]:
-        mark = closure_against(node.id, node.formula, state.formulas, self.cs)
-        state.note(node.formula, node.id)
+    def _note_and_close(self, agenda: _Agenda, node: ProofNode) -> Optional[Closure]:
+        mark = closure_against(node.id, node.formula, agenda.formulas, self.cs)
+        agenda.note(node.id, node.formula)
         return mark
 
     def run(self) -> SearchOutcome:
         root_formula = Neg(self.goal)
         root = self.make_node(root_formula, None)
-        state = _BranchState(
-            formulas={},
-            branch=[],
-            applied=set(),
-            gamma_used={},
-            gamma_fresh_used=set(),
-            gamma_uses={},
-            fdot_done={},
-            param_order=[],
-        )
-        mark = self._note_and_close(state, root)
+        agenda = _Agenda()
+        mark = self._note_and_close(agenda, root)
         tree = ProofTree(roots=[root_formula], root=root)
         if mark is not None:
             root.closure = mark
             return Proved(tree)
         try:
-            self.close_branch(root, state)
+            self.close_branch(root, agenda)
         except _OpenBranch as ob:
-            return Open(
-                tuple(str(f) for _, f in ob.branch), ob.diagnostics
-            )
+            return Open(tuple(str(f) for f in ob.branch), ob.diagnostics)
         except _ExhaustedError as ex:
             return Exhausted(ex.dimension)
         return Proved(tree)

@@ -7,14 +7,16 @@ namespaces exist: individual variables (bare lowercase), parameters
 (``@u``), and domain elements (``$a``).  Parameters and domain elements
 are never bound by quantifiers.
 
-All values are immutable; windows are kept as sorted duplicate-free
-tuples so structural equality of formulas is plain ``==``.
+Values are never changed after construction (they cache their hash);
+windows are kept as sorted duplicate-free tuples so structural equality
+of formulas is plain ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 VAR = "var"
 PARAM = "param"
@@ -55,78 +57,87 @@ def elem(name: str) -> Atom:
 
 
 # ---------------------------------------------------------------------------
+# Terms and formulas cache their hash, and formulas their atom name sets.
+
+
+def _node(cls):
+    """Slotted dataclass with a hash cached in ``_hash``.  (``dataclass``
+    keeps a ``__hash__`` set before decoration.)"""
+    key = attrgetter(*cls.__annotations__)
+    tag = cls.__name__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if not h:
+            h = hash((tag, key(self)))
+            self._hash = h
+        return h
+
+    cls.__hash__ = __hash__
+    return dataclass(slots=True)(cls)
+
+
+# ---------------------------------------------------------------------------
 # Justification terms
 
 
+@dataclass(slots=True, eq=False)
 class Term:
-    __slots__ = ()
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __str__(self) -> str:
+        return _fmt_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TermVar(Term):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class TermConst(Term):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class Sum(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return f"{_fmt_term(self.left, 0)}+{_fmt_term(self.right, 1)}"
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class App(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return f"{_fmt_term(self.left, 1)}*{_fmt_term(self.right, 2)}"
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class Bang(Term):
     inner: Term
 
-    def __str__(self) -> str:
-        return "!" + _fmt_term(self.inner, 2)
 
-
-@dataclass(frozen=True, slots=True)
+@_node
 class Gen(Term):
     """``gen_x(t)``; ``bound`` is always an individual variable name."""
 
     bound: str
     inner: Term
 
-    def __str__(self) -> str:
-        return f"gen<{self.bound}>({self.inner})"
 
-
-def _term_level(t: Term) -> int:
-    # 0: sum, 1: application, 2: prefix/atomic
+def _fmt_term(t: Term, required: int = 0) -> str:
+    """``t`` in parentheses if its level (0: sum, 1: application, 2:
+    prefix or atomic) is below ``required``; one stack frame per level."""
     if isinstance(t, Sum):
-        return 0
-    if isinstance(t, App):
-        return 1
-    return 2
-
-
-def _fmt_term(t: Term, required: int) -> str:
-    s = str(t)
-    return f"({s})" if _term_level(t) < required else s
+        level, s = 0, f"{_fmt_term(t.left, 0)}+{_fmt_term(t.right, 1)}"
+    elif isinstance(t, App):
+        level, s = 1, f"{_fmt_term(t.left, 1)}*{_fmt_term(t.right, 2)}"
+    elif isinstance(t, Bang):
+        level, s = 2, "!" + _fmt_term(t.inner, 2)
+    elif isinstance(t, Gen):
+        level, s = 2, f"gen<{t.bound}>({_fmt_term(t.inner)})"
+    else:
+        level, s = 2, t.name  # type: ignore[attr-defined]
+    return f"({s})" if level < required else s
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -145,8 +156,10 @@ def subterms(t: Term) -> Iterator[Term]:
 # Formulas
 
 
+@dataclass(slots=True, eq=False)
 class Formula:
-    __slots__ = ()
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _facts: Optional[_Facts] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -162,39 +175,39 @@ def mkwindow(atoms: Iterable[Atom]) -> Window:
     return tuple(sorted(set(atoms), key=Atom.sort_key))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pred(Formula):
     name: str
     args: tuple[Atom, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+        self.args = tuple(self.args)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Impl(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Formula):
     bound: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exists(Formula):
     bound: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Assert(Formula):
     """A justification assertion ``term :_window body``."""
 
@@ -203,7 +216,7 @@ class Assert(Formula):
     body: Formula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", mkwindow(self.window))
+        self.window = mkwindow(self.window)
 
 
 class CaptureError(Exception):
@@ -214,6 +227,62 @@ class CaptureError(Exception):
 # Variable and parameter bookkeeping
 
 
+class _Facts(NamedTuple):
+    free: frozenset[str]
+    params: frozenset[str]
+    elems: frozenset[str]
+
+
+# Facts reuse their children's sets where they can, to save memory.
+_NONE: frozenset = frozenset()
+_NO_FACTS = _Facts(_NONE, _NONE, _NONE)
+
+
+def _names(atoms: Iterable[Atom], kind: str) -> frozenset[str]:
+    return frozenset([a.name for a in atoms if a.kind == kind]) or _NONE
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _facts(f: Formula) -> _Facts:
+    """The atom facts of ``f``, folded once from its children's and
+    cached on ``f``."""
+    facts = f._facts
+    if facts is not None:
+        return facts
+    cls = type(f)
+    if cls is Pred or cls is Assert:
+        own = f.args if cls is Pred else f.window
+        facts = _NO_FACTS if cls is Pred else _facts(f.body)
+        if own:
+            kinds = {a.kind for a in own}
+            facts = _Facts(
+                _names(own, VAR) if VAR in kinds else _NONE,
+                _union(facts.params, _names(own, PARAM)) if PARAM in kinds else facts.params,
+                _union(facts.elems, _names(own, ELEM)) if ELEM in kinds else facts.elems,
+            )
+        elif facts.free:
+            facts = facts._replace(free=_NONE)
+    elif cls is Neg:
+        facts = _facts(f.body)
+    elif cls is Impl:
+        left, right = _facts(f.left), _facts(f.right)
+        if right is not _NO_FACTS and right is not left:
+            facts = right if left is _NO_FACTS else _Facts(*map(_union, left, right))
+        else:
+            facts = left
+    elif cls is Forall or cls is Exists:
+        facts = _facts(f.body)
+        if f.bound in facts.free:
+            facts = facts._replace(free=facts.free - {f.bound} or _NONE)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    f._facts = facts
+    return facts
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     """Free individual variables of ``f``.
 
@@ -221,98 +290,40 @@ def free_vars(f: Formula) -> frozenset[str]:
     variables of ``X``; occurrences in ``A`` of variables not in ``X``
     are neither free nor bindable.
     """
-    if isinstance(f, Pred):
-        return frozenset(a.name for a in f.args if a.kind == VAR)
-    if isinstance(f, Neg):
-        return free_vars(f.body)
-    if isinstance(f, Impl):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.bound}
-    if isinstance(f, Assert):
-        return frozenset(a.name for a in f.window if a.kind == VAR)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _atom_names(f: Formula, kind: str) -> frozenset[str]:
-    if isinstance(f, Pred):
-        return frozenset(a.name for a in f.args if a.kind == kind)
-    if isinstance(f, Neg):
-        return _atom_names(f.body, kind)
-    if isinstance(f, Impl):
-        return _atom_names(f.left, kind) | _atom_names(f.right, kind)
-    if isinstance(f, (Forall, Exists)):
-        return _atom_names(f.body, kind)
-    if isinstance(f, Assert):
-        here = frozenset(a.name for a in f.window if a.kind == kind)
-        return here | _atom_names(f.body, kind)
-    raise TypeError(f"not a formula: {f!r}")
+    return _facts(f).free
 
 
 def par_set(f: Formula) -> frozenset[str]:
     """All parameters occurring in ``f``, windows included."""
-    return _atom_names(f, PARAM)
+    return _facts(f).params
 
 
 def elem_set(f: Formula) -> frozenset[str]:
     """All domain elements occurring in ``f``, windows included."""
-    return _atom_names(f, ELEM)
+    return _facts(f).elems
 
 
 def atoms_of(f: Formula) -> frozenset[Atom]:
     """Every atom occurring in ``f`` (predicate arguments and windows)."""
-    if isinstance(f, Pred):
-        return frozenset(f.args)
-    if isinstance(f, Neg):
-        return atoms_of(f.body)
-    if isinstance(f, Impl):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return atoms_of(f.body)
-    if isinstance(f, Assert):
-        return frozenset(f.window) | atoms_of(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def is_closed_par_formula(f: Formula) -> bool:
-    """True iff ``f`` has no free individual variables."""
-    return not free_vars(f)
+    return frozenset(
+        a for g in subformulas(f) for a in getattr(g, "args", getattr(g, "window", ()))
+    )
 
 
 def predicate_arities(f: Formula) -> dict[str, set[int]]:
     """Map each predicate symbol of ``f`` to the arities it is used at."""
     out: dict[str, set[int]] = {}
-
-    def walk(g: Formula) -> None:
+    for g in subformulas(f):
         if isinstance(g, Pred):
             out.setdefault(g.name, set()).add(len(g.args))
-        elif isinstance(g, Neg):
-            walk(g.body)
-        elif isinstance(g, Impl):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-        elif isinstance(g, Assert):
-            walk(g.body)
-
-    walk(f)
     return out
 
 
 def formula_terms(f: Formula) -> frozenset[Term]:
     """All justification terms occurring in ``f``, subterms included."""
-    if isinstance(f, Pred):
-        return frozenset()
-    if isinstance(f, Neg):
-        return formula_terms(f.body)
-    if isinstance(f, Impl):
-        return formula_terms(f.left) | formula_terms(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return formula_terms(f.body)
-    if isinstance(f, Assert):
-        return frozenset(subterms(f.term)) | formula_terms(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(
+        t for g in subformulas(f) if isinstance(g, Assert) for t in subterms(g.term)
+    )
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -375,6 +386,8 @@ def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
     individual variable, placing it under a quantifier binding the same
     name raises :class:`CaptureError`.
     """
+    if u not in par_set(f):
+        return f
     if isinstance(f, Pred):
         return Pred(
             f.name,
@@ -385,19 +398,14 @@ def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
     if isinstance(f, Impl):
         return Impl(substitute_param(f.left, u, a), substitute_param(f.right, u, a))
     if isinstance(f, (Forall, Exists)):
-        if u not in par_set(f.body):
-            return f
         if a.kind == VAR and a.name == f.bound:
             raise CaptureError(
                 f"replacing @{u} by {a} under the quantifier binding {f.bound}"
             )
         return type(f)(f.bound, substitute_param(f.body, u, a))
-    if isinstance(f, Assert):
-        new_window = tuple(
-            a if (w.kind == PARAM and w.name == u) else w for w in f.window
-        )
-        return Assert(f.term, new_window, substitute_param(f.body, u, a))
-    raise TypeError(f"not a formula: {f!r}")
+    assert isinstance(f, Assert)
+    new_window = tuple(a if (w.kind == PARAM and w.name == u) else w for w in f.window)
+    return Assert(f.term, new_window, substitute_param(f.body, u, a))
 
 
 def universal_closure(f: Formula) -> Formula:
@@ -440,10 +448,8 @@ def canonical(f: Formula, rename_free: bool = False) -> Formula:
     def walk_term(t: Term, env: dict[str, str]) -> Term:
         if isinstance(t, (TermVar, TermConst)):
             return t
-        if isinstance(t, Sum):
-            return Sum(walk_term(t.left, env), walk_term(t.right, env))
-        if isinstance(t, App):
-            return App(walk_term(t.left, env), walk_term(t.right, env))
+        if isinstance(t, (Sum, App)):
+            return type(t)(walk_term(t.left, env), walk_term(t.right, env))
         if isinstance(t, Bang):
             return Bang(walk_term(t.inner, env))
         if isinstance(t, Gen):

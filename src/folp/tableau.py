@@ -1,15 +1,15 @@
 """The 15-rule tableau calculus: rule application and branch closure.
 
-A branch is an ordered list of ``(node id, formula)`` pairs from the
-roots to a leaf; every label is a closed Par-formula.  Rule application
-returns the extensions (one list of new formulas per created child
-branch) and never mutates its inputs.
+A branch maps node ids to formulas in order from the roots to a leaf;
+every label is a closed Par-formula.  The caller keeps the map, and rule
+application looks premises up in it, returns the extensions (one list of
+new formulas per created child branch) and never mutates its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .axioms import ConstantSpecification, cs_contains
 from .syntax import (
@@ -99,22 +99,19 @@ class CsClosure:
 
 Closure = Union[Contradiction, CsClosure]
 
-Branch = list[tuple[int, Formula]]
+Branch = Mapping[int, Formula]
 
 
-def _premise(branch: Branch, rule: RuleApp, count: int = 1) -> list[Formula]:
-    if len(rule.premises) != count:
+def _premise(branch: Branch, rule: RuleApp) -> Formula:
+    if len(rule.premises) != 1:
         raise RuleError(
             "premise-count",
-            f"{rule.name} takes {count} premise(s), got {len(rule.premises)}",
+            f"{rule.name} takes 1 premise(s), got {len(rule.premises)}",
         )
-    by_id = dict(branch)
-    out = []
-    for pid in rule.premises:
-        if pid not in by_id:
-            raise RuleError("premise-missing", f"node {pid} is not on the branch")
-        out.append(by_id[pid])
-    return out
+    pid = rule.premises[0]
+    if pid not in branch:
+        raise RuleError("premise-missing", f"node {pid} is not on the branch")
+    return branch[pid]
 
 
 def _dest_neg_assert(f: Formula, rule: str) -> Assert:
@@ -141,13 +138,6 @@ def _require_param(rule: RuleApp) -> Atom:
     return rule.param
 
 
-def branch_params(branch: Branch) -> set[str]:
-    out: set[str] = set()
-    for _, f in branch:
-        out |= par_set(f)
-    return out
-
-
 def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
     """Compute the child-branch extensions of a rule instance.
 
@@ -156,27 +146,24 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
     :class:`RuleError` on premise-shape or side-condition violations.
     """
     name = rule.name
+    p = _premise(branch, rule)
 
     if name == "FNeg":
-        (p,) = _premise(branch, rule)
         if not (isinstance(p, Neg) and isinstance(p.body, Neg)):
             raise RuleError("premise-shape", f"FNeg premise must be ~~A, got {p}")
         return [[p.body.body]]
 
     if name == "TImp":
-        (p,) = _premise(branch, rule)
         if not isinstance(p, Impl):
             raise RuleError("premise-shape", f"TImp premise must be A -> B, got {p}")
         return [[Neg(p.left)], [p.right]]
 
     if name == "FImp":
-        (p,) = _premise(branch, rule)
         if not (isinstance(p, Neg) and isinstance(p.body, Impl)):
             raise RuleError("premise-shape", f"FImp premise must be ~(A -> B), got {p}")
         return [[p.body.left, Neg(p.body.right)]]
 
     if name in ("TForall", "FExists"):
-        (p,) = _premise(branch, rule)
         u = _require_param(rule)
         if name == "TForall":
             if not isinstance(p, Forall):
@@ -187,9 +174,8 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(substitute(p.body.body, p.body.bound, u))]]
 
     if name in ("TExists", "FForall"):
-        (p,) = _premise(branch, rule)
         u = _require_param(rule)
-        if u.name in branch_params(branch):
+        if any(u.name in par_set(f) for f in branch.values()):
             raise RuleError(
                 "freshness", f"parameter {u} already occurs on the branch"
             )
@@ -202,14 +188,12 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(substitute(p.body.body, p.body.bound, u))]]
 
     if name == "TColon":
-        (p,) = _premise(branch, rule)
         if not isinstance(p, Assert):
             raise RuleError("premise-shape", f"TColon premise must be t : A, got {p}")
         _require_par_window(p, "TColon")
         return [[universal_closure(p.body)]]
 
     if name == "FPlus":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "FPlus")
         if not isinstance(a.term, Sum):
             raise RuleError("premise-shape", f"FPlus premise term must be a sum, got {p}")
@@ -220,7 +204,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         ]]
 
     if name == "FDot":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "FDot")
         if not isinstance(a.term, App):
             raise RuleError(
@@ -245,7 +228,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         ]
 
     if name == "FBang":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "FBang")
         if not isinstance(a.term, Bang):
             raise RuleError("premise-shape", f"FBang premise term must be !t, got {p}")
@@ -266,7 +248,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(inner)]]
 
     if name == "Ctr":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "Ctr")
         _require_par_window(a, "Ctr")
         u = _require_param(rule)
@@ -275,7 +256,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(Assert(a.term, mkwindow(a.window + (u,)), a.body))]]
 
     if name == "Exp":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "Exp")
         _require_par_window(a, "Exp")
         u = _require_param(rule)
@@ -288,7 +268,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(Assert(a.term, tuple(w for w in a.window if w != u), a.body))]]
 
     if name == "Ins":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "Ins")
         _require_par_window(a, "Ins")
         u = _require_param(rule)
@@ -305,7 +284,6 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         return [[Neg(Assert(a.term, a.window, new_body))]]
 
     if name == "GenX":
-        (p,) = _premise(branch, rule)
         a = _dest_neg_assert(p, "GenX")
         if not isinstance(a.term, Gen):
             raise RuleError("premise-shape", f"GenX premise term must be gen<x>(t), got {p}")
@@ -364,7 +342,7 @@ def branch_closed(
 ) -> Optional[Closure]:
     """First closure mark on the branch, scanning in branch order."""
     seen: dict[Formula, int] = {}
-    for nid, f in branch:
+    for nid, f in branch.items():
         mark = closure_against(nid, f, seen, cs)
         if mark is not None:
             return mark

@@ -2,6 +2,7 @@
 
 import json
 
+from folp import cli
 from folp.cli import main
 from conftest import DATA
 
@@ -18,11 +19,22 @@ class TestParse:
         assert main(["parse", "Q0 ->"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_internal_error_exits_2(self, capsys):
-        # Nesting this deep exhausts the recursive parser: the crash is
-        # reported as an internal error, not as a negative verdict.
+    def test_too_deep_is_a_parse_error(self, capsys):
         assert main(["parse", "~" * 2000 + "Q0"]) == 2
-        assert "internal error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "nested deeper than" in err
+        assert "internal error" not in err
+
+    def test_internal_error_exits_2(self, capsys, monkeypatch):
+        # An unexpected exception inside a command is reported as an
+        # internal error, not as a negative verdict.
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "print_formula", crash)
+        assert main(["parse", "Q0"]) == 2
+        err = capsys.readouterr().err
+        assert "internal error:" in err and "boom" in err
 
 
 class TestAxiomMatch:

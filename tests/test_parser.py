@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from folp import (
     Assert,
+    Term,
     Forall,
     Impl,
     Neg,
@@ -16,6 +17,7 @@ from folp import (
     print_formula,
     print_term,
 )
+from folp.parser import MAX_DEPTH
 from conftest import random_formula
 
 
@@ -103,3 +105,51 @@ class TestRoundTrip:
         for text in ["p :[x, y] Q0", "p :[@u] Q(@u)", "p :[$a, x] Q(x)"]:
             g = f(text)
             assert parse_formula(print_formula(g), {"c"}) == g
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * 2000 + "Q0",
+            "(" * 400 + "Q0" + ")" * 400,
+            "forall x. " * 400 + "Q0",
+            "p : " * 400 + "Q0",
+            " -> ".join(["Q0"] * 2000),
+            "(" * 2000 + "p" + ")" * 2000 + " : Q0",
+            "!" * 2000 + "p : Q0",
+            " + ".join(["p"] * 2000) + " : Q0",
+            " * ".join(["p"] * 2000) + " : Q0",
+        ],
+        ids=["neg", "parens", "forall", "assert", "impl", "term-parens", "bang", "sum", "app"],
+    )
+    def test_too_deep_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_formula(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * MAX_DEPTH + "Q0",
+            "(" * MAX_DEPTH + "Q0" + ")" * MAX_DEPTH,
+            " -> ".join(["Q0"] * (MAX_DEPTH + 1)),
+            " + ".join(["p"] * (MAX_DEPTH + 1)) + " : Q0",
+            "(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1) + " : Q0",
+        ],
+        ids=["neg", "parens", "impl", "sum", "term-parens"],
+    )
+    def test_at_the_limit(self, text):
+        # Input at the limit parses, prints back and hashes.
+        g = parse_formula(text)
+        assert print_formula(parse_formula(print_formula(g))) == print_formula(g)
+        assert hash(g) == hash(parse_formula(text))
+
+    def test_chains_are_iterative(self):
+        # 257 nested implications: the chain-256 goal of the benchmark.
+        text = " -> ".join(["P0", *(f"(P{i} -> P{i + 1})" for i in range(256)), "P256"])
+        g = f(text)
+        assert print_formula(g) == text
+        for _ in range(257):
+            assert isinstance(g, Impl)
+            g = g.right
+        assert isinstance(parse_term(" + ".join(["p"] * 200)), Term)

@@ -20,7 +20,7 @@ def f(text: str):
 
 
 def branch(*texts: str):
-    return [(i + 1, f(t)) for i, t in enumerate(texts)]
+    return {i + 1: f(t) for i, t in enumerate(texts)}
 
 
 class TestPropositionalRules:
