@@ -176,14 +176,17 @@ def check_proof(
     instance, and every leaf carries a valid closure mark.
     """
     try:
-        _check_structure(tree, expected_goal)
-        _check_tree(tree, cs)
+        chain = _check_structure(tree, expected_goal)
+        _check_tree(chain, cs)
     except _Reject as r:
         return r.verdict
     return ACCEPT
 
 
-def _check_structure(tree: ProofTree, expected_goal: Optional[Formula]) -> None:
+def _check_structure(
+    tree: ProofTree, expected_goal: Optional[Formula]
+) -> list[ProofNode]:
+    """Check ids, arity and the root chain; return the root chain."""
     if not tree.roots:
         _reject(None, "structural:no-roots", "proof has no root formulas")
     if expected_goal is not None and tree.roots != [Neg(expected_goal)]:
@@ -200,6 +203,7 @@ def _check_structure(tree: ProofTree, expected_goal: Optional[Formula]) -> None:
         if len(node.children) > 2:
             _reject(node.id, "structural:arity", "nodes have at most two children")
     # The root-marked nodes must form the initial chain, matching roots.
+    chain: list[ProofNode] = []
     node = tree.root
     for i, root_formula in enumerate(tree.roots):
         if node is None:
@@ -212,50 +216,39 @@ def _check_structure(tree: ProofTree, expected_goal: Optional[Formula]) -> None:
                 "structural:roots",
                 f"expected root {root_formula}, found {node.formula}",
             )
+        chain.append(node)
         if i < len(tree.roots) - 1:
             if len(node.children) != 1:
                 _reject(node.id, "structural:roots", "root chain must not branch")
             node = node.children[0]
-    for other in tree.nodes():
-        if other.rule is None and other not in _root_chain(tree):
-            _reject(
-                other.id, "structural:roots", "non-root node carries no rule"
-            )
-
-
-def _root_chain(tree: ProofTree) -> list[ProofNode]:
-    chain = [tree.root]
-    while len(chain) < len(tree.roots):
-        chain.append(chain[-1].children[0])
     return chain
 
 
-def _check_tree(tree: ProofTree, cs: ConstantSpecification) -> None:
-    chain = _root_chain(tree)
+def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
+    """Check every node below the root chain, depth first, children in order.
+
+    ``branch`` maps the current node and its ancestors.  An explicit
+    stack of ``(node, index of the next child to visit)`` replaces
+    recursion, so proof depth is not bounded by the interpreter's stack.
+    """
     for node in chain:
         _check_label(node)
     branch = {n.id: n.formula for n in chain}
-    last_root = chain[-1]
-    _descend(last_root, branch, tree, cs)
-
-
-def _descend(
-    node: ProofNode,
-    branch: dict[int, Formula],
-    tree: ProofTree,
-    cs: ConstantSpecification,
-) -> None:
-    """Check below ``node``; ``branch`` maps ``node`` and its ancestors."""
-    if not node.children:
-        _check_closure(node, branch, cs)
-        return
-    children = node.children
-    for i, child in enumerate(children):
+    stack = [(chain[-1], 0)]
+    while stack:
+        node, i = stack.pop()
+        if i:
+            del branch[node.children[i - 1].id]
+        elif not node.children:
+            _check_closure(node, branch, cs)
+            continue
+        if i == len(node.children):
+            continue
+        stack.append((node, i + 1))
+        child = node.children[i]
         if child.rule is None:
             _reject(child.id, "structural:roots", "non-root node carries no rule")
-        assert child.rule is not None
         _check_label(child)
-        _check_rule_node(child, i, children, branch)
+        _check_rule_node(child, i, node.children, branch)
         branch[child.id] = child.formula
-        _descend(child, branch, tree, cs)
-        del branch[child.id]
+        stack.append((child, 0))

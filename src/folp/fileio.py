@@ -24,7 +24,7 @@ from .parser import ParseError, Parser, parse_formula, parse_term, print_formula
 from .syntax import (
     Atom,
     Formula,
-    Term,
+    canonical,
     elem_set,
     par_set,
     param,
@@ -151,7 +151,7 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
          "predicates": {"Q": [["a"], ["b"]]},
          "evidence": [{"term": "p", "formulas": ["Q($a)"]}]}
     """
-    from .models import MkrtychevModel
+    from .models import Evidence, MkrtychevModel
 
     if not isinstance(data.get("domain"), list) or not data["domain"]:
         raise FileFormatError("model domain must be a non-empty list")
@@ -168,7 +168,7 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
                     )
             rows.add(row)
         interp[str(pred)] = frozenset(rows)
-    evidence: dict[Term, tuple[Formula, ...]] = {}
+    evidence: Evidence = {}
     for entry in data.get("evidence", []):
         try:
             t = parse_term(entry["term"], decls)
@@ -177,6 +177,9 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
             )
         except (KeyError, ParseError) as exc:
             raise FileFormatError(f"bad evidence entry {entry!r}: {exc}") from exc
+        if t in evidence:
+            raise FileFormatError(f"duplicate evidence entry for term {t}")
+        bucket = evidence[t] = {}
         for f in formulas:
             if par_set(f):
                 raise FileFormatError(
@@ -188,9 +191,12 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
                     raise FileFormatError(
                         f"evidence formula {f}: element ${e} not in the domain"
                     )
-        if t in evidence:
-            raise FileFormatError(f"duplicate evidence entry for term {t}")
-        evidence[t] = formulas
+            key = canonical(f)
+            if key in bucket:
+                raise FileFormatError(
+                    f"evidence({t}) lists {f} twice, up to bound-variable renaming"
+                )
+            bucket[key] = f
     return MkrtychevModel(domain=domain, interp=interp, evidence=evidence)
 
 
@@ -209,7 +215,7 @@ def write_model(model) -> dict:
             q: sorted(list(row) for row in rows) for q, rows in model.interp.items()
         },
         "evidence": [
-            {"term": str(t), "formulas": [print_formula(f) for f in fs]}
+            {"term": str(t), "formulas": [print_formula(f) for f in fs.values()]}
             for t, fs in sorted(model.evidence.items(), key=lambda kv: str(kv[0]))
         ],
     }

@@ -2,13 +2,15 @@
 evaluation, and bounded countermodel search.
 
 A model is a finite domain, a predicate interpretation, and a finitely
-presented evidence function mapping justification terms to sets of
-domain formulas.  The closure conditions E1-E6 are written once, in
-``_demands``, which yields each formula the conditions require in the
-evidence of one term.  ``validate_model`` reports the demands the
-presented fragment does not meet; countermodel search closes candidate
-evidence under the same demands.  Membership in an evidence set is
-structural equality up to renaming of bound variables.
+presented evidence function.  Evidence is stored once, as ``Evidence``:
+each listed term maps the canonical form of each of its formulas to the
+formula as written, so membership up to renaming of bound variables is
+one lookup.  A term the model does not list reads the least E1-E6
+closure of its subterms' evidence.  The closure conditions E1-E6 are
+written once, in ``_demands``, which yields each formula the conditions
+require in the evidence of one term.  ``validate_model`` reports the
+demands the presented fragment does not meet; countermodel search and
+the evidence of unlisted terms close under the same demands.
 """
 
 from __future__ import annotations
@@ -52,14 +54,15 @@ class ModelError(Exception):
     """The model presentation itself is unusable (bad arity, open query)."""
 
 
+# Evidence keyed by canonical form: term -> {canonical(f): f}.
+Evidence = dict[Term, dict[Formula, Formula]]
+
+
 @dataclass
 class MkrtychevModel:
     domain: tuple[str, ...]
     interp: dict[str, frozenset[tuple[str, ...]]]
-    evidence: dict[Term, tuple[Formula, ...]]
-
-    def canon_evidence(self, t: Term) -> frozenset[Formula]:
-        return frozenset(canonical(f) for f in self.evidence.get(t, ()))
+    evidence: Evidence
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ def _arity_map(m: MkrtychevModel) -> dict[str, int]:
         for row in rows:
             if arities.setdefault(q, len(row)) != len(row):
                 raise ModelError(f"predicate {q} interpreted at mixed arities")
-    for formulas in m.evidence.values():
-        for f in formulas:
+    for bucket in m.evidence.values():
+        for f in bucket.values():
             for q, used in predicate_arities(f).items():
                 if q not in m.interp:
                     raise ModelError(
@@ -111,10 +114,6 @@ def _instances(f: Formula, domain: tuple[str, ...]) -> Iterator[Formula]:
             yield substitute(f, x, elem(d))
 
 
-# Evidence keyed by canonical form: term -> {canonical(f): f}.
-Evidence = dict[Term, dict[Formula, Formula]]
-
-
 def _demands(
     t: Term, ev: Evidence, domain: tuple[str, ...], cs: ConstantSpecification
 ) -> Iterator[tuple[str, Formula, Optional[Term], Formula]]:
@@ -144,9 +143,62 @@ def _demands(
     elif isinstance(t, Gen):
         for f in ev.get(t.inner, {}).values():
             yield "E5", Forall(t.bound, f), t.inner, f
-    for f in tuple(ev.get(t, {}).values()):
+    for f in ev.get(t, {}).values():
         for inst in _instances(f, domain):
             yield "E6", inst, t, f
+
+
+def _add(
+    bucket: dict[Formula, Formula],
+    formulas: Iterable[Formula],
+    domain: tuple[str, ...],
+) -> None:
+    """Add ``formulas`` to ``bucket`` under their canonical forms, each
+    new one with the instances E6 demands of it."""
+    work = list(formulas)
+    while work:
+        f = work.pop()
+        key = canonical(f)
+        if key not in bucket:
+            bucket[key] = f
+            work.extend(_instances(f, domain))
+
+
+def _close_evidence(
+    ev: Evidence,
+    terms: list[Term],
+    domain: tuple[str, ...],
+    cs: ConstantSpecification,
+) -> None:
+    """Mutate ``ev`` to the least fixpoint of E1-E6 over ``terms``.
+
+    ``terms`` lists every term after its proper subterms, so one pass
+    suffices: E2-E5 read only proper subterms, which are already
+    saturated, and ``_add`` closes each term's own evidence under E6,
+    which ends because each instance has one free variable fewer than
+    its source.
+    """
+    for t in terms:
+        bucket = ev.setdefault(t, {})
+        _add(bucket, [f for _, f, _, _ in _demands(t, ev, domain, cs)], domain)
+
+
+# The CS an unlisted term's closure reads: none, since every constant
+# with a concrete entry must be listed (``validate_model`` checks E1).
+_NO_CS = ConstantSpecification()
+
+
+def _with_unlisted(m: MkrtychevModel, terms: Iterable[Term]) -> Evidence:
+    """``m.evidence`` plus every subterm of ``terms`` that ``m`` does not
+    list, which reads the least E1-E6 closure of its subterms' evidence."""
+    unlisted = dict.fromkeys(
+        s for t in terms for s in reversed(list(subterms(t))) if s not in m.evidence
+    )
+    if not unlisted:
+        return m.evidence
+    ev = dict(m.evidence)
+    _close_evidence(ev, list(unlisted), m.domain, _NO_CS)
+    return ev
 
 
 def validate_model(
@@ -157,12 +209,12 @@ def validate_model(
     E1 is checked for concrete CS entries only; schematic and total
     specifications have infinitely many instances and are out of reach
     of a finite check.  E2-E6 are checked for every term present in the
-    evidence map.
+    evidence map; an unlisted proper subterm reads its least closure.
     """
     if not m.domain:
         raise ModelError("domain must be non-empty")
     _arity_map(m)
-    ev = {t: {canonical(f): f for f in fs} for t, fs in m.evidence.items()}
+    ev = _with_unlisted(m, m.evidence)
     terms = dict.fromkeys([*m.evidence, *(TermConst(c) for c, _ in cs.concrete)])
     return [
         Violation(
@@ -204,7 +256,7 @@ def _eval(m: MkrtychevModel, f: Formula) -> bool:
             _eval(m, substitute(f.body, f.bound, elem(d))) for d in m.domain
         )
     if isinstance(f, Assert):
-        if canonical(f.body) not in m.canon_evidence(f.term):
+        if canonical(f.body) not in _with_unlisted(m, [f.term])[f.term]:
             return False
         return _eval(m, universal_closure(f.body))
     raise TypeError(f"not a formula: {f!r}")
@@ -223,53 +275,6 @@ class CountermodelSearch:
 
 _DOMAIN_NAMES = "abcdefgh"
 _POOL_CAP = 8
-
-
-def _instantiation_closure(
-    bodies: Iterable[Formula], domain: tuple[str, ...]
-) -> list[Formula]:
-    """Close a formula pool under the instances E6 demands."""
-    pool: dict[Formula, Formula] = {}
-    work = list(bodies)
-    while work:
-        f = work.pop()
-        key = canonical(f)
-        if key in pool:
-            continue
-        pool[key] = f
-        if len(pool) > _POOL_CAP:
-            raise _PoolOverflow()
-        work.extend(_instances(f, domain))
-    return sorted(pool.values(), key=lambda g: str(g))
-
-
-class _PoolOverflow(Exception):
-    pass
-
-
-def _close_evidence(
-    ev: Evidence,
-    terms: list[Term],
-    domain: tuple[str, ...],
-    cs: ConstantSpecification,
-) -> None:
-    """Mutate ``ev`` to the least fixpoint of E1-E6 over ``terms``.
-
-    ``terms`` lists every term after its proper subterms, so one pass
-    suffices: E2-E5 read only proper subterms, which are already
-    saturated, and each E6 instance has one free variable fewer than its
-    source, so saturating a single term ends.
-    """
-    for t in terms:
-        bucket = ev.setdefault(t, {})
-        grew = True
-        while grew:
-            grew = False
-            for _, f, _, _ in _demands(t, ev, domain, cs):
-                key = canonical(f)
-                if key not in bucket:
-                    bucket[key] = f
-                    grew = True
 
 
 def find_countermodel(
@@ -312,10 +317,12 @@ def find_countermodel(
     checked = 0
     for n in range(1, max_domain + 1):
         domain = tuple(_DOMAIN_NAMES[:n])
-        try:
-            pool = _instantiation_closure(bodies, domain)
-        except _PoolOverflow:
+        pool: dict[Formula, Formula] = {}
+        _add(pool, bodies, domain)
+        if len(pool) > _POOL_CAP:
             return CountermodelSearch(None, "exhausted", checked)
+        # (canonical form, formula) pairs, so a subset is a bucket.
+        pairs = sorted(pool.items(), key=lambda kv: str(kv[1]))
 
         pred_tuples = {
             q: list(itertools.product(domain, repeat=k)) for q, k in arities.items()
@@ -327,29 +334,21 @@ def find_countermodel(
         # Subsets are assigned to every term, compound terms included:
         # some countermodels need evidence on a compound term that the
         # minimal closure of its parts would not provide.
-        ev_choices = [list(_subsets(pool)) for _ in term_list]
+        ev_choices = list(_subsets(pairs))
 
         for interp_rows in itertools.product(*interp_choices):
             interp = {
                 q: frozenset(rows) for q, rows in zip(pred_names, interp_rows)
             }
-            for assignment in itertools.product(*ev_choices):
+            for assignment in itertools.product(ev_choices, repeat=len(term_list)):
                 checked += 1
                 if checked > max_models:
                     return CountermodelSearch(None, "exhausted", checked)
                 ev: Evidence = {
-                    t: {canonical(f): f for f in fs}
-                    for t, fs in zip(term_list, assignment)
+                    t: dict(subset) for t, subset in zip(term_list, assignment)
                 }
                 _close_evidence(ev, closure_order, domain, cs)
-                model = MkrtychevModel(
-                    domain=domain,
-                    interp=interp,
-                    evidence={
-                        t: tuple(sorted(ev[t].values(), key=str))
-                        for t in term_list
-                    },
-                )
+                model = MkrtychevModel(domain, interp, ev)
                 if not satisfies(model, goal) and not validate_model(model, cs):
                     return CountermodelSearch(model, "found", checked)
     return CountermodelSearch(None, "absent", checked)

@@ -2,7 +2,10 @@
 single-edit corruptions with the precise violated condition."""
 
 from folp import (
+    Impl,
+    Pred,
     Proved,
+    SearchBudget,
     check_proof,
     parse_formula,
     prove,
@@ -56,6 +59,28 @@ class TestAcceptance:
         leaf = [n for n in nodes_of(data) if not n["children"]][0]
         leaf["closure"] = None
         assert reject(data, corpus_cs).condition == "open-leaf"
+
+    def test_non_root_node_without_rule_rejected(self, corpus_cs):
+        goal, data = proof_dict("Q0 -> Q0", corpus_cs)
+        node = [n for n in nodes_of(data) if n["rule"]][-1]
+        node["rule"] = None
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (node["id"], "structural:roots")
+
+    def test_deep_proof(self, corpus_cs):
+        # chain-330, P0 -> (P0 -> P1) -> ... -> (P329 -> P330) -> P330, is
+        # built directly: it nests deeper than the parser accepts.  Its
+        # proof is about 1,000 levels deep.
+        n = 330
+        goal = Pred(f"P{n}")
+        for i in reversed(range(n)):
+            goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+        goal = Impl(Pred("P0"), goal)
+        budget = SearchBudget(max_nodes=100_000, max_depth=5_000)
+        outcome = prove(goal, corpus_cs, budget)
+        assert isinstance(outcome, Proved)
+        assert len(outcome.tree.nodes()) == 1323
+        assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
 
     def test_bad_contradiction_witness(self, corpus_cs):
         goal, data = proof_dict("Q0 -> Q0", corpus_cs)

@@ -17,7 +17,8 @@ from folp import (
     write_model,
     write_proof_file,
 )
-from folp.fileio import parse_model
+from folp.fileio import parse_model, read_model_file
+from conftest import model_paths
 
 
 class TestCsFiles:
@@ -63,6 +64,12 @@ class TestModelFiles:
         model = parse_model(data)
         assert write_model(model) == data
 
+    @pytest.mark.parametrize("path", model_paths(), ids=lambda p: p.name)
+    def test_shipped_files_round_trip(self, path, corpus_cs):
+        # Several formulas per term, written back in the order read.
+        model = read_model_file(path, corpus_cs.constants)
+        assert json.dumps(write_model(model), indent=2) + "\n" == path.read_text()
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -73,6 +80,9 @@ class TestModelFiles:
             {"domain": ["a"], "predicates": {},
              "evidence": [{"term": "p", "formulas": []},
                           {"term": "p", "formulas": []}]},
+            {"domain": ["a"], "predicates": {"Q": []},
+             "evidence": [{"term": "p",
+                           "formulas": ["forall x. Q(x)", "forall y. Q(y)"]}]},
         ],
     )
     def test_malformed(self, data):

@@ -5,8 +5,10 @@ import pytest
 from folp import (
     ConstantSpecification,
     ModelError,
+    Proved,
     find_countermodel,
     parse_formula,
+    prove,
     satisfies,
     validate_model,
 )
@@ -98,6 +100,14 @@ class TestValidator:
         data = mutate(add=("r", ["Q(x)"]))
         assert conditions(build(data), CS) == ["E6"]
 
+    def test_unlisted_subterm_reads_its_closure(self):
+        # q + r is not listed, so its evidence is the E3 closure {Q0} of
+        # q's and r's, and E4 demands (q + r) : Q0 in evidence(!(q + r)).
+        data = mutate(add=("!(q + r)", []))
+        assert conditions(build(data), CS) == ["E4"]
+        data = mutate(add=("!(q + r)", ["(q + r) : Q0", "(q + r) :[$a] Q0"]))
+        assert conditions(build(data), CS) == []
+
     def test_shipped_models_validate(self, corpus_cs):
         for path in model_paths():
             model = read_model_file(path, corpus_cs.constants)
@@ -129,6 +139,16 @@ class TestSatisfaction:
         data["predicates"]["Q0"] = []  # make Q0 false
         m = build(data)
         assert not satisfies(m, parse_formula("q : Q0"))
+
+    def test_unlisted_term_reads_least_closure(self, corpus_cs):
+        # A SUM instance; no model file lists p + p, so its evidence is
+        # the closure of p's.
+        goal = parse_formula("p : Q0 -> (p + p) : Q0", corpus_cs.constants)
+        assert isinstance(prove(goal, corpus_cs), Proved)
+        models = [read_model_file(p, corpus_cs.constants) for p in model_paths()]
+        assert len(models) == 10
+        for path, m in zip(model_paths(), models):
+            assert satisfies(m, goal), path.name
 
     def test_open_formula_rejected(self):
         with pytest.raises(ModelError):

@@ -3,11 +3,12 @@
 For random small sentences, a proof means truth in every validated model
 of ``tests/data/models``, and a countermodel means no proof.
 
-A model file lists evidence for finitely many terms, and validation
-checks the closure conditions on those terms only (and E1 on the
-concrete CS entries only), so the sentences use just the listed terms
-without the constant ``c``; any other term would have unchecked, empty
-evidence.
+A model file lists evidence for finitely many terms; a term it does not
+list reads the least E1-E6 closure of its subterms' evidence, so the
+sentences also use terms no model file lists, such as ``p + p``.  They
+leave out the constant ``c``: the corpus CS is total, so ``c`` justifies
+every axiom instance, but validation checks E1 on the concrete CS
+entries only.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -40,7 +41,14 @@ BUDGET = SearchBudget(max_nodes=400, max_depth=60, time_limit=2.0)
 P, Q, P_PLUS_Q, P_TIMES_Q, BANG_P = (
     parse_term(t) for t in ("p", "q", "p + q", "p * q", "!p")
 )
-TERMS = (P, Q, P_PLUS_Q, P_TIMES_Q, BANG_P, *map(parse_term, ("q + p", "!q")))
+TERMS = (
+    P,
+    Q,
+    P_PLUS_Q,
+    P_TIMES_Q,
+    BANG_P,
+    *map(parse_term, ("q + p", "!q", "p + p", "!(p + q)", "(p * q) + p")),
+)
 
 atomic = st.one_of(
     st.sampled_from([Pred("Q0"), Pred("Q1")]),
