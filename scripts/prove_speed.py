@@ -1,12 +1,15 @@
-"""Time the prover alone on cases-5 and chain-256.
+"""Time the prover on cases-5 and chain-256, and proof file I/O on
+chain-128.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
 For each goal, under ``tests/data/corpus.cs`` and a budget that never
 binds, prints the best ``prove`` time over N runs (default 5), the node
-count of the proof and the time per node.  Parsing, checking and proof
-I/O are not timed.  ``--src`` points at another checkout's ``src`` to
-time that version of folp instead.
+count of the proof and the time per node; parsing and checking are not
+timed.  For chain-128's proof it then prints the best times of
+``write_proof_file`` and ``read_proof_file`` over N runs and the file's
+size.  ``--src`` points at another checkout's ``src`` to time that
+version of folp instead.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +41,16 @@ def cases(n: int) -> str:
     return " -> ".join([*premises, "Q0"])
 
 
+def best_time(repeat: int, run):
+    """The least time of ``repeat`` calls of ``run``, and the last result."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
@@ -44,21 +58,27 @@ def main() -> None:
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     from folp import Proved, SearchBudget, parse_formula, prove
-    from folp.fileio import read_cs_file
+    from folp.fileio import read_cs_file, read_proof_file, write_proof_file
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
     budget = SearchBudget(max_nodes=100_000, max_depth=5_000, time_limit=300.0)
     for name, text in (("cases-5", cases(5)), ("chain-256", chain(256))):
         goal = parse_formula(text, cs.constants)
-        best = float("inf")
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            outcome = prove(goal, cs, budget)
-            best = min(best, time.perf_counter() - start)
+        best, outcome = best_time(args.repeat, lambda: prove(goal, cs, budget))
         assert isinstance(outcome, Proved), outcome
         nodes = len(outcome.tree.nodes())
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node")
+
+    outcome = prove(parse_formula(chain(128), cs.constants), cs, budget)
+    assert isinstance(outcome, Proved), outcome
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "proof.json"
+        write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
+        read, _ = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
+        size = path.stat().st_size
+    print(f"chain-128 proof file: write {write * 1e3:.1f} ms, "
+          f"read {read * 1e3:.1f} ms, {size:,} bytes")
 
 
 if __name__ == "__main__":

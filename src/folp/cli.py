@@ -10,7 +10,6 @@ error:`` with its traceback on stderr, never as a negative verdict.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from .axioms import ConstantSpecification, match_axiom
 from .checker import check_proof
 from .fileio import (
     FileFormatError,
-    proof_to_dict,
+    proof_to_json,
     read_cs_file,
     read_model_file,
     read_proof_file,
@@ -84,7 +83,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
             print(f"proved; proof written to {args.out}")
         else:
             print("proved")
-            print(json.dumps(proof_to_dict(outcome.tree), indent=2))
+            print(proof_to_json(outcome.tree), end="")
         return 0
     if isinstance(outcome, Open):
         print("open: " + outcome.diagnostics)

@@ -9,8 +9,16 @@ CS files are line-oriented UTF-8 with ``.``-terminated statements and
     total.
     variant-closed.
 
-Models and proofs are JSON; see ``read_model_file`` and
-``read_proof_file`` for the schemas.
+Models and proofs are JSON; see ``parse_model`` and ``parse_proof`` for
+the schemas.  A proof file is one line: the stdlib's C encoder writes
+``proof_to_dict`` with no indentation, since indenting each line by its
+depth in the tree made most of a deep proof's bytes spaces.  The schema
+is unchanged, so indented proof files still read.  To read one::
+
+    python -m json.tool proof.json
+
+A file that is not UTF-8, or JSON nested past the decoder's limit, is a
+:class:`FileFormatError`.
 """
 
 from __future__ import annotations
@@ -20,10 +28,19 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .axioms import SCHEMES, ConstantSpecification, CsError, match_axiom
-from .parser import ParseError, Parser, parse_formula, parse_term, print_formula, tokenize
+from .parser import (
+    MAX_DEPTH,
+    ParseError,
+    Parser,
+    parse_formula,
+    parse_term,
+    print_formula,
+    tokenize,
+)
 from .syntax import (
     Atom,
     Formula,
+    Neg,
     canonical,
     elem_set,
     par_set,
@@ -135,7 +152,23 @@ def _parse_cs(text: str) -> ConstantSpecification:
 
 
 def read_cs_file(path: Union[str, Path]) -> ConstantSpecification:
-    return parse_cs(Path(path).read_text(encoding="utf-8"))
+    return parse_cs(_read_text(path))
+
+
+def _read_text(path: Union[str, Path]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _read_json(path: Union[str, Path]):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +234,7 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
 
 
 def read_model_file(path: Union[str, Path], decls: Iterable[str] = ()):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    return parse_model(data, decls)
+    return parse_model(_read_json(path), decls)
 
 
 def write_model(model) -> dict:
@@ -225,14 +254,10 @@ def write_model(model) -> dict:
 # Proof files
 
 
-def _atom_to_text(a: Atom) -> str:
-    return str(a)
-
-
 def _rule_to_dict(rule: RuleApp) -> dict:
     out: dict = {"name": rule.name, "premises": list(rule.premises)}
     if rule.param is not None:
-        out["param"] = _atom_to_text(rule.param)
+        out["param"] = str(rule.param)
     if rule.cut is not None:
         out["cut"] = print_formula(rule.cut)
     if rule.var is not None:
@@ -250,27 +275,34 @@ def _closure_to_dict(mark) -> Optional[dict]:
     raise FileFormatError(f"unknown closure mark {mark!r}")
 
 
-def _node_to_dict(node: ProofNode) -> dict:
+def _node_to_dict(node: ProofNode, memo: dict[Formula, str]) -> dict:
     return {
         "id": node.id,
-        "formula": print_formula(node.formula),
+        "formula": print_formula(node.formula, memo),
         "rule": None if node.rule is None else _rule_to_dict(node.rule),
-        "children": [_node_to_dict(c) for c in node.children],
+        "children": [_node_to_dict(c, memo) for c in node.children],
         "closure": _closure_to_dict(node.closure),
     }
 
 
 def proof_to_dict(tree: ProofTree) -> dict:
+    # Node formulas share most of their subformulas; each is printed once.
+    memo: dict[Formula, str] = {}
     return {
-        "roots": [print_formula(f) for f in tree.roots],
-        "tree": _node_to_dict(tree.root),
+        "roots": [print_formula(f, memo) for f in tree.roots],
+        "tree": _node_to_dict(tree.root, memo),
     }
 
 
+def proof_to_json(tree: ProofTree) -> str:
+    """The text of a proof file: ``proof_to_dict`` as one line of JSON
+    from the stdlib's C encoder (``indent`` would select its pure-Python
+    encoder), and a newline."""
+    return json.dumps(proof_to_dict(tree)) + "\n"
+
+
 def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
-    Path(path).write_text(
-        json.dumps(proof_to_dict(tree), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(proof_to_json(tree), encoding="utf-8")
 
 
 # What a wrongly shaped proof JSON value raises while it is read.
@@ -310,15 +342,41 @@ def _parse_closure(data: Optional[dict], nid: int):
     raise FileFormatError(f"unknown closure kind {kind!r}")
 
 
-def _parse_node(data: dict, decls: Iterable[str], arities: dict[str, int]) -> ProofNode:
+def _add_signed_subformulas(table: dict[str, Formula], root: Formula, peak: int) -> None:
+    """Enter every subformula ``g`` of ``root``, and ``~g``, into ``table``
+    under its printed text; ``peak`` is the most nesting levels the parser
+    entered reading ``root``.
+
+    Tableau rules are analytic, so most proof nodes carry one of these
+    formulas.  Each entry is what ``parse_formula`` returns for its text:
+    the text reparses to the formula, no deeper than ``root``, and the
+    arity of every predicate in it is already recorded.  ``~g`` nests at
+    most two levels deeper than ``g``, so those entries are made only
+    when that stays within ``MAX_DEPTH``; otherwise the node text is
+    parsed, and may be rejected.
+    """
+    memo: dict[Formula, str] = {}
+    print_formula(root, memo)
+    if peak + 2 <= MAX_DEPTH:
+        for g in list(memo):
+            print_formula(Neg(g), memo)
+    table.update((s, g) for g, s in memo.items())
+
+
+def _parse_node(
+    data: dict, decls: Iterable[str], arities: dict[str, int], table: dict[str, Formula]
+) -> ProofNode:
     try:
         nid = int(data["id"])
+        text = data["formula"]
         node = ProofNode(
             id=nid,
-            formula=parse_formula(data["formula"], decls, arities),
+            formula=table.get(text) or parse_formula(text, decls, arities),
             rule=_parse_rule(data.get("rule"), decls),
             closure=_parse_closure(data.get("closure"), nid),
-            children=[_parse_node(c, decls, arities) for c in data.get("children", [])],
+            children=[
+                _parse_node(c, decls, arities, table) for c in data.get("children", [])
+            ],
         )
     except _MALFORMED as exc:
         where = data.get("id") if isinstance(data, dict) else data
@@ -330,22 +388,38 @@ def _parse_node(data: dict, decls: Iterable[str], arities: dict[str, int]) -> Pr
 
 def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     """Build a proof tree from its JSON dict (the output of
-    ``proof_to_dict``); malformed input raises :class:`FileFormatError`."""
+    ``proof_to_dict``); malformed input raises :class:`FileFormatError`.
+
+    Schema::
+
+        {"roots": ["~(Q0 -> Q0)"],
+         "tree": {"id": 1, "formula": "~(Q0 -> Q0)",
+                  "rule": null or {"name": "FImp", "premises": [1],
+                                   "param": "@u", "cut": "...", "var": "x"},
+                  "children": [...nodes...],
+                  "closure": null or {"kind": "contradiction", "with": 2}
+                                  or {"kind": "cs", "constant": "c"}}}
+
+    ``param``, ``cut`` and ``var`` appear only on rules that take them.
+    A node text that is a subformula of a root or its negation is looked
+    up instead of parsed (see ``_add_signed_subformulas``).
+    """
     if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")
     arities: dict[str, int] = {}
     if not isinstance(data["roots"], list):
         raise FileFormatError("proof 'roots' must be a list of formulas")
+    roots: list[Formula] = []
+    table: dict[str, Formula] = {}
     try:
-        roots = [parse_formula(text, decls, arities) for text in data["roots"]]
+        for text in data["roots"]:
+            p = Parser(tokenize(text), decls, arities)
+            roots.append(p.whole(p.formula))
+            _add_signed_subformulas(table, roots[-1], p.peak)
     except _MALFORMED as exc:
         raise FileFormatError(f"bad proof root: {exc!r}") from exc
-    return ProofTree(roots=roots, root=_parse_node(data["tree"], decls, arities))
+    return ProofTree(roots=roots, root=_parse_node(data["tree"], decls, arities, table))
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    return parse_proof(data, decls)
+    return parse_proof(_read_json(path), decls)

@@ -131,6 +131,7 @@ class Parser:
         self.decls = set(decls)
         self.arities = arities if arities is not None else {}
         self.depth = 0  # nesting levels entered, at most MAX_DEPTH
+        self.peak = 0  # the most levels entered at once, so far
 
     # -- token plumbing ----------------------------------------------------
 
@@ -164,8 +165,17 @@ class Parser:
     def deeper(self) -> None:
         """Enter a nesting level; the caller lowers ``depth`` to leave."""
         self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise self.error(f"input nested deeper than {MAX_DEPTH} levels")
+        if self.depth > self.peak:
+            if self.depth > MAX_DEPTH:
+                raise self.error(f"input nested deeper than {MAX_DEPTH} levels")
+            self.peak = self.depth
+
+    def whole(self, parse):
+        """``parse()``, which must read all of the input."""
+        out = parse()
+        if not self.at_end():
+            raise self.error(f"trailing input {self.peek().text!r}")
+        return out
 
     def nested(self, parse):
         """``parse()`` one level deeper."""
@@ -343,18 +353,12 @@ def parse_formula(
     """Parse a formula; identifiers in term position resolve to constants
     iff declared in ``decls``."""
     p = Parser(tokenize(text), decls, arities)
-    f = p.formula()
-    if not p.at_end():
-        raise p.error(f"trailing input {p.peek().text!r}")
-    return f
+    return p.whole(p.formula)
 
 
 def parse_term(text: str, decls: Iterable[str] = ()) -> Term:
     p = Parser(tokenize(text), decls)
-    t = p.term()
-    if not p.at_end():
-        raise p.error(f"trailing input {p.peek().text!r}")
-    return t
+    return p.whole(p.term)
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +375,37 @@ def _level(f: Formula) -> int:
     return _PRIMARY
 
 
-def _fmt(f: Formula, required: int) -> str:
-    if isinstance(f, Pred):
-        s = f.name + (f"({', '.join(map(str, f.args))})" if f.args else "")
-    elif isinstance(f, Neg):
-        s = "~" + _fmt(f.body, _UNARY)
-    elif isinstance(f, Impl):
-        s = f"{_fmt(f.left, _UNARY)} -> {_fmt(f.right, _IMPL)}"
-    elif isinstance(f, Forall):
-        s = f"forall {f.bound}. {_fmt(f.body, _UNARY)}"
-    elif isinstance(f, Exists):
-        s = f"exists {f.bound}. {_fmt(f.body, _UNARY)}"
-    elif isinstance(f, Assert):
-        w = "[" + ", ".join(str(a) for a in f.window) + "] " if f.window else ""
-        s = f"{f.term} : {w}{_fmt(f.body, _UNARY)}"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+def _fmt(f: Formula, required: int, memo: Optional[dict[Formula, str]]) -> str:
+    s = None if memo is None else memo.get(f)
+    if s is None:
+        if isinstance(f, Pred):
+            s = f.name + (f"({', '.join(map(str, f.args))})" if f.args else "")
+        elif isinstance(f, Neg):
+            s = "~" + _fmt(f.body, _UNARY, memo)
+        elif isinstance(f, Impl):
+            s = f"{_fmt(f.left, _UNARY, memo)} -> {_fmt(f.right, _IMPL, memo)}"
+        elif isinstance(f, Forall):
+            s = f"forall {f.bound}. {_fmt(f.body, _UNARY, memo)}"
+        elif isinstance(f, Exists):
+            s = f"exists {f.bound}. {_fmt(f.body, _UNARY, memo)}"
+        elif isinstance(f, Assert):
+            w = "[" + ", ".join(str(a) for a in f.window) + "] " if f.window else ""
+            s = f"{f.term} : {w}{_fmt(f.body, _UNARY, memo)}"
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        if memo is not None:
+            memo[f] = s
     return f"({s})" if _level(f) < required else s
 
 
-def print_formula(f: Formula) -> str:
+def print_formula(f: Formula, memo: Optional[dict[Formula, str]] = None) -> str:
     """Minimal-parenthesis rendering; reparses to a structurally
-    identical formula."""
-    return _fmt(f, _IMPL)
+    identical formula.
+
+    ``memo`` maps formulas already printed to their text; when given,
+    each subformula of ``f`` is printed once and entered into it, so
+    ``memo`` ends up holding the text of every subformula of ``f``."""
+    return _fmt(f, _IMPL, memo)
 
 
 def print_term(t: Term) -> str:

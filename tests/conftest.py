@@ -3,6 +3,7 @@ random formula generator used for round-trip testing."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from folp import (
     Impl,
     Neg,
     Pred,
+    SearchBudget,
     TermConst,
     TermVar,
     App,
@@ -200,3 +202,36 @@ def random_formula(rng: random.Random, depth: int = 4) -> Formula:
             random_term(rng, depth - 1), tuple(window), random_formula(rng, depth - 1)
         )
     return Impl(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+# ---------------------------------------------------------------------------
+# Formula families scaled by n, proved under the corpus CS.
+
+# The budget of the scaled families: large enough never to bind.
+FAMILY_BUDGET = SearchBudget(max_nodes=100_000, max_depth=5_000)
+
+
+def chain(n: int) -> str:
+    steps = [f"(P{i} -> P{i + 1})" for i in range(n)]
+    return " -> ".join(["P0", *steps, f"P{n}"])
+
+
+def cases(n: int) -> str:
+    premises = []
+    for signs in itertools.product((False, True), repeat=n):
+        lits = [("~" if neg else "") + f"P{i}" for i, neg in enumerate(signs)]
+        premises.append("(" + " -> ".join([*lits, "Q0"]) + ")")
+    return " -> ".join([*premises, "Q0"])
+
+
+def sum_family(n: int) -> str:
+    term = " + ".join(["p", *(f"q{i}" for i in range(n))])
+    return f"p : Q0 -> ({term}) : Q0"
+
+
+def app(n: int) -> str:
+    premises = [f"p{i} : (Q{i} -> Q{i + 1})" for i in range(n)]
+    term = "q"
+    for i in range(n):
+        term = f"(p{i} * {term})"
+    return " -> ".join([*premises, "q : Q0", f"{term} : Q{n}"])

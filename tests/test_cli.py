@@ -64,6 +64,14 @@ class TestProve:
         ])
         assert code == 0
 
+    def test_printed_proof_is_the_file(self, tmp_path, capsys):
+        # Without --out the proof is printed exactly as --out writes it.
+        out = tmp_path / "proof.json"
+        assert main(["prove", "Q0 -> Q0", "--cs", CS, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["prove", "Q0 -> Q0", "--cs", CS]) == 0
+        assert capsys.readouterr().out == "proved\n" + out.read_text()
+
     def test_unprovable_is_negative(self, capsys):
         assert main(["prove", "Q0 -> Q1", "--cs", CS]) == 1
         assert "open" in capsys.readouterr().out
@@ -99,6 +107,13 @@ class TestCheck:
         out.write_text(json.dumps(data))
         assert main(["check", str(out), "--cs", CS]) == 2
         assert "error: bad proof node" in capsys.readouterr().err
+
+    def test_too_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "proof.json"
+        out.write_text("[" * 5000 + "]" * 5000)
+        assert main(["check", str(out), "--cs", CS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
 
 
 class TestModelCheck:

@@ -7,16 +7,12 @@ sort_keys=True)``.
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
 
-from folp import Proved, SearchBudget, parse_formula, proof_to_dict, prove
-from conftest import CORPUS_GOALS
-
-# The budget of the scaled families: large enough never to bind.
-FAMILY_BUDGET = SearchBudget(max_nodes=100_000, max_depth=5_000)
+from folp import Proved, parse_formula, proof_to_dict, prove
+from conftest import CORPUS_GOALS, FAMILY_BUDGET, app, cases, chain, sum_family
 
 CORPUS_DIGESTS = (
     "3696c409e88bcbbba1e98872d21077b6341e75a5142b998e32e7d4e0d3b0ee6a",
@@ -75,32 +71,6 @@ CORPUS_DIGESTS = (
     "ff8252cc46e415201bdf7fae6260986205714d38fd77af9adb897a3bd85bd916",
     "321a721416b6b479dccd1a71ab4b6dea9fbf23ddd6873fefed2fca593b761b10",
 )
-
-
-def chain(n: int) -> str:
-    steps = [f"(P{i} -> P{i + 1})" for i in range(n)]
-    return " -> ".join(["P0", *steps, f"P{n}"])
-
-
-def cases(n: int) -> str:
-    premises = []
-    for signs in itertools.product((False, True), repeat=n):
-        lits = [("~" if neg else "") + f"P{i}" for i, neg in enumerate(signs)]
-        premises.append("(" + " -> ".join([*lits, "Q0"]) + ")")
-    return " -> ".join([*premises, "Q0"])
-
-
-def sum_family(n: int) -> str:
-    term = " + ".join(["p", *(f"q{i}" for i in range(n))])
-    return f"p : Q0 -> ({term}) : Q0"
-
-
-def app(n: int) -> str:
-    premises = [f"p{i} : (Q{i} -> Q{i + 1})" for i in range(n)]
-    term = "q"
-    for i in range(n):
-        term = f"(p{i} * {term})"
-    return " -> ".join([*premises, "q : Q0", f"{term} : Q{n}"])
 
 
 # (goal, proof nodes, digest)
