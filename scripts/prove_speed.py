@@ -1,5 +1,5 @@
-"""Time the prover on cases-5 and chain-256, and proof file I/O on
-chain-128.
+"""Time the prover on cases-5 and chain-256, proof file I/O on chain-128,
+and countermodel search on one non-theorem.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
@@ -8,7 +8,10 @@ binds, prints the best ``prove`` time over N runs (default 5), the node
 count of the proof and the time per node; parsing and checking are not
 timed.  For chain-128's proof it then prints the best times of
 ``write_proof_file`` and ``read_proof_file`` over N runs and the file's
-size.  ``--src`` points at another checkout's ``src`` to time that
+size.  Last it prints the best time of ``find_countermodel`` on
+``(p + q) : Q0 -> p : Q0`` (``max_domain=2``), which enumerates 4,098
+models and canonicalizes evidence throughout, and how many models it
+checked.  ``--src`` points at another checkout's ``src`` to time that
 version of folp instead.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
@@ -57,7 +60,7 @@ def main() -> None:
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    from folp import Proved, SearchBudget, parse_formula, prove
+    from folp import Proved, SearchBudget, find_countermodel, parse_formula, prove
     from folp.fileio import read_cs_file, read_proof_file, write_proof_file
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
@@ -79,6 +82,12 @@ def main() -> None:
         size = path.stat().st_size
     print(f"chain-128 proof file: write {write * 1e3:.1f} ms, "
           f"read {read * 1e3:.1f} ms, {size:,} bytes")
+
+    text = "(p + q) : Q0 -> p : Q0"
+    goal = parse_formula(text, cs.constants)
+    best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
+    assert search.status == "found", search.status
+    print(f"countermodel for {text}: {best:.3f} s, {search.models_checked:,} models checked")
 
 
 if __name__ == "__main__":

@@ -23,13 +23,10 @@ from .syntax import (
     Gen,
     Impl,
     Neg,
-    PARAM,
     Sum,
-    VAR,
     atoms_of,
     free_vars,
-    par_set,
-    elem_set,
+    occurs,
     substitute,
     var,
     variable_variant,
@@ -54,28 +51,16 @@ SCHEMES = (
 )
 
 
-def _instantiation_candidates(body: Formula, x: str, rhs: Formula) -> list[Atom]:
+def _matches_instantiation(body: Formula, x: str, rhs: Formula) -> bool:
     # Possible witnesses for "rhs = body{x/y}": every atom of rhs, plus
     # the identity substitution (covers x not free in body).
-    return sorted(atoms_of(rhs) | {var(x)}, key=Atom.sort_key)
-
-
-def _matches_instantiation(body: Formula, x: str, rhs: Formula) -> bool:
-    for a in _instantiation_candidates(body, x, rhs):
+    for a in sorted(atoms_of(rhs) | {var(x)}, key=Atom.sort_key):
         try:
             if substitute(body, x, a) == rhs:
                 return True
         except CaptureError:
             continue
     return False
-
-
-def _occurs(a: Atom, f: Formula) -> bool:
-    if a.kind == VAR:
-        return a.name in free_vars(f)
-    if a.kind == PARAM:
-        return a.name in par_set(f)
-    return a.name in elem_set(f)
 
 
 def _match_p1(f: Formula) -> bool:
@@ -190,7 +175,7 @@ def _match_ctr(f: Formula) -> bool:
     if len(dropped) != 1 or not (set(rhs.window) < set(lhs.window)):
         return False
     (y,) = dropped
-    return not _occurs(y, lhs.body)
+    return not occurs(y, lhs.body)
 
 
 def _match_exp(f: Formula) -> bool:

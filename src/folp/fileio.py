@@ -174,9 +174,13 @@ def _read_json(path: Union[str, Path]):
 # ---------------------------------------------------------------------------
 # Model files
 
+# What a wrongly shaped model or proof JSON value raises while it is read.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ParseError)
+
 
 def parse_model(data: dict, decls: Iterable[str] = ()):
     """Build a model from its JSON dict; returns ``models.MkrtychevModel``.
+    Malformed input raises :class:`FileFormatError`.
 
     Schema::
 
@@ -184,6 +188,13 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
          "predicates": {"Q": [["a"], ["b"]]},
          "evidence": [{"term": "p", "formulas": ["Q($a)"]}]}
     """
+    try:
+        return _parse_model(data, decls)
+    except _MALFORMED as exc:
+        raise FileFormatError(f"bad model: {exc!r}") from exc
+
+
+def _parse_model(data: dict, decls: Iterable[str]):
     from .models import Evidence, MkrtychevModel
 
     if not isinstance(data.get("domain"), list) or not data["domain"]:
@@ -193,6 +204,8 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
     for pred, tuples in data.get("predicates", {}).items():
         rows = set()
         for row in tuples:
+            if not isinstance(row, list):
+                raise FileFormatError(f"predicate {pred}: row {row!r} is not a list")
             row = tuple(str(x) for x in row)
             for x in row:
                 if x not in domain:
@@ -208,8 +221,8 @@ def parse_model(data: dict, decls: Iterable[str] = ()):
             formulas = tuple(
                 parse_formula(text, decls) for text in entry.get("formulas", [])
             )
-        except (KeyError, ParseError) as exc:
-            raise FileFormatError(f"bad evidence entry {entry!r}: {exc}") from exc
+        except _MALFORMED as exc:
+            raise FileFormatError(f"bad evidence entry {entry!r}: {exc!r}") from exc
         if t in evidence:
             raise FileFormatError(f"duplicate evidence entry for term {t}")
         bucket = evidence[t] = {}
@@ -303,10 +316,6 @@ def proof_to_json(tree: ProofTree) -> str:
 
 def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
     Path(path).write_text(proof_to_json(tree), encoding="utf-8")
-
-
-# What a wrongly shaped proof JSON value raises while it is read.
-_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ParseError)
 
 
 def _parse_rule(data: Optional[dict], decls: Iterable[str]) -> Optional[RuleApp]:

@@ -135,9 +135,9 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        # ``next`` never moves past the closing EOF token.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()

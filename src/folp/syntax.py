@@ -7,14 +7,16 @@ namespaces exist: individual variables (bare lowercase), parameters
 (``@u``), and domain elements (``$a``).  Parameters and domain elements
 are never bound by quantifiers.
 
-Values are never changed after construction (they cache their hash);
-windows are kept as sorted duplicate-free tuples so structural equality
-of formulas is plain ``==``.
+Values are never changed after construction.  Each node hashes itself
+when built, from its children's cached hashes; formulas also cache their
+atom facts and canonical form.  Windows are sorted duplicate-free tuples,
+so structural equality of formulas is plain ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -61,18 +63,24 @@ def elem(name: str) -> Atom:
 
 
 def _node(cls):
-    """Slotted dataclass with a hash cached in ``_hash``.  (``dataclass``
-    keeps a ``__hash__`` set before decoration.)"""
-    key = attrgetter(*cls.__annotations__)
-    tag = cls.__name__
+    """Slotted dataclass that stores its hash in ``_hash`` once built (and
+    normalized by its own ``__post_init__``), reading its children's, so
+    hashing never recurses.  ``dataclass`` keeps the ``__hash__`` set here."""
+    key = attrgetter("__class__.__name__", *(
+        f"{name}._hash" if kind in ("Term", "Formula") else name
+        for name, kind in cls.__annotations__.items()
+    ))
+    normalize = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self) -> None:
+        if normalize is not None:
+            normalize(self)
+        self._hash = hash(key(self))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if not h:
-            h = hash((tag, key(self)))
-            self._hash = h
-        return h
+        return self._hash
 
+    cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
     return dataclass(slots=True)(cls)
 
@@ -83,7 +91,7 @@ def _node(cls):
 
 @dataclass(slots=True, eq=False)
 class Term:
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return _fmt_term(self)
@@ -141,15 +149,15 @@ def _fmt_term(t: Term, required: int = 0) -> str:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """Yield ``t`` and every subterm of ``t``."""
-    yield t
-    if isinstance(t, (Sum, App)):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, Bang):
-        yield from subterms(t.inner)
-    elif isinstance(t, Gen):
-        yield from subterms(t.inner)
+    """Yield ``t`` and every subterm of ``t``, outermost first."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, (Sum, App)):
+            stack += (s.right, s.left)
+        elif isinstance(s, (Bang, Gen)):
+            stack.append(s.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +166,9 @@ def subterms(t: Term) -> Iterator[Term]:
 
 @dataclass(slots=True, eq=False)
 class Formula:
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     _facts: Optional[_Facts] = field(default=None, init=False, repr=False, compare=False)
+    _canon: Optional[Formula] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -227,7 +236,7 @@ class CaptureError(Exception):
 # Variable and parameter bookkeeping
 
 
-class _Facts(NamedTuple):
+class _Facts(NamedTuple):  # indexed by _KIND_ORDER
     free: frozenset[str]
     params: frozenset[str]
     elems: frozenset[str]
@@ -328,18 +337,105 @@ def formula_terms(f: Formula) -> frozenset[Term]:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield ``f`` and all its subformulas, outermost first."""
-    yield f
-    if isinstance(f, Neg):
-        yield from subformulas(f.body)
-    elif isinstance(f, Impl):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists, Assert)):
-        yield from subformulas(f.body)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, Impl):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Neg, Forall, Exists, Assert)):
+            stack.append(g.body)
+
+
+def occurs(a: Atom, f: Formula) -> bool:
+    """Whether ``a`` occurs in ``f`` where a substitution for it reaches:
+    free, for an individual variable."""
+    return a.name in _facts(f)[_KIND_ORDER[a.kind]]
+
+
+def universal_closure(f: Formula) -> Formula:
+    """Quantify the free individual variables of ``f``, lexicographically;
+    parameters and domain elements are never quantified."""
+    out = f
+    for name in sorted(free_vars(f), reverse=True):
+        out = Forall(name, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Renaming: substitution and canonical forms
+
+
+class _FirstSeen(dict):
+    """Names the variables it is asked for ``_f0``, ``_f1``, ... in turn."""
+
+    def __missing__(self, name: str) -> Atom:
+        b = self[name] = Atom(VAR, f"_f{len(self)}")
+        return b
+
+
+def _rebuild(
+    f: Formula,
+    kind: str,
+    swap: dict[str, Atom],
+    names: Optional[Iterator[Atom]] = None,
+    free: Optional[_FirstSeen] = None,
+) -> Formula:
+    """``f`` with each atom of ``kind`` that ``swap`` reaches replaced by
+    ``swap[name]``.  A window gates individual variables: only those in
+    ``X`` reach into ``A`` of ``t :_X A``.  Other atoms reach everywhere.
+
+    With ``names`` None a binder keeps its name, hides its variable from
+    ``swap`` and raises :class:`CaptureError` if ``swap`` puts that
+    variable below it.  Otherwise binders, in preorder, take the next of
+    ``names``, and ``gen`` binders follow.  ``free`` renames the variables
+    nothing else covers, wherever they are."""
+    i = _KIND_ORDER[kind]
+
+    def atom(a: Atom, m: dict[str, Atom]) -> Atom:
+        if a.kind != kind:
+            return a
+        return m.get(a.name) or (a if free is None else free[a.name])
+
+    def term(t: Term, m: dict[str, Atom]) -> Term:
+        cls = type(t)
+        if cls is Sum or cls is App:
+            return cls(term(t.left, m), term(t.right, m))
+        if cls is Bang:
+            return Bang(term(t.inner, m))
+        if cls is Gen:
+            return Gen(atom(var(t.bound), m).name, term(t.inner, m))
+        return t
+
+    def walk(g: Formula, m: dict[str, Atom]) -> Formula:
+        if names is None and m.keys().isdisjoint(_facts(g)[i]):
+            return g
+        cls = type(g)
+        if cls is Pred:
+            return Pred(g.name, tuple([atom(a, m) for a in g.args]))
+        if cls is Neg:
+            return Neg(walk(g.body, m))
+        if cls is Impl:
+            return Impl(walk(g.left, m), walk(g.right, m))
+        if cls is Forall or cls is Exists:
+            if names is not None:
+                new = next(names)
+                return cls(new.name, walk(g.body, {**m, g.bound: new}))
+            for x, b in m.items():
+                if b.name == g.bound and b.kind == VAR and x in _facts(g.body)[i]:
+                    raise CaptureError(f"{b} replacing {Atom(kind, x)} would be captured")
+            if kind == VAR and g.bound in m:
+                m = {x: b for x, b in m.items() if x != g.bound}
+            return cls(g.bound, walk(g.body, m))
+        if cls is Assert:
+            t = g.term if names is None else term(g.term, m)
+            window = tuple([atom(a, m) for a in g.window])
+            if kind == VAR:
+                m = {x: b for x, b in m.items() if x in free_vars(g)}
+            return Assert(t, window, walk(g.body, m))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, swap)
 
 
 def substitute(f: Formula, x: str, a: Atom) -> Formula:
@@ -349,33 +445,7 @@ def substitute(f: Formula, x: str, a: Atom) -> Formula:
     captured by a quantifier.  Occurrences in an assertion are touched
     only when ``x`` belongs to its window.
     """
-    if isinstance(f, Pred):
-        return Pred(
-            f.name,
-            tuple(a if (g.kind == VAR and g.name == x) else g for g in f.args),
-        )
-    if isinstance(f, Neg):
-        return Neg(substitute(f.body, x, a))
-    if isinstance(f, Impl):
-        return Impl(substitute(f.left, x, a), substitute(f.right, x, a))
-    if isinstance(f, (Forall, Exists)):
-        if f.bound == x or x not in free_vars(f.body):
-            return f
-        if a.kind == VAR and a.name == f.bound:
-            raise CaptureError(
-                f"substituting {a} for {x} would be captured by the "
-                f"quantifier binding {f.bound}"
-            )
-        return type(f)(f.bound, substitute(f.body, x, a))
-    if isinstance(f, Assert):
-        wnames = {w.name for w in f.window if w.kind == VAR}
-        if x not in wnames:
-            return f
-        new_window = tuple(
-            a if (w.kind == VAR and w.name == x) else w for w in f.window
-        )
-        return Assert(f.term, new_window, substitute(f.body, x, a))
-    raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, VAR, {x: a})
 
 
 def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
@@ -386,100 +456,27 @@ def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
     individual variable, placing it under a quantifier binding the same
     name raises :class:`CaptureError`.
     """
-    if u not in par_set(f):
-        return f
-    if isinstance(f, Pred):
-        return Pred(
-            f.name,
-            tuple(a if (g.kind == PARAM and g.name == u) else g for g in f.args),
-        )
-    if isinstance(f, Neg):
-        return Neg(substitute_param(f.body, u, a))
-    if isinstance(f, Impl):
-        return Impl(substitute_param(f.left, u, a), substitute_param(f.right, u, a))
-    if isinstance(f, (Forall, Exists)):
-        if a.kind == VAR and a.name == f.bound:
-            raise CaptureError(
-                f"replacing @{u} by {a} under the quantifier binding {f.bound}"
-            )
-        return type(f)(f.bound, substitute_param(f.body, u, a))
-    assert isinstance(f, Assert)
-    new_window = tuple(a if (w.kind == PARAM and w.name == u) else w for w in f.window)
-    return Assert(f.term, new_window, substitute_param(f.body, u, a))
-
-
-def universal_closure(f: Formula) -> Formula:
-    """Quantify the free individual variables of ``f``, lexicographically.
-
-    Parameters and domain elements are never quantified.
-    """
-    out = f
-    for name in sorted(free_vars(f), reverse=True):
-        out = Forall(name, out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Canonical renaming and variable variants
+    return _rebuild(f, PARAM, {u: a})
 
 
 def canonical(f: Formula, rename_free: bool = False) -> Formula:
-    """Rename bound variables to a canonical sequence ``_b0, _b1, ...``.
+    """Rename bound variables to a canonical sequence ``0, 1, ...`` by
+    preorder position (de Bruijn's nameless dummies).  No parser produces
+    such a name, so a bound variable never meets a free one of the same
+    name.  The result is cached on ``f`` and is its own canonical form.
 
     With ``rename_free`` every remaining individual variable is also
     renamed, by first occurrence, to ``_f0, _f1, ...``; two formulas are
     variable variants iff their fully renamed forms coincide.
     """
-    bound_counter = [0]
-    free_map: dict[str, str] = {}
-
-    def map_name(name: str, env: dict[str, str]) -> str:
-        if name in env:
-            return env[name]
-        if rename_free:
-            return free_map.setdefault(name, f"_f{len(free_map)}")
-        return name
-
-    def map_atom(a: Atom, env: dict[str, str]) -> Atom:
-        if a.kind == VAR:
-            return Atom(VAR, map_name(a.name, env))
-        return a
-
-    def walk_term(t: Term, env: dict[str, str]) -> Term:
-        if isinstance(t, (TermVar, TermConst)):
-            return t
-        if isinstance(t, (Sum, App)):
-            return type(t)(walk_term(t.left, env), walk_term(t.right, env))
-        if isinstance(t, Bang):
-            return Bang(walk_term(t.inner, env))
-        if isinstance(t, Gen):
-            return Gen(map_name(t.bound, env), walk_term(t.inner, env))
-        raise TypeError(f"not a term: {t!r}")
-
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Pred):
-            return Pred(g.name, tuple(map_atom(a, env) for a in g.args))
-        if isinstance(g, Neg):
-            return Neg(walk(g.body, env))
-        if isinstance(g, Impl):
-            return Impl(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, (Forall, Exists)):
-            fresh = f"_b{bound_counter[0]}"
-            bound_counter[0] += 1
-            return type(g)(fresh, walk(g.body, {**env, g.bound: fresh}))
-        if isinstance(g, Assert):
-            wnames = {w.name for w in g.window if w.kind == VAR}
-            # Only window variables are visible through an assertion;
-            # other bindings do not reach into the body.
-            inner_env = {k: v for k, v in env.items() if k in wnames}
-            return Assert(
-                walk_term(g.term, env),
-                tuple(map_atom(a, env) for a in g.window),
-                walk(g.body, inner_env),
-            )
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {})
+    names = map(var, map(str, count()))
+    if rename_free:
+        return _rebuild(f, VAR, {}, names, _FirstSeen())
+    g = f._canon
+    if g is None:
+        g = f._canon = _rebuild(f, VAR, {}, names)
+        g._canon = g
+    return g
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:

@@ -1,6 +1,12 @@
 """Independent proof verification: accepts search output, rejects
 single-edit corruptions with the precise violated condition."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 from folp import (
     Impl,
     Pred,
@@ -11,6 +17,8 @@ from folp import (
     prove,
 )
 from folp.fileio import parse_proof, proof_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def proof_dict(goal_text, cs):
@@ -81,6 +89,28 @@ class TestAcceptance:
         assert isinstance(outcome, Proved)
         assert len(outcome.tree.nodes()) == 1323
         assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
+
+    def test_chain_600_in_a_fresh_interpreter(self):
+        # chain-600, built directly, nests about 600 formula levels, far
+        # past the parser's limit; hashing it must not recurse.  It runs in
+        # a fresh interpreter, as the CLI would, with the default stack.
+        script = textwrap.dedent("""
+            from folp import Impl, Pred, Proved, SearchBudget, check_proof, prove
+            from folp.fileio import read_cs_file
+            cs = read_cs_file(%r)
+            n = 600
+            goal = Pred(f"P{n}")
+            for i in reversed(range(n)):
+                goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+            goal = Impl(Pred("P0"), goal)
+            outcome = prove(goal, cs, SearchBudget(max_nodes=100_000, max_depth=5_000))
+            assert isinstance(outcome, Proved), outcome
+            assert check_proof(outcome.tree, cs, expected_goal=goal).accepted
+        """ % str(ROOT / "tests" / "data" / "corpus.cs"))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
 
     def test_bad_contradiction_witness(self, corpus_cs):
         goal, data = proof_dict("Q0 -> Q0", corpus_cs)

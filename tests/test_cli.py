@@ -137,3 +137,10 @@ class TestModelCheck:
         }))
         assert main(["model-check", str(bad), "--cs", CS]) == 1
         assert "E3" in capsys.readouterr().out
+
+    def test_malformed_model_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain": ["a"], "predicates": ""}))
+        assert main(["model-check", str(bad), "--cs", CS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

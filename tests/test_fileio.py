@@ -164,6 +164,15 @@ class TestModelFiles:
             {"domain": ["a"], "predicates": {"Q": []},
              "evidence": [{"term": "p",
                            "formulas": ["forall x. Q(x)", "forall y. Q(y)"]}]},
+            # Wrongly shaped values.
+            [1],
+            {"domain": ["a"], "predicates": ""},
+            {"domain": ["a"], "evidence": 0},
+            {"domain": ["a"], "evidence": [0]},
+            {"domain": ["a"], "evidence": [{"term": "p", "formulas": 0}]},
+            {"domain": ["a"], "predicates": {"Q": [0]}},
+            # A row written as a string is not read a character at a time.
+            {"domain": ["a", "b"], "predicates": {"R": ["ab"]}},
         ],
     )
     def test_malformed(self, data):

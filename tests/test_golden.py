@@ -3,16 +3,52 @@ search moved to an agenda with cached formula facts.  Any change to the
 search that alters a proof, even one the checker accepts, shows here.
 
 The digest is the SHA-256 of ``json.dumps(proof_to_dict(tree),
-sort_keys=True)``.
+sort_keys=True)``.  A last digest pins substitution and renaming the
+same way (see ``test_rename_identity``).
 """
 
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from folp import Proved, parse_formula, proof_to_dict, prove
-from conftest import CORPUS_GOALS, FAMILY_BUDGET, app, cases, chain, sum_family
+from folp import (
+    App,
+    Assert,
+    Bang,
+    CaptureError,
+    Exists,
+    Forall,
+    Gen,
+    Impl,
+    Neg,
+    Pred,
+    Proved,
+    Sum,
+    alpha_eq,
+    elem,
+    param,
+    parse_formula,
+    print_formula,
+    proof_to_dict,
+    prove,
+    substitute,
+    substitute_param,
+    var,
+    variable_variant,
+)
+from folp.syntax import VAR
+from conftest import (
+    CORPUS_GOALS,
+    FAMILY_BUDGET,
+    app,
+    cases,
+    chain,
+    random_formula,
+    sum_family,
+)
 
 CORPUS_DIGESTS = (
     "3696c409e88bcbbba1e98872d21077b6341e75a5142b998e32e7d4e0d3b0ee6a",
@@ -105,3 +141,69 @@ def test_family_proof_identity(name, corpus_cs):
     outcome = prove(parse_formula(text, corpus_cs.constants), corpus_cs, FAMILY_BUDGET)
     assert len(outcome.tree.nodes()) == nodes
     assert proof_digest(outcome) == expected
+
+
+# ---------------------------------------------------------------------------
+# Renaming identity: substitution results and alpha/variant verdicts on
+# seeded random formulas, recorded before the three renaming walkers of
+# ``folp.syntax`` became one.
+
+RENAME_DIGEST = "bdf35366b274e9affd15f7fd203e37a69d7e2e19139638e70b5ab722bf265bcc"
+
+_SWAP = {"x": "y", "y": "z", "z": "x"}
+
+
+def _swap_vars(f):
+    """``f`` with every individual variable name cycled by ``_SWAP``:
+    arguments, windows, binders and ``gen`` binders alike."""
+
+    def atom(a):
+        return var(_SWAP[a.name]) if a.kind == VAR else a
+
+    def term(t):
+        if isinstance(t, (Sum, App)):
+            return type(t)(term(t.left), term(t.right))
+        if isinstance(t, Bang):
+            return Bang(term(t.inner))
+        if isinstance(t, Gen):
+            return Gen(_SWAP[t.bound], term(t.inner))
+        return t
+
+    if isinstance(f, Pred):
+        return Pred(f.name, tuple(map(atom, f.args)))
+    if isinstance(f, Neg):
+        return Neg(_swap_vars(f.body))
+    if isinstance(f, Impl):
+        return Impl(_swap_vars(f.left), _swap_vars(f.right))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(_SWAP[f.bound], _swap_vars(f.body))
+    return Assert(term(f.term), tuple(map(atom, f.window)), _swap_vars(f.body))
+
+
+def _rename_lines():
+    """One line per call: the printed result, ``CaptureError`` as a value."""
+    rng = random.Random(20261018)
+    targets = [var("x"), var("y"), var("z"), param("u"), elem("a")]
+    verdicts = Counter()
+    for i in range(1000):
+        f = random_formula(rng, 1 + i % 5)
+        for name, fn, sources in (("sub", substitute, "xyz"), ("par", substitute_param, "uw")):
+            for x in sources:
+                for a in targets:
+                    try:
+                        out = print_formula(fn(f, x, a))
+                    except CaptureError:
+                        out = "CaptureError"
+                    yield f"{name} {x} {a} {out}"
+        g = random_formula(rng, 1 + i % 5)
+        for other in (_swap_vars(f), g):
+            pair = (alpha_eq(f, other), variable_variant(f, other))
+            verdicts[pair] += 1
+            yield f"alpha {pair[0]} variant {pair[1]}"
+    # Each verdict occurs both ways, so the digest pins both.
+    assert {a for a, _ in verdicts} == {v for _, v in verdicts} == {False, True}
+
+
+def test_rename_identity():
+    text = "\n".join(_rename_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == RENAME_DIGEST

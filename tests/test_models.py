@@ -167,6 +167,23 @@ NON_THEOREMS = (
 )
 
 
+class TestBoundNameClash:
+    # The parser accepts ``_b0`` as a variable, the name canonical forms
+    # once gave the first bound variable.
+    def test_evidence_may_list_both(self):
+        m = build({"domain": ["a"], "predicates": {"R": []},
+                   "evidence": [{"term": "p", "formulas": [
+                       "forall x. R(x, _b0)", "forall x. R(x, x)"]}]})
+        [bucket] = m.evidence.values()
+        assert len(bucket) == 2
+
+    def test_free_variable_is_not_the_bound_one(self):
+        m = build({"domain": ["a"], "predicates": {"R": [["a", "a"]]},
+                   "evidence": [{"term": "p", "formulas": [
+                       "forall x. R(x, _b0)", "forall x. R(x, $a)"]}]})
+        assert not satisfies(m, parse_formula("p : forall x. R(x, x)"))
+
+
 class TestCountermodels:
     @pytest.mark.parametrize(
         "text, checked", NON_THEOREMS, ids=[text for text, _ in NON_THEOREMS]

@@ -98,6 +98,17 @@ class TestCanonical:
         assert variable_variant(f("p :[x] Q(x)"), f("p :[y] Q(y)"))
         assert not variable_variant(f("p :[x] Q(x)"), f("q :[y] Q(y)"))
 
+    def test_bound_names_never_meet_free_ones(self):
+        # A parsed variable may be called like a canonical name of old.
+        assert not alpha_eq(f("forall x. R(x, _b0)"), f("forall x. R(x, x)"))
+        assert not alpha_eq(f("forall x. p :[x] R(x, _b0)"), f("forall x. p :[x] R(x, x)"))
+
+    def test_canonical_form_is_cached_and_its_own(self):
+        g = f("forall x. exists y. R(x, y)")
+        c = canonical(g)
+        assert canonical(g) is c and canonical(c) is c
+        assert canonical(f("forall y. exists x. R(y, x)")) == c
+
 
 class TestWindows:
     def test_window_normalized(self):
