@@ -1,14 +1,15 @@
-"""Time the prover on cases-5 and chain-256, proof file I/O on chain-128,
-and countermodel search on one non-theorem.
+"""Time the prover on cases-5 and chain-256, proof file I/O on chain-128
+and sum-128, and countermodel search on one non-theorem.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
 For each goal, under ``tests/data/corpus.cs`` and a budget that never
 binds, prints the best ``prove`` time over N runs (default 5), the node
 count of the proof and the time per node; parsing and checking are not
-timed.  For chain-128's proof it then prints the best times of
-``write_proof_file`` and ``read_proof_file`` over N runs and the file's
-size.  Last it prints the best time of ``find_countermodel`` on
+timed.  For the proofs of chain-128 (deep, formula-heavy) and sum-128
+(term-heavy) it then prints the best times of ``write_proof_file`` and
+``read_proof_file`` over N runs and the file's size.  Last it prints
+the best time of ``find_countermodel`` on
 ``(p + q) : Q0 -> p : Q0`` (``max_domain=2``), which enumerates 4,098
 models and canonicalizes evidence throughout, and how many models it
 checked.  ``--src`` points at another checkout's ``src`` to time that
@@ -16,7 +17,8 @@ version of folp instead.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
-choices of the literals ``li`` (``Pi`` or ``~Pi``), all implying ``Q0``.
+choices of the literals ``li`` (``Pi`` or ``~Pi``), all implying ``Q0``;
+sum-n is ``p : Q0 -> (p + q0 + ... + q{n-1}) : Q0``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def cases(n: int) -> str:
         lits = [("~" if neg else "") + f"P{i}" for i, neg in enumerate(signs)]
         premises.append("(" + " -> ".join([*lits, "Q0"]) + ")")
     return " -> ".join([*premises, "Q0"])
+
+
+def sum_family(n: int) -> str:
+    term = " + ".join(["p", *(f"q{i}" for i in range(n))])
+    return f"p : Q0 -> ({term}) : Q0"
 
 
 def best_time(repeat: int, run):
@@ -73,15 +80,16 @@ def main() -> None:
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node")
 
-    outcome = prove(parse_formula(chain(128), cs.constants), cs, budget)
-    assert isinstance(outcome, Proved), outcome
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "proof.json"
-        write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
-        read, _ = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
-        size = path.stat().st_size
-    print(f"chain-128 proof file: write {write * 1e3:.1f} ms, "
-          f"read {read * 1e3:.1f} ms, {size:,} bytes")
+    for name, text in (("chain-128", chain(128)), ("sum-128", sum_family(128))):
+        outcome = prove(parse_formula(text, cs.constants), cs, budget)
+        assert isinstance(outcome, Proved), outcome
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "proof.json"
+            write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
+            read, _ = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
+            size = path.stat().st_size
+        print(f"{name} proof file: write {write * 1e3:.1f} ms, "
+              f"read {read * 1e3:.1f} ms, {size:,} bytes")
 
     text = "(p + q) : Q0 -> p : Q0"
     goal = parse_formula(text, cs.constants)

@@ -82,8 +82,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
             write_proof_file(args.out, outcome.tree)
             print(f"proved; proof written to {args.out}")
         else:
+            text = proof_to_json(outcome.tree)
             print("proved")
-            print(proof_to_json(outcome.tree), end="")
+            print(text, end="")
         return 0
     if isinstance(outcome, Open):
         print("open: " + outcome.diagnostics)

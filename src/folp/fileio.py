@@ -18,7 +18,7 @@ is unchanged, so indented proof files still read.  To read one::
     python -m json.tool proof.json
 
 A file that is not UTF-8, or JSON nested past the decoder's limit, is a
-:class:`FileFormatError`.
+:class:`FileFormatError`, and so is a proof too deep for the writer.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Union
 from .axioms import SCHEMES, ConstantSpecification, CsError, match_axiom
 from .parser import (
     MAX_DEPTH,
+    Memo,
     ParseError,
     Parser,
     parse_formula,
@@ -38,9 +39,11 @@ from .parser import (
     tokenize,
 )
 from .syntax import (
+    Assert,
     Atom,
     Formula,
     Neg,
+    Sum,
     canonical,
     elem_set,
     par_set,
@@ -288,7 +291,7 @@ def _closure_to_dict(mark) -> Optional[dict]:
     raise FileFormatError(f"unknown closure mark {mark!r}")
 
 
-def _node_to_dict(node: ProofNode, memo: dict[Formula, str]) -> dict:
+def _node_to_dict(node: ProofNode, memo: Memo) -> dict:
     return {
         "id": node.id,
         "formula": print_formula(node.formula, memo),
@@ -299,8 +302,9 @@ def _node_to_dict(node: ProofNode, memo: dict[Formula, str]) -> dict:
 
 
 def proof_to_dict(tree: ProofTree) -> dict:
-    # Node formulas share most of their subformulas; each is printed once.
-    memo: dict[Formula, str] = {}
+    # Node formulas share most of their subformulas and subterms; each is
+    # printed once.
+    memo: Memo = {}
     return {
         "roots": [print_formula(f, memo) for f in tree.roots],
         "tree": _node_to_dict(tree.root, memo),
@@ -310,8 +314,14 @@ def proof_to_dict(tree: ProofTree) -> dict:
 def proof_to_json(tree: ProofTree) -> str:
     """The text of a proof file: ``proof_to_dict`` as one line of JSON
     from the stdlib's C encoder (``indent`` would select its pure-Python
-    encoder), and a newline."""
-    return json.dumps(proof_to_dict(tree)) + "\n"
+    encoder), and a newline.
+
+    Both recurse once per tree level, so a proof too deep for the stack
+    is a :class:`FileFormatError`, as it is for reading."""
+    try:
+        return json.dumps(proof_to_dict(tree)) + "\n"
+    except RecursionError as exc:
+        raise FileFormatError("proof nested too deeply to write as format v1") from exc
 
 
 def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
@@ -352,24 +362,37 @@ def _parse_closure(data: Optional[dict], nid: int):
 
 
 def _add_signed_subformulas(table: dict[str, Formula], root: Formula, peak: int) -> None:
-    """Enter every subformula ``g`` of ``root``, and ``~g``, into ``table``
-    under its printed text; ``peak`` is the most nesting levels the parser
-    entered reading ``root``.
+    """Enter into ``table``, under its printed text, every subformula
+    ``g`` of ``root``, every ``u :[X] A`` that ``FPlus`` reaches from a
+    subformula ``t :[X] A`` (``u`` a summand of ``t``, through ``+``
+    only), and the negation of each; ``peak`` is the most nesting levels
+    the parser entered reading ``root``.
 
-    Tableau rules are analytic, so most proof nodes carry one of these
-    formulas.  Each entry is what ``parse_formula`` returns for its text:
-    the text reparses to the formula, no deeper than ``root``, and the
-    arity of every predicate in it is already recorded.  ``~g`` nests at
-    most two levels deeper than ``g``, so those entries are made only
-    when that stays within ``MAX_DEPTH``; otherwise the node text is
-    parsed, and may be rejected.
+    Most rules conclude a subformula of a premise, or its negation, and
+    ``FPlus`` concludes ``~(u :[X] A)`` from ``~(t :[X] A)``, so most
+    proof nodes carry one of these formulas.  Each entry is what
+    ``parse_formula`` returns for its text: the text reparses to the
+    formula, no deeper than ``root`` (a summand nests no deeper than its
+    sum), and the arity of every predicate in it is already recorded.  A
+    negation nests at most two levels deeper than its formula, so
+    negations are entered only when that stays within ``MAX_DEPTH``;
+    otherwise the node text is parsed, and may be rejected.  Each
+    subterm is printed once.
     """
-    memo: dict[Formula, str] = {}
+    memo: Memo = {}
     print_formula(root, memo)
+    for g in [g for g in memo if isinstance(g, Assert)]:
+        stack = [g.term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Sum):
+                for u in (t.left, t.right):
+                    print_formula(Assert(u, g.window, g.body), memo)
+                    stack.append(u)
     if peak + 2 <= MAX_DEPTH:
-        for g in list(memo):
+        for g in [g for g in memo if isinstance(g, Formula)]:
             print_formula(Neg(g), memo)
-    table.update((s, g) for g, s in memo.items())
+    table.update((s, g) for g, s in memo.items() if isinstance(g, Formula))
 
 
 def _parse_node(
@@ -410,8 +433,10 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
                                   or {"kind": "cs", "constant": "c"}}}
 
     ``param``, ``cut`` and ``var`` appear only on rules that take them.
-    A node text that is a subformula of a root or its negation is looked
-    up instead of parsed (see ``_add_signed_subformulas``).
+    A node text that is a subformula of a root, an ``FPlus`` conclusion
+    from one, or the negation of either is looked up instead of parsed
+    (see ``_add_signed_subformulas``); others, such as quantifier
+    instances and cut formulas, are parsed.
     """
     if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")

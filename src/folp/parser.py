@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .syntax import (
     App,
@@ -364,49 +364,64 @@ def parse_term(text: str, decls: Iterable[str] = ()) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
+# A printing memo maps formulas and terms already printed to their text,
+# without the parentheses their context may add.
+Memo = dict[Union[Formula, Term], str]
+
+# Binding levels, loosest first: a formula or term whose level is below
+# the one its place requires is printed in parentheses.
 _IMPL, _UNARY, _PRIMARY = 0, 1, 2
+_SUM, _APP, _PREFIX = 0, 1, 2
+_LEVEL = {Impl: _IMPL, Neg: _UNARY, Forall: _UNARY, Exists: _UNARY, Assert: _UNARY,
+          Sum: _SUM, App: _APP}
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, Impl):
-        return _IMPL
-    if isinstance(f, (Neg, Forall, Exists, Assert)):
-        return _UNARY
-    return _PRIMARY
-
-
-def _fmt(f: Formula, required: int, memo: Optional[dict[Formula, str]]) -> str:
-    s = None if memo is None else memo.get(f)
+def _fmt(x: Union[Formula, Term], required: int, memo: Optional[Memo]) -> str:
+    """``x`` in parentheses if its level is below ``required``; one stack
+    frame per level."""
+    s = None if memo is None else memo.get(x)
     if s is None:
-        if isinstance(f, Pred):
-            s = f.name + (f"({', '.join(map(str, f.args))})" if f.args else "")
-        elif isinstance(f, Neg):
-            s = "~" + _fmt(f.body, _UNARY, memo)
-        elif isinstance(f, Impl):
-            s = f"{_fmt(f.left, _UNARY, memo)} -> {_fmt(f.right, _IMPL, memo)}"
-        elif isinstance(f, Forall):
-            s = f"forall {f.bound}. {_fmt(f.body, _UNARY, memo)}"
-        elif isinstance(f, Exists):
-            s = f"exists {f.bound}. {_fmt(f.body, _UNARY, memo)}"
-        elif isinstance(f, Assert):
-            w = "[" + ", ".join(str(a) for a in f.window) + "] " if f.window else ""
-            s = f"{f.term} : {w}{_fmt(f.body, _UNARY, memo)}"
+        if isinstance(x, Pred):
+            s = x.name + (f"({', '.join(map(str, x.args))})" if x.args else "")
+        elif isinstance(x, Neg):
+            s = "~" + _fmt(x.body, _UNARY, memo)
+        elif isinstance(x, Impl):
+            s = f"{_fmt(x.left, _UNARY, memo)} -> {_fmt(x.right, _IMPL, memo)}"
+        elif isinstance(x, Forall):
+            s = f"forall {x.bound}. {_fmt(x.body, _UNARY, memo)}"
+        elif isinstance(x, Exists):
+            s = f"exists {x.bound}. {_fmt(x.body, _UNARY, memo)}"
+        elif isinstance(x, Assert):
+            w = "[" + ", ".join(str(a) for a in x.window) + "] " if x.window else ""
+            s = f"{_fmt(x.term, _SUM, memo)} : {w}{_fmt(x.body, _UNARY, memo)}"
+        elif isinstance(x, (TermVar, TermConst)):
+            s = x.name
+        elif isinstance(x, Sum):
+            s = f"{_fmt(x.left, _SUM, memo)}+{_fmt(x.right, _APP, memo)}"
+        elif isinstance(x, App):
+            s = f"{_fmt(x.left, _APP, memo)}*{_fmt(x.right, _PREFIX, memo)}"
+        elif isinstance(x, Bang):
+            s = "!" + _fmt(x.inner, _PREFIX, memo)
+        elif isinstance(x, Gen):
+            s = f"gen<{x.bound}>({_fmt(x.inner, _SUM, memo)})"
         else:
-            raise TypeError(f"not a formula: {f!r}")
+            raise TypeError(f"not a formula or term: {x!r}")
         if memo is not None:
-            memo[f] = s
-    return f"({s})" if _level(f) < required else s
+            memo[x] = s
+    return f"({s})" if _LEVEL.get(type(x), _PRIMARY) < required else s
 
 
-def print_formula(f: Formula, memo: Optional[dict[Formula, str]] = None) -> str:
+def print_formula(f: Formula, memo: Optional[Memo] = None) -> str:
     """Minimal-parenthesis rendering; reparses to a structurally
     identical formula.
 
-    ``memo`` maps formulas already printed to their text; when given,
-    each subformula of ``f`` is printed once and entered into it, so
-    ``memo`` ends up holding the text of every subformula of ``f``."""
+    When ``memo`` is given, each subformula and subterm of ``f`` is
+    printed once: its text is taken from ``memo`` if there, and entered
+    into it otherwise, so ``memo`` ends up holding the text of every
+    subformula and every subterm of ``f``."""
     return _fmt(f, _IMPL, memo)
 
 
 def print_term(t: Term) -> str:
-    return str(t)
+    """Minimal-parenthesis rendering of a term."""
+    return _fmt(t, _SUM, None)

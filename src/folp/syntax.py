@@ -65,7 +65,8 @@ def elem(name: str) -> Atom:
 def _node(cls):
     """Slotted dataclass that stores its hash in ``_hash`` once built (and
     normalized by its own ``__post_init__``), reading its children's, so
-    hashing never recurses.  ``dataclass`` keeps the ``__hash__`` set here."""
+    hashing never recurses; nor does equality (see ``_equal``).
+    ``dataclass`` keeps the ``__hash__`` and ``__eq__`` set here."""
     key = attrgetter("__class__.__name__", *(
         f"{name}._hash" if kind in ("Term", "Formula") else name
         for name, kind in cls.__annotations__.items()
@@ -82,7 +83,61 @@ def _node(cls):
 
     cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
+    cls.__eq__ = _equal
     return dataclass(slots=True)(cls)
+
+
+def _equal(a, b):
+    """``a == b`` for terms and formulas: structural equality, walking
+    pairs of nodes with a stack.  A pair of one node is equal; a pair
+    whose classes, hashes or own fields differ is not; otherwise its
+    children are compared.  Fields are read directly, not generically,
+    because formulas are compared on every dictionary hit."""
+    if type(b) is not type(a):
+        return NotImplemented
+    stack = []
+    while True:
+        if a is not b:
+            cls = type(a)
+            if cls is not type(b) or a._hash != b._hash:
+                return False
+            if cls is Pred:
+                if a.name != b.name or a.args != b.args:
+                    return False
+            elif cls is TermVar or cls is TermConst:
+                if a.name != b.name:
+                    return False
+            elif cls is Neg:
+                a, b = a.body, b.body
+                continue
+            elif cls is Impl or cls is Sum or cls is App:
+                if a.right is not b.right:
+                    stack.append((a.right, b.right))
+                a, b = a.left, b.left
+                continue
+            elif cls is Assert:
+                if a.window != b.window:
+                    return False
+                if a.term is not b.term:
+                    stack.append((a.term, b.term))
+                a, b = a.body, b.body
+                continue
+            elif cls is Forall or cls is Exists:
+                if a.bound != b.bound:
+                    return False
+                a, b = a.body, b.body
+                continue
+            elif cls is Bang:
+                a, b = a.inner, b.inner
+                continue
+            else:  # Gen
+                if a.bound != b.bound:
+                    return False
+                a, b = a.inner, b.inner
+                continue
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +149,9 @@ class Term:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
-        return _fmt_term(self)
+        from .parser import print_term
+
+        return print_term(self)
 
 
 @_node
@@ -130,22 +187,6 @@ class Gen(Term):
 
     bound: str
     inner: Term
-
-
-def _fmt_term(t: Term, required: int = 0) -> str:
-    """``t`` in parentheses if its level (0: sum, 1: application, 2:
-    prefix or atomic) is below ``required``; one stack frame per level."""
-    if isinstance(t, Sum):
-        level, s = 0, f"{_fmt_term(t.left, 0)}+{_fmt_term(t.right, 1)}"
-    elif isinstance(t, App):
-        level, s = 1, f"{_fmt_term(t.left, 1)}*{_fmt_term(t.right, 2)}"
-    elif isinstance(t, Bang):
-        level, s = 2, "!" + _fmt_term(t.inner, 2)
-    elif isinstance(t, Gen):
-        level, s = 2, f"gen<{t.bound}>({_fmt_term(t.inner)})"
-    else:
-        level, s = 2, t.name  # type: ignore[attr-defined]
-    return f"({s})" if level < required else s
 
 
 def subterms(t: Term) -> Iterator[Term]:

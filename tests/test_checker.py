@@ -92,20 +92,24 @@ class TestAcceptance:
 
     def test_chain_600_in_a_fresh_interpreter(self):
         # chain-600, built directly, nests about 600 formula levels, far
-        # past the parser's limit; hashing it must not recurse.  It runs in
+        # past the parser's limit; hashing and comparing it must not
+        # recurse.  It runs in
         # a fresh interpreter, as the CLI would, with the default stack.
         script = textwrap.dedent("""
             from folp import Impl, Pred, Proved, SearchBudget, check_proof, prove
             from folp.fileio import read_cs_file
             cs = read_cs_file(%r)
-            n = 600
-            goal = Pred(f"P{n}")
-            for i in reversed(range(n)):
-                goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
-            goal = Impl(Pred("P0"), goal)
+            def chain(n):
+                goal = Pred(f"P{n}")
+                for i in reversed(range(n)):
+                    goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+                return Impl(Pred("P0"), goal)
+            goal = chain(600)
             outcome = prove(goal, cs, SearchBudget(max_nodes=100_000, max_depth=5_000))
             assert isinstance(outcome, Proved), outcome
             assert check_proof(outcome.tree, cs, expected_goal=goal).accepted
+            # A separately built goal is compared by structure.
+            assert check_proof(outcome.tree, cs, expected_goal=chain(600)).accepted
         """ % str(ROOT / "tests" / "data" / "corpus.cs"))
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

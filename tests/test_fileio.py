@@ -52,8 +52,18 @@ PROOFS = {
     "chain-32": chain(32),
     "cases-3": cases(3),
     "sum-32": sum_family(32),
+    "sum-window": "forall y. (p :[y] Q(y) -> (p + (q + r) + p) :[y] Q(y))",
     "app-8": app(8),
 }
+
+
+def _folp(*args):
+    """Run the CLI in a fresh interpreter, as a user would: the depth the
+    recursive writer can take depends on the stack below it."""
+    path_var = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "folp.cli", *args],
+                          env={**os.environ, "PYTHONPATH": path_var},
+                          capture_output=True, text=True)
 
 
 def _node_formulas_parsed_one_by_one(data, decls):
@@ -207,22 +217,26 @@ class TestProofFiles:
     def test_deepest_chain_round_trips(self, tmp_path):
         # chain-160's proof is near the deepest the indenting writer of
         # earlier versions could write and read back; the one-line writer
-        # must not lower that ceiling.  The depth the recursive writer and
-        # reader can take depends on the stack below them, so they run as
-        # the CLI runs, in a fresh interpreter, not under pytest.
+        # must not lower that ceiling.
         goal, path = chain(160), str(tmp_path / "proof.json")
-        path_var = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path_var}
-
-        def folp(*args):
-            return subprocess.run([sys.executable, "-m", "folp.cli", *args],
-                                  env=env, capture_output=True, text=True)
-
-        proved = folp("prove", goal, "--cs", str(DATA / "corpus.cs"), "--out", path,
-                      "--max-nodes", "100000", "--max-depth", "5000")
+        proved = _folp("prove", goal, "--cs", str(DATA / "corpus.cs"), "--out", path,
+                       "--max-nodes", "100000", "--max-depth", "5000")
         assert proved.returncode == 0, proved.stderr
-        checked = folp("check", path, "--cs", str(DATA / "corpus.cs"), "--goal", goal)
+        checked = _folp("check", path, "--cs", str(DATA / "corpus.cs"), "--goal", goal)
         assert (checked.returncode, checked.stdout) == (0, "accept\n"), checked.stderr
+
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_too_deep_to_write_is_an_error(self, out, tmp_path):
+        # chain-256 proves, but its proof is too deep for the recursive
+        # writer: a documented error, with no traceback and no "proved".
+        path = tmp_path / "proof.json"
+        proved = _folp("prove", chain(256), "--cs", str(DATA / "corpus.cs"),
+                       *(["--out", str(path)] if out else []),
+                       "--max-nodes", "100000", "--max-depth", "5000")
+        assert proved.returncode == 2
+        assert proved.stdout == ""
+        assert proved.stderr == "error: proof nested too deeply to write as format v1\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
     @pytest.mark.parametrize("name", PROOFS)
@@ -252,10 +266,12 @@ class TestProofFiles:
             assert {n.id: n.formula for n in back.nodes()} == {
                 n.id: n.formula for n in tree.nodes()}
 
-    def test_node_texts_are_looked_up(self, corpus_cs, monkeypatch):
+    @pytest.mark.parametrize("name", ["chain-32", "sum-32"])
+    def test_node_texts_are_looked_up(self, name, corpus_cs, monkeypatch):
         # Every chain-32 node carries a subformula of the root or its
-        # negation, so no node text needs the parser.
-        _, tree = _proof(chain(32), corpus_cs)
+        # negation, and every sum-32 node one of those or an FPlus
+        # conclusion from one, so no node text needs the parser.
+        _, tree = _proof(PROOFS[name], corpus_cs)
         data = proof_to_dict(tree)
         parsed = []
 

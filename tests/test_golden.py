@@ -181,19 +181,25 @@ def _swap_vars(f):
 
 
 def _rename_lines():
-    """One line per call: the printed result, ``CaptureError`` as a value."""
+    """One line per call: the printed result, ``CaptureError`` as a value.
+    Each result also prints the same through a printing memo shared by
+    all of them."""
     rng = random.Random(20261018)
     targets = [var("x"), var("y"), var("z"), param("u"), elem("a")]
     verdicts = Counter()
+    memo = {}  # one printing memo for every formula: shared subterms hit it
     for i in range(1000):
         f = random_formula(rng, 1 + i % 5)
         for name, fn, sources in (("sub", substitute, "xyz"), ("par", substitute_param, "uw")):
             for x in sources:
                 for a in targets:
                     try:
-                        out = print_formula(fn(f, x, a))
+                        h = fn(f, x, a)
                     except CaptureError:
-                        out = "CaptureError"
+                        yield f"{name} {x} {a} CaptureError"
+                        continue
+                    out = print_formula(h)
+                    assert print_formula(h, memo) == out
                     yield f"{name} {x} {a} {out}"
         g = random_formula(rng, 1 + i % 5)
         for other in (_swap_vars(f), g):

@@ -4,6 +4,8 @@ import pytest
 
 from folp import (
     CaptureError,
+    Impl,
+    Pred,
     TermVar,
     alpha_eq,
     canonical,
@@ -108,6 +110,28 @@ class TestCanonical:
         c = canonical(g)
         assert canonical(g) is c and canonical(c) is c
         assert canonical(f("forall y. exists x. R(y, x)")) == c
+
+
+class TestEquality:
+    @staticmethod
+    def chain(n, last="P"):
+        goal = Pred(f"{last}{n}")
+        for i in reversed(range(n)):
+            goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+        return Impl(Pred("P0"), goal)
+
+    def test_deep_formulas_compare_without_recursion(self):
+        # chain-1000 nests about 1,000 levels; two separately built copies
+        # compare by walking, not by recursing once per level.
+        a, b = self.chain(1000), self.chain(1000)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != self.chain(1000, last="Q")
+        assert a != self.chain(999)
+
+    def test_nodes_of_other_classes_differ(self):
+        assert f("p : Q0") != f("q : Q0") and f("p : Q0") != f("p :[x] Q0")
+        assert f("(p + q) : Q0") != f("(p * q) : Q0")
+        assert TermVar("Q0") != f("Q0") and f("Q0") != "Q0"
 
 
 class TestWindows:
