@@ -5,11 +5,11 @@ and sum-128, and countermodel search on one non-theorem.
 
 For each goal, under ``tests/data/corpus.cs`` and a budget that never
 binds, prints the best ``prove`` time over N runs (default 5), the node
-count of the proof and the time per node; parsing and checking are not
-timed.  For the proofs of chain-128 (deep, formula-heavy) and sum-128
-(term-heavy) it then prints the best times of ``write_proof_file`` and
-``read_proof_file`` over N runs and the file's size.  Last it prints
-the best time of ``find_countermodel`` on
+count of the proof, the time per node and the best ``check_proof`` time
+of the proof; parsing is not timed.  For the proofs of chain-128 (deep,
+formula-heavy) and sum-128 (term-heavy) it then prints the best times of
+``write_proof_file`` and ``read_proof_file`` over N runs and the file's
+size.  Last it prints the best time of ``find_countermodel`` on
 ``(p + q) : Q0 -> p : Q0`` (``max_domain=2``), which enumerates 4,098
 models and canonicalizes evidence throughout, and how many models it
 checked.  ``--src`` points at another checkout's ``src`` to time that
@@ -67,7 +67,9 @@ def main() -> None:
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    from folp import Proved, SearchBudget, find_countermodel, parse_formula, prove
+    from folp import (
+        Proved, SearchBudget, check_proof, find_countermodel, parse_formula, prove,
+    )
     from folp.fileio import read_cs_file, read_proof_file, write_proof_file
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
@@ -76,9 +78,11 @@ def main() -> None:
         goal = parse_formula(text, cs.constants)
         best, outcome = best_time(args.repeat, lambda: prove(goal, cs, budget))
         assert isinstance(outcome, Proved), outcome
+        check, verdict = best_time(args.repeat, lambda: check_proof(outcome.tree, cs, goal))
+        assert verdict.accepted, verdict
         nodes = len(outcome.tree.nodes())
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
-              f"{best / nodes * 1e6:.1f} us/node")
+              f"{best / nodes * 1e6:.1f} us/node, check {check:.3f} s")
 
     for name, text in (("chain-128", chain(128)), ("sum-128", sum_family(128))):
         outcome = prove(parse_formula(text, cs.constants), cs, budget)

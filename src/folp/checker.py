@@ -38,14 +38,6 @@ class Verdict:
     condition: Optional[str] = None
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "node_id": self.node_id,
-            "condition": self.condition,
-            "message": self.message,
-        }
-
     def __str__(self) -> str:
         if self.accepted:
             return "accept"

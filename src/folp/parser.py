@@ -54,9 +54,11 @@ from .syntax import (
 
 KEYWORDS = {"forall", "exists", "gen"}
 
-# The chain-256 benchmark goal nests 258 levels.  Formula equality and
-# this parser on nested parentheses take three stack frames per level, so
-# 280 levels leave room under Python's default limit of 1000 frames.
+# The chain-256 benchmark goal nests 258 levels.  This parser takes three
+# stack frames per level of nested parentheses, and the printer and the
+# model evaluator one, so 280 levels leave room under Python's default
+# limit of 1000 frames.  Formula hashing, equality and atom facts do not
+# recurse.
 MAX_DEPTH = 280
 
 

@@ -14,7 +14,7 @@ premise that has fired, or can never fire usefully again, is marked
 spent.  The same pass indexes the node's subformulas, FDot's cut
 candidates.  Formulas cache their hash and atom sets.  All branches
 share one agenda: each change is logged on a trail, which is unwound to
-the branch point before the second child of a branching rule grows.
+the branch point before each child of a branching rule grows.
 """
 
 from __future__ import annotations
@@ -27,18 +27,13 @@ from typing import Any, Optional, Sequence, Union
 
 from .axioms import ConstantSpecification
 from .syntax import (
-    App,
     Assert,
     Atom,
-    Bang,
     Exists,
     Forall,
     Formula,
-    Gen,
     Impl,
     Neg,
-    PARAM,
-    Sum,
     atoms_of,
     elem_set,
     free_vars,
@@ -54,6 +49,7 @@ from .tableau import (
     RuleError,
     apply_rule,
     closure_against,
+    premise_rules,
 )
 
 
@@ -91,7 +87,12 @@ SearchOutcome = Union[Proved, Open, Exhausted]
 
 _DETERMINISTIC = ("FNeg", "FImp", "FPlus", "FBang", "GenX", "Exp", "TColon", "Ins")
 _QUEUES = (*_DETERMINISTIC, "delta", "TImp", "gamma")
-_TERM_RULES = {Sum: "FPlus", Bang: "FBang", Gen: "GenX"}
+# The queue each rule's premises join.
+_QUEUE_OF = {
+    **{name: name for name in (*_DETERMINISTIC, "TImp")},
+    **dict.fromkeys(FRESH_PARAM_RULES, "delta"),
+    **dict.fromkeys(("TForall", "FExists", "FDot", "Ctr"), "gamma"),
+}
 
 
 class _ExhaustedError(Exception):
@@ -108,41 +109,28 @@ class _OpenBranch(Exception):
 
 
 def _agenda_entries(nid: int, pos: int, f: Formula):
-    """``(queue, entry)`` for each rule class ``f`` is a premise of.
-    Every entry starts with the node id; a deterministic entry carries
-    its rule instance (Ins gets its variable when examined)."""
-    if isinstance(f, Impl):
-        yield "TImp", (nid, f)
-    elif isinstance(f, Exists):
-        yield "delta", (nid, "TExists")
-    elif isinstance(f, Forall):
-        yield "gamma", (nid, pos, "TForall", f)
-    elif isinstance(f, Assert):
-        yield "TColon", (nid, RuleApp("TColon", (nid,)))
-    elif isinstance(f, Neg):
-        body = f.body
-        if isinstance(body, Neg):
-            yield "FNeg", (nid, RuleApp("FNeg", (nid,)))
-        elif isinstance(body, Impl):
-            yield "FImp", (nid, RuleApp("FImp", (nid,)))
-        elif isinstance(body, Forall):
-            yield "delta", (nid, "FForall")
-        elif isinstance(body, Exists):
-            yield "gamma", (nid, pos, "FExists", f)
-        elif isinstance(body, Assert):
-            name = _TERM_RULES.get(type(body.term))
-            if name is not None:
-                yield name, (nid, RuleApp(name, (nid,)))
-            pars = par_set(body.body)
-            drop = [w for w in body.window if w.kind == PARAM and w.name not in pars]
-            if drop:
-                yield "Exp", (nid, RuleApp("Exp", (nid,), param=drop[0]))
+    """``(queue, entry)`` for each rule ``f`` is a premise of.  Every
+    entry starts with the node id; a deterministic entry carries its rule
+    instance (Ins gets its variable when examined), and Exp and Ins join
+    only with a parameter to drop or to instantiate."""
+    for name in premise_rules(f):
+        queue = _QUEUE_OF[name]
+        if queue == "gamma":
+            yield queue, (nid, pos, name, f)
+        elif queue == "delta":
+            yield queue, (nid, name)
+        elif queue == "TImp":
+            yield queue, (nid, f)
+        elif name == "Exp" or name == "Ins":
+            # The least parameter of the body to instantiate, or of the
+            # window, but not the body, to drop.
+            pars = par_set(f.body.body)
+            if name == "Exp":
+                pars = {w.name for w in f.body.window} - pars
             if pars:
-                yield "Ins", (nid, RuleApp("Ins", (nid,), param=mk_param(min(pars))))
-            if isinstance(body.term, App):
-                yield "gamma", (nid, pos, "FDot", body)
-            if all(w.kind == PARAM for w in body.window):
-                yield "gamma", (nid, pos, "Ctr", body)
+                yield queue, (nid, RuleApp(name, (nid,), param=mk_param(min(pars))))
+        else:
+            yield queue, (nid, RuleApp(name, (nid,)))
 
 
 class _Agenda:
@@ -303,12 +291,14 @@ class _Search:
     # -- rule selection ----------------------------------------------------
 
     def _try_rule(self, agenda: _Agenda, rule: RuleApp) -> bool:
-        """Whether the instance applies and adds a formula to the branch."""
+        """Whether the instance applies and adds a formula to each child
+        branch."""
         try:
             extensions = apply_rule(agenda.branch, rule)
         except RuleError:
             return False
-        return not all(f in agenda.formulas for ext in extensions for f in ext)
+        formulas = agenda.formulas
+        return all(any(f not in formulas for f in ext) for ext in extensions)
 
     def select(self, agenda: _Agenda) -> Optional[RuleApp]:
         for name in _DETERMINISTIC:
@@ -354,7 +344,7 @@ class _Search:
         if len(used) >= self.budget.max_params:
             agenda.hit("max_params")
             return None
-        window = {w.name for w in premise.window} if name == "Ctr" else ()
+        window = {w.name for w in premise.body.window} if name == "Ctr" else ()
         for p in agenda.param_order:
             if p in used or p in window:
                 continue
@@ -370,25 +360,21 @@ class _Search:
         return RuleApp(name, (nid,), param=self.fresh_param())
 
     def _fdot_rule(
-        self, name: str, nid: int, a: Assert, agenda: _Agenda
+        self, name: str, nid: int, premise: Formula, agenda: _Agenda
     ) -> Optional[RuleApp]:
+        """FDot with the first cut candidate not yet tried on ``premise``
+        whose two conclusions are both new to the branch."""
         done = agenda.fdot_done[nid]
         if len(done) >= self.budget.max_cut_candidates:
             agenda.hit("max_cut_candidates")
             return None
-        for cut in self._cut_candidates(a, agenda):
+        for cut in self._cut_candidates(premise.body, agenda):
             if cut in done:
                 continue
             rule = RuleApp("FDot", (nid,), cut=cut)
-            left = Neg(Assert(a.term.left, a.window, Impl(cut, a.body)))  # type: ignore[attr-defined]
-            right = Neg(Assert(a.term.right, a.window, cut))  # type: ignore[attr-defined]
-            if left in agenda.formulas or right in agenda.formulas:
-                agenda.add(done, cut)
-                continue
-            if not self._try_rule(agenda, rule):
-                agenda.add(done, cut)
-                continue
-            return rule
+            if self._try_rule(agenda, rule):
+                return rule
+            agenda.add(done, cut)
         return None
 
     def _cut_candidates(self, a: Assert, agenda: _Agenda) -> list[Formula]:
@@ -415,65 +401,65 @@ class _Search:
 
     # -- main loop ---------------------------------------------------------
 
-    def close_branch(self, leaf: ProofNode, agenda: _Agenda) -> None:
-        """Extend the branch below ``leaf`` until it closes.
+    def close_tableau(self, root: ProofNode) -> None:
+        """Grow the tableau below ``root`` until every branch closes.
 
-        Raises _OpenBranch on saturation and _ExhaustedError on budget
-        exhaustion.
+        Branches grow depth first, children in order, off a stack of
+        ``(node, branch point)`` pairs: the agenda is unwound to the branch
+        point before the node joins the branch, so proof depth is not
+        bounded by the interpreter's stack.  Raises _OpenBranch on
+        saturation and _ExhaustedError on budget exhaustion.
         """
-        while True:
-            self.check_budget(agenda)
-            rule = self.select(agenda)
-            if rule is None:
-                if agenda.limit_hit is not None:
-                    raise _ExhaustedError(agenda.limit_hit)
-                raise _OpenBranch(
-                    list(agenda.branch.values()),
-                    "branch saturated without closing; the goal may not be "
-                    "provable with the current strategy",
-                )
-            extensions = apply_rule(agenda.branch, rule)
-            self._mark_applied(agenda, rule)
-            if len(extensions) == 1:
+        agenda = _Agenda()
+        stack = [(root, 0)]
+        while stack:
+            leaf, branch_point = stack.pop()
+            agenda.undo(branch_point)
+            leaf.closure = self._note_and_close(agenda, leaf)
+            while leaf.closure is None:
+                self.check_budget(agenda)
+                rule = self.select(agenda)
+                if rule is None:
+                    if agenda.limit_hit is not None:
+                        raise _ExhaustedError(agenda.limit_hit)
+                    raise _OpenBranch(
+                        list(agenda.branch.values()),
+                        "branch saturated without closing; the goal may not be "
+                        "provable with the current strategy",
+                    )
+                extensions = apply_rule(agenda.branch, rule)
+                self._mark_applied(agenda, rule)
+                if len(extensions) > 1:
+                    children = [self.make_node(ext[0], rule) for ext in extensions]
+                    leaf.children.extend(children)
+                    branch_point = len(agenda.trail)
+                    stack.extend((child, branch_point) for child in reversed(children))
+                    break
                 for f in extensions[0]:
                     node = self.make_node(f, rule)
                     leaf.children.append(node)
                     leaf = node
-                    mark = self._note_and_close(agenda, node)
-                    if mark is not None:
-                        node.closure = mark
-                        return
-            else:
-                children = [self.make_node(ext[0], rule) for ext in extensions]
-                leaf.children.extend(children)
-                branch_point = len(agenda.trail)
-                for child in children:
-                    mark = self._note_and_close(agenda, child)
-                    if mark is not None:
-                        child.closure = mark
-                    else:
-                        self.close_branch(child, agenda)
-                    agenda.undo(branch_point)
-                return
+                    leaf.closure = self._note_and_close(agenda, leaf)
+                    if leaf.closure is not None:
+                        break
 
     def _mark_applied(self, agenda: _Agenda, rule: RuleApp) -> None:
         nid = rule.premises[0]
-        if rule.name in FRESH_PARAM_RULES:
-            agenda.add(agenda.spent, ("delta", nid))
-            agenda.assign("fresh_params", agenda.fresh_params + 1)
-        elif rule.name in ("TForall", "FExists", "Ctr"):
+        queue = _QUEUE_OF[rule.name]
+        if queue != "gamma":
+            agenda.add(agenda.spent, (queue, nid))
+            if queue == "delta":
+                agenda.assign("fresh_params", agenda.fresh_params + 1)
+            return
+        if rule.name == "FDot":
+            agenda.add(agenda.fdot_done[nid], rule.cut)
+        else:
             assert rule.param is not None
             if rule.param.name not in agenda.param_order:
                 agenda.assign("fresh_params", agenda.fresh_params + 1)
                 agenda.add(agenda.gamma_fresh_used, nid)
             agenda.add(agenda.gamma_used[nid], rule.param.name)
-            agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
-        elif rule.name == "FDot":
-            assert rule.cut is not None
-            agenda.add(agenda.fdot_done[nid], rule.cut)
-            agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
-        else:
-            agenda.add(agenda.spent, (rule.name, nid))
+        agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
 
     def _note_and_close(self, agenda: _Agenda, node: ProofNode) -> Optional[Closure]:
         mark = closure_against(node.id, node.formula, agenda.formulas, self.cs)
@@ -483,19 +469,13 @@ class _Search:
     def run(self) -> SearchOutcome:
         root_formula = Neg(self.goal)
         root = self.make_node(root_formula, None)
-        agenda = _Agenda()
-        mark = self._note_and_close(agenda, root)
-        tree = ProofTree(roots=[root_formula], root=root)
-        if mark is not None:
-            root.closure = mark
-            return Proved(tree)
         try:
-            self.close_branch(root, agenda)
+            self.close_tableau(root)
         except _OpenBranch as ob:
             return Open(tuple(str(f) for f in ob.branch), ob.diagnostics)
         except _ExhaustedError as ex:
             return Exhausted(ex.dimension)
-        return Proved(tree)
+        return Proved(ProofTree(roots=[root_formula], root=root))
 
 
 def prove(

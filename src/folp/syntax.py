@@ -298,14 +298,39 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 def _facts(f: Formula) -> _Facts:
     """The atom facts of ``f``, folded once from its children's and
-    cached on ``f``."""
+    cached on ``f``.  Uncached children are folded first, off an explicit
+    stack, so that nesting depth is not bounded by the interpreter's."""
     facts = f._facts
     if facts is not None:
         return facts
+    facts = _fold_facts(f)
+    stack = [f] if facts is None else []
+    while stack:
+        g = stack[-1]
+        facts = _fold_facts(g)
+        if facts is not None:
+            g._facts = facts
+            stack.pop()
+        elif type(g) is Impl:
+            if g.right._facts is None:
+                stack.append(g.right)
+            if g.left._facts is None:
+                stack.append(g.left)
+        else:
+            stack.append(g.body)
+    f._facts = facts
+    return facts
+
+
+def _fold_facts(f: Formula) -> Optional[_Facts]:
+    """The facts of ``f`` from its children's, or None while a child's
+    are not cached."""
     cls = type(f)
     if cls is Pred or cls is Assert:
         own = f.args if cls is Pred else f.window
-        facts = _NO_FACTS if cls is Pred else _facts(f.body)
+        facts = _NO_FACTS if cls is Pred else f.body._facts
+        if facts is None:
+            return None
         if own:
             kinds = {a.kind for a in own}
             facts = _Facts(
@@ -316,20 +341,21 @@ def _facts(f: Formula) -> _Facts:
         elif facts.free:
             facts = facts._replace(free=_NONE)
     elif cls is Neg:
-        facts = _facts(f.body)
+        facts = f.body._facts
     elif cls is Impl:
-        left, right = _facts(f.left), _facts(f.right)
+        left, right = f.left._facts, f.right._facts
+        if left is None or right is None:
+            return None
         if right is not _NO_FACTS and right is not left:
             facts = right if left is _NO_FACTS else _Facts(*map(_union, left, right))
         else:
             facts = left
     elif cls is Forall or cls is Exists:
-        facts = _facts(f.body)
-        if f.bound in facts.free:
+        facts = f.body._facts
+        if facts is not None and f.bound in facts.free:
             facts = facts._replace(free=facts.free - {f.bound} or _NONE)
     else:
         raise TypeError(f"not a formula: {f!r}")
-    f._facts = facts
     return facts
 
 

@@ -102,24 +102,46 @@ Closure = Union[Contradiction, CsClosure]
 Branch = Mapping[int, Formula]
 
 
-def _premise(branch: Branch, rule: RuleApp) -> Formula:
-    if len(rule.premises) != 1:
-        raise RuleError(
-            "premise-count",
-            f"{rule.name} takes 1 premise(s), got {len(rule.premises)}",
-        )
-    pid = rule.premises[0]
-    if pid not in branch:
-        raise RuleError("premise-missing", f"node {pid} is not on the branch")
-    return branch[pid]
+# Premise shapes by the type of the formula, and of a negation's body.
+_SHAPES = {
+    Impl: ("TImp",), Forall: ("TForall",), Exists: ("TExists",), Assert: ("TColon",)
+}
+_NEG_SHAPES = {
+    Neg: ("FNeg",), Impl: ("FImp",), Forall: ("FForall",), Exists: ("FExists",)
+}
 
 
-def _dest_neg_assert(f: Formula, rule: str) -> Assert:
-    if not (isinstance(f, Neg) and isinstance(f.body, Assert)):
-        raise RuleError(
-            "premise-shape", f"{rule} premise must be a negated assertion, got {f}"
-        )
-    return f.body
+def premise_rules(f: Formula) -> tuple[str, ...]:
+    """The rules whose premise shape ``f`` has, in search-queue order.
+
+    This is the calculus's one statement of premise shapes.  Exp, Ins and
+    Ctr take any negated assertion ``~t :[X] A``; FBang's premise is
+    ``~!t :[X] t :[X] A`` and GenX's ``~gen_x(t) :[X] forall x. A``.
+    Side conditions (windows of parameters, freshness, cut formulas) are
+    left to :func:`apply_rule`.
+    """
+    cls = type(f)
+    if cls is not Neg:
+        return _SHAPES.get(cls, ())
+    a = f.body
+    cls = type(a)
+    if cls is not Assert:
+        return _NEG_SHAPES.get(cls, ())
+    t, body = a.term, a.body
+    if type(t) is Sum:
+        return ("FPlus", "Exp", "Ins", "Ctr")
+    if type(t) is App:
+        return ("Exp", "Ins", "FDot", "Ctr")
+    if (
+        type(t) is Bang
+        and type(body) is Assert
+        and body.term == t.inner
+        and body.window == a.window
+    ):
+        return ("FBang", "Exp", "Ins", "Ctr")
+    if type(t) is Gen and type(body) is Forall and body.bound == t.bound:
+        return ("GenX", "Exp", "Ins", "Ctr")
+    return ("Exp", "Ins", "Ctr")
 
 
 def _require_par_window(a: Assert, rule: str) -> None:
@@ -146,70 +168,53 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
     :class:`RuleError` on premise-shape or side-condition violations.
     """
     name = rule.name
-    p = _premise(branch, rule)
+    if len(rule.premises) != 1:
+        raise RuleError(
+            "premise-count", f"{name} takes 1 premise(s), got {len(rule.premises)}"
+        )
+    p = branch.get(rule.premises[0])
+    if p is None:
+        raise RuleError(
+            "premise-missing", f"node {rule.premises[0]} is not on the branch"
+        )
+    if name not in premise_rules(p):
+        raise RuleError("premise-shape", f"{p} is not a {name} premise")
 
     if name == "FNeg":
-        if not (isinstance(p, Neg) and isinstance(p.body, Neg)):
-            raise RuleError("premise-shape", f"FNeg premise must be ~~A, got {p}")
         return [[p.body.body]]
-
     if name == "TImp":
-        if not isinstance(p, Impl):
-            raise RuleError("premise-shape", f"TImp premise must be A -> B, got {p}")
         return [[Neg(p.left)], [p.right]]
-
     if name == "FImp":
-        if not (isinstance(p, Neg) and isinstance(p.body, Impl)):
-            raise RuleError("premise-shape", f"FImp premise must be ~(A -> B), got {p}")
         return [[p.body.left, Neg(p.body.right)]]
 
-    if name in ("TForall", "FExists"):
+    if name in ("TForall", "FExists", "TExists", "FForall"):
         u = _require_param(rule)
-        if name == "TForall":
-            if not isinstance(p, Forall):
-                raise RuleError("premise-shape", f"TForall premise must be forall, got {p}")
-            return [[substitute(p.body, p.bound, u)]]
-        if not (isinstance(p, Neg) and isinstance(p.body, Exists)):
-            raise RuleError("premise-shape", f"FExists premise must be ~exists, got {p}")
-        return [[Neg(substitute(p.body.body, p.body.bound, u))]]
-
-    if name in ("TExists", "FForall"):
-        u = _require_param(rule)
-        if any(u.name in par_set(f) for f in branch.values()):
+        fresh = name in FRESH_PARAM_RULES
+        if fresh and any(u.name in par_set(f) for f in branch.values()):
             raise RuleError(
                 "freshness", f"parameter {u} already occurs on the branch"
             )
-        if name == "TExists":
-            if not isinstance(p, Exists):
-                raise RuleError("premise-shape", f"TExists premise must be exists, got {p}")
+        if name in ("TForall", "TExists"):
             return [[substitute(p.body, p.bound, u)]]
-        if not (isinstance(p, Neg) and isinstance(p.body, Forall)):
-            raise RuleError("premise-shape", f"FForall premise must be ~forall, got {p}")
         return [[Neg(substitute(p.body.body, p.body.bound, u))]]
 
+    # The justification rules: TColon's premise is t :[X] A, the others'
+    # its negation.
+    a = p if name == "TColon" else p.body
+    _require_par_window(a, name)
     if name == "TColon":
-        if not isinstance(p, Assert):
-            raise RuleError("premise-shape", f"TColon premise must be t : A, got {p}")
-        _require_par_window(p, "TColon")
-        return [[universal_closure(p.body)]]
-
+        return [[universal_closure(a.body)]]
     if name == "FPlus":
-        a = _dest_neg_assert(p, "FPlus")
-        if not isinstance(a.term, Sum):
-            raise RuleError("premise-shape", f"FPlus premise term must be a sum, got {p}")
-        _require_par_window(a, "FPlus")
         return [[
             Neg(Assert(a.term.left, a.window, a.body)),
             Neg(Assert(a.term.right, a.window, a.body)),
         ]]
+    if name == "FBang":
+        return [[Neg(a.body)]]
+    if name == "GenX":
+        return [[Neg(Assert(a.term.inner, a.window, a.body.body))]]
 
     if name == "FDot":
-        a = _dest_neg_assert(p, "FDot")
-        if not isinstance(a.term, App):
-            raise RuleError(
-                "premise-shape", f"FDot premise term must be an application, got {p}"
-            )
-        _require_par_window(a, "FDot")
         if rule.cut is None:
             raise RuleError("cut-missing", "FDot requires a cut formula")
         window_pars = {w.name for w in a.window}
@@ -221,44 +226,17 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
             )
         if elem_set(rule.cut):
             raise RuleError("cut-elems", "cut formula contains domain elements")
-        s, t = a.term.left, a.term.right
         return [
-            [Neg(Assert(s, a.window, Impl(rule.cut, a.body)))],
-            [Neg(Assert(t, a.window, rule.cut))],
+            [Neg(Assert(a.term.left, a.window, Impl(rule.cut, a.body)))],
+            [Neg(Assert(a.term.right, a.window, rule.cut))],
         ]
 
-    if name == "FBang":
-        a = _dest_neg_assert(p, "FBang")
-        if not isinstance(a.term, Bang):
-            raise RuleError("premise-shape", f"FBang premise term must be !t, got {p}")
-        inner = a.body
-        if not isinstance(inner, Assert):
-            raise RuleError(
-                "premise-shape", f"FBang premise body must itself be an assertion, got {p}"
-            )
-        if inner.term != a.term.inner:
-            raise RuleError(
-                "premise-shape", "FBang inner term differs from the checked term"
-            )
-        if inner.window != a.window:
-            raise RuleError(
-                "premise-shape", "FBang inner and outer windows differ"
-            )
-        _require_par_window(a, "FBang")
-        return [[Neg(inner)]]
-
+    u = _require_param(rule)
     if name == "Ctr":
-        a = _dest_neg_assert(p, "Ctr")
-        _require_par_window(a, "Ctr")
-        u = _require_param(rule)
         if u in a.window:
             raise RuleError("ctr-param-in-window", f"{u} already in the window")
         return [[Neg(Assert(a.term, mkwindow(a.window + (u,)), a.body))]]
-
     if name == "Exp":
-        a = _dest_neg_assert(p, "Exp")
-        _require_par_window(a, "Exp")
-        u = _require_param(rule)
         if u not in a.window:
             raise RuleError("exp-param-not-in-window", f"{u} is not in the window")
         if u.name in par_set(a.body):
@@ -266,41 +244,18 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
                 "exp-side-condition", f"{u} occurs in the asserted formula"
             )
         return [[Neg(Assert(a.term, tuple(w for w in a.window if w != u), a.body))]]
-
-    if name == "Ins":
-        a = _dest_neg_assert(p, "Ins")
-        _require_par_window(a, "Ins")
-        u = _require_param(rule)
-        if rule.var is None:
-            raise RuleError("var-missing", "Ins requires an individual variable")
-        if u.name not in par_set(a.body):
-            raise RuleError(
-                "ins-no-param", f"{u} does not occur in the asserted formula"
-            )
-        try:
-            new_body = substitute_param(a.body, u.name, var(rule.var))
-        except CaptureError as exc:
-            raise RuleError("ins-capture", str(exc)) from None
-        return [[Neg(Assert(a.term, a.window, new_body))]]
-
-    if name == "GenX":
-        a = _dest_neg_assert(p, "GenX")
-        if not isinstance(a.term, Gen):
-            raise RuleError("premise-shape", f"GenX premise term must be gen<x>(t), got {p}")
-        if not isinstance(a.body, Forall):
-            raise RuleError(
-                "premise-shape", f"GenX premise body must be universally quantified, got {p}"
-            )
-        if a.body.bound != a.term.bound:
-            raise RuleError(
-                "premise-shape",
-                f"GenX generalization variable {a.term.bound} differs from the "
-                f"quantified variable {a.body.bound}",
-            )
-        _require_par_window(a, "GenX")
-        return [[Neg(Assert(a.term.inner, a.window, a.body.body))]]
-
-    raise RuleError("unknown-rule", name)
+    # Ins
+    if rule.var is None:
+        raise RuleError("var-missing", "Ins requires an individual variable")
+    if u.name not in par_set(a.body):
+        raise RuleError(
+            "ins-no-param", f"{u} does not occur in the asserted formula"
+        )
+    try:
+        new_body = substitute_param(a.body, u.name, var(rule.var))
+    except CaptureError as exc:
+        raise RuleError("ins-capture", str(exc)) from None
+    return [[Neg(Assert(a.term, a.window, new_body))]]
 
 
 def cs_closing_constant(f: Formula, cs: ConstantSpecification) -> Optional[str]:

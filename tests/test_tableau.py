@@ -1,9 +1,13 @@
 """Rule application and branch closure."""
 
+import random
+
 import pytest
 
 from folp import (
+    RULE_NAMES,
     ConstantSpecification,
+    Neg,
     RuleApp,
     RuleError,
     apply_rule,
@@ -13,6 +17,8 @@ from folp import (
     parse_formula,
     param,
 )
+from folp.tableau import premise_rules
+from conftest import random_formula
 
 
 def f(text: str):
@@ -114,9 +120,10 @@ class TestJustificationRules:
     def test_fbang(self):
         out = apply_rule(branch("~!p : p : Q0"), RuleApp("FBang", (1,)))
         assert out == [[f("~p : Q0")]]
-        with pytest.raises(RuleError) as exc:
-            apply_rule(branch("~!p : q : Q0"), RuleApp("FBang", (1,)))
-        assert exc.value.condition == "premise-shape"
+        for text in ("~!p : q : Q0", "~!p :[@u] p : Q0"):
+            with pytest.raises(RuleError) as exc:
+                apply_rule(branch(text), RuleApp("FBang", (1,)))
+            assert exc.value.condition == "premise-shape"
 
     def test_ctr(self):
         out = apply_rule(branch("~p : Q0"), RuleApp("Ctr", (1,), param=param("u")))
@@ -166,6 +173,33 @@ class TestJustificationRules:
         with pytest.raises(RuleError) as exc:
             apply_rule(branch("~gen<y>(p) : forall x. Q(x)"), RuleApp("GenX", (1,)))
         assert exc.value.condition == "premise-shape"
+
+
+class TestPremiseShapes:
+    def test_premise_shape_errors_follow_premise_rules(self):
+        # apply_rule rejects a premise's shape exactly when premise_rules
+        # does not list the rule, whatever the rule instance carries.
+        rng = random.Random(8)
+        formulas = [f("~!p : p : Q0"), f("~gen<x>(p) :[@u] forall x. Q(x)")]
+        for _ in range(2_000):
+            g = random_formula(rng)
+            formulas += [g, Neg(g)]
+        rules = [
+            RuleApp(name, (1,), param=param("u"), cut=f("Q0"), var="y")
+            for name in RULE_NAMES
+        ]
+        seen: set[str] = set()
+        for g in formulas:
+            for rule in rules:
+                try:
+                    apply_rule({1: g}, rule)
+                    condition = None
+                except RuleError as exc:
+                    condition = exc.condition
+                shape_ok = rule.name in premise_rules(g)
+                assert (condition != "premise-shape") == shape_ok, (str(g), rule.name)
+            seen.update(premise_rules(g))
+        assert seen == set(RULE_NAMES)
 
 
 class TestClosure:
