@@ -9,11 +9,12 @@ count of the proof, the time per node and the best ``check_proof`` time
 of the proof; parsing is not timed.  For the proofs of chain-128 (deep,
 formula-heavy) and sum-128 (term-heavy) it then prints the best times of
 ``write_proof_file`` and ``read_proof_file`` over N runs and the file's
-size.  Last it prints the best time of ``find_countermodel`` on
-``(p + q) : Q0 -> p : Q0`` (``max_domain=2``), which enumerates 4,098
-models and canonicalizes evidence throughout, and how many models it
-checked.  ``--src`` points at another checkout's ``src`` to time that
-version of folp instead.
+size.  Last it prints the best time of ``find_countermodel``
+(``max_domain=2``) on each of five non-theorems and how many models it
+checked, and fails if a count differs from the pinned one: the counts
+change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
+enumerates the most, 4,098 models.  ``--src`` points at another
+checkout's ``src`` to time that version of folp instead.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
@@ -49,6 +50,17 @@ def cases(n: int) -> str:
 def sum_family(n: int) -> str:
     term = " + ".join(["p", *(f"q{i}" for i in range(n))])
     return f"p : Q0 -> ({term}) : Q0"
+
+
+# Non-theorems with the number of models their countermodel search
+# enumerates before it finds one.
+NON_THEOREMS = (
+    ("Q0 -> p : Q0", 65),
+    ("p : Q(x)", 1),
+    ("exists x. Q(x) -> forall x. Q(x)", 25),
+    ("p : Q0 -> q : Q0", 521),
+    ("(p + q) : Q0 -> p : Q0", 4098),
+)
 
 
 def best_time(repeat: int, run):
@@ -95,11 +107,13 @@ def main() -> None:
         print(f"{name} proof file: write {write * 1e3:.1f} ms, "
               f"read {read * 1e3:.1f} ms, {size:,} bytes")
 
-    text = "(p + q) : Q0 -> p : Q0"
-    goal = parse_formula(text, cs.constants)
-    best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
-    assert search.status == "found", search.status
-    print(f"countermodel for {text}: {best:.3f} s, {search.models_checked:,} models checked")
+    for text, pinned in NON_THEOREMS:
+        goal = parse_formula(text, cs.constants)
+        best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
+        assert search.status == "found", (text, search.status)
+        assert search.models_checked == pinned, (text, search.models_checked, pinned)
+        print(f"countermodel for {text}: {best:.3f} s, "
+              f"{search.models_checked:,} models checked")
 
 
 if __name__ == "__main__":

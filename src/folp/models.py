@@ -11,6 +11,14 @@ written once, in ``_demands``, which yields each formula the conditions
 require in the evidence of one term.  ``validate_model`` reports the
 demands the presented fragment does not meet; countermodel search and
 the evidence of unlisted terms close under the same demands.
+
+The closure reads through a ``_Table``, one per domain size of a
+countermodel search and one per ``validate_model`` or ``satisfies``
+call.  It computes once what the demands need of a formula: its
+canonical key (interned, so equal keys are one object and a bucket hit
+stops at the identity test), its E6 instances, the windowed assertions
+E4 demands of it under a term and the generalization E5 demands of it
+under a binder.  Every candidate of a search reuses them.
 """
 
 from __future__ import annotations
@@ -106,16 +114,55 @@ def _windows(f: Formula, domain: tuple[str, ...]) -> Iterator[Window]:
             yield mkwindow(elem(d) for d in [*base, *extra])
 
 
-def _instances(f: Formula, domain: tuple[str, ...]) -> Iterator[Formula]:
-    """The instances E6 demands for ``f``: one free variable replaced by
-    one domain element."""
-    for x in sorted(free_vars(f)):
-        for d in domain:
-            yield substitute(f, x, elem(d))
+class _Table:
+    """What the closure demands of each formula over one domain,
+    computed once (see the module docstring)."""
+
+    def __init__(self, domain: tuple[str, ...]):
+        self.domain = domain
+        self._facts: dict[Formula, tuple[Formula, tuple[Formula, ...]]] = {}
+        self._keys: dict[Formula, Formula] = {}
+        self._checked: dict[tuple[Term, Formula], tuple[Formula, ...]] = {}
+        self._generalized: dict[tuple[str, Formula], Formula] = {}
+
+    def facts(self, f: Formula) -> tuple[Formula, tuple[Formula, ...]]:
+        """``f``'s canonical key and its E6 instances: one free variable
+        replaced by one domain element."""
+        facts = self._facts.get(f)
+        if facts is None:
+            key = canonical(f)
+            facts = self._facts[f] = (
+                self._keys.setdefault(key, key),
+                tuple(
+                    substitute(f, x, elem(d))
+                    for x in sorted(free_vars(f))
+                    for d in self.domain
+                ),
+            )
+        return facts
+
+    def key(self, f: Formula) -> Formula:
+        return self.facts(f)[0]
+
+    def checked(self, t: Term, f: Formula) -> tuple[Formula, ...]:
+        """The assertions ``t :_X f`` E4 demands in ``evidence(!t)``."""
+        out = self._checked.get((t, f))
+        if out is None:
+            out = self._checked[t, f] = tuple(
+                Assert(t, window, f) for window in _windows(f, self.domain)
+            )
+        return out
+
+    def generalized(self, x: str, f: Formula) -> Formula:
+        """The formula ``forall x. f`` E5 demands in ``evidence(gen_x(t))``."""
+        out = self._generalized.get((x, f))
+        if out is None:
+            out = self._generalized[x, f] = Forall(x, f)
+        return out
 
 
 def _demands(
-    t: Term, ev: Evidence, domain: tuple[str, ...], cs: ConstantSpecification
+    t: Term, ev: Evidence, table: _Table, cs: ConstantSpecification
 ) -> Iterator[tuple[str, Formula, Optional[Term], Formula]]:
     """Yield each formula that E1-E6 require in ``evidence(t)``.
 
@@ -130,7 +177,7 @@ def _demands(
                 yield "E1", a, None, Assert(t, (), a)
     elif isinstance(t, App):
         for f in ev.get(t.left, {}).values():
-            if isinstance(f, Impl) and canonical(f.left) in ev.get(t.right, {}):
+            if isinstance(f, Impl) and table.key(f.left) in ev.get(t.right, {}):
                 yield "E2", f.right, t.left, f
     elif isinstance(t, Sum):
         for part in (t.left, t.right):
@@ -138,36 +185,34 @@ def _demands(
                 yield "E3", f, part, f
     elif isinstance(t, Bang):
         for f in ev.get(t.inner, {}).values():
-            for window in _windows(f, domain):
-                yield "E4", Assert(t.inner, window, f), t.inner, f
+            for a in table.checked(t.inner, f):
+                yield "E4", a, t.inner, f
     elif isinstance(t, Gen):
         for f in ev.get(t.inner, {}).values():
-            yield "E5", Forall(t.bound, f), t.inner, f
+            yield "E5", table.generalized(t.bound, f), t.inner, f
     for f in ev.get(t, {}).values():
-        for inst in _instances(f, domain):
+        for inst in table.facts(f)[1]:
             yield "E6", inst, t, f
 
 
 def _add(
-    bucket: dict[Formula, Formula],
-    formulas: Iterable[Formula],
-    domain: tuple[str, ...],
+    bucket: dict[Formula, Formula], formulas: Iterable[Formula], table: _Table
 ) -> None:
-    """Add ``formulas`` to ``bucket`` under their canonical forms, each
+    """Add ``formulas`` to ``bucket`` under their canonical keys, each
     new one with the instances E6 demands of it."""
     work = list(formulas)
     while work:
         f = work.pop()
-        key = canonical(f)
+        key, instances = table.facts(f)
         if key not in bucket:
             bucket[key] = f
-            work.extend(_instances(f, domain))
+            work.extend(instances)
 
 
 def _close_evidence(
     ev: Evidence,
     terms: list[Term],
-    domain: tuple[str, ...],
+    table: _Table,
     cs: ConstantSpecification,
 ) -> None:
     """Mutate ``ev`` to the least fixpoint of E1-E6 over ``terms``.
@@ -180,7 +225,7 @@ def _close_evidence(
     """
     for t in terms:
         bucket = ev.setdefault(t, {})
-        _add(bucket, [f for _, f, _, _ in _demands(t, ev, domain, cs)], domain)
+        _add(bucket, [f for _, f, _, _ in _demands(t, ev, table, cs)], table)
 
 
 # The CS an unlisted term's closure reads: none, since every constant
@@ -188,7 +233,9 @@ def _close_evidence(
 _NO_CS = ConstantSpecification()
 
 
-def _with_unlisted(m: MkrtychevModel, terms: Iterable[Term]) -> Evidence:
+def _with_unlisted(
+    m: MkrtychevModel, terms: Iterable[Term], table: _Table
+) -> Evidence:
     """``m.evidence`` plus every subterm of ``terms`` that ``m`` does not
     list, which reads the least E1-E6 closure of its subterms' evidence."""
     unlisted = dict.fromkeys(
@@ -197,7 +244,7 @@ def _with_unlisted(m: MkrtychevModel, terms: Iterable[Term]) -> Evidence:
     if not unlisted:
         return m.evidence
     ev = dict(m.evidence)
-    _close_evidence(ev, list(unlisted), m.domain, _NO_CS)
+    _close_evidence(ev, list(unlisted), table, _NO_CS)
     return ev
 
 
@@ -214,7 +261,8 @@ def validate_model(
     if not m.domain:
         raise ModelError("domain must be non-empty")
     _arity_map(m)
-    ev = _with_unlisted(m, m.evidence)
+    table = _Table(m.domain)
+    ev = _with_unlisted(m, m.evidence, table)
     terms = dict.fromkeys([*m.evidence, *(TermConst(c) for c, _ in cs.concrete)])
     return [
         Violation(
@@ -223,8 +271,8 @@ def validate_model(
             + ("the CS" if source is None else f"evidence({source})"),
         )
         for t in terms
-        for cond, f, source, source_f in _demands(t, ev, m.domain, cs)
-        if canonical(f) not in ev.get(t, {})
+        for cond, f, source, source_f in _demands(t, ev, table, cs)
+        if table.key(f) not in ev.get(t, {})
     ]
 
 
@@ -236,29 +284,32 @@ def satisfies(m: MkrtychevModel, f: Formula) -> bool:
     """
     if free_vars(f) or par_set(f):
         raise ModelError(f"satisfaction is defined for closed domain formulas: {f}")
-    return _eval(m, f)
+    return _eval(m, f, _Table(m.domain))
 
 
-def _eval(m: MkrtychevModel, f: Formula) -> bool:
+def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:
     if isinstance(f, Pred):
         row = tuple(a.name for a in f.args)
         return row in m.interp.get(f.name, frozenset())
     if isinstance(f, Neg):
-        return not _eval(m, f.body)
+        return not _eval(m, f.body, table)
     if isinstance(f, Impl):
-        return (not _eval(m, f.left)) or _eval(m, f.right)
+        return (not _eval(m, f.left, table)) or _eval(m, f.right, table)
     if isinstance(f, Forall):
         return all(
-            _eval(m, substitute(f.body, f.bound, elem(d))) for d in m.domain
+            _eval(m, substitute(f.body, f.bound, elem(d)), table) for d in m.domain
         )
     if isinstance(f, Exists):
         return any(
-            _eval(m, substitute(f.body, f.bound, elem(d))) for d in m.domain
+            _eval(m, substitute(f.body, f.bound, elem(d)), table) for d in m.domain
         )
     if isinstance(f, Assert):
-        if canonical(f.body) not in _with_unlisted(m, [f.term])[f.term]:
+        bucket = m.evidence.get(f.term)
+        if bucket is None:
+            bucket = _with_unlisted(m, [f.term], table)[f.term]
+        if canonical(f.body) not in bucket:
             return False
-        return _eval(m, universal_closure(f.body))
+        return _eval(m, universal_closure(f.body), table)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -292,7 +343,13 @@ def find_countermodel(
     is passed to ``validate_model``, so a returned model is always valid.
     Absence proves nothing; hitting ``max_models`` or a formula pool of
     more than 8 formulas is reported as exhaustion, distinct from absence.
+    ``max_domain`` runs from 1 to 8 and ``max_models`` from 1; other
+    values raise ``ValueError``.
     """
+    if not 1 <= max_domain <= len(_DOMAIN_NAMES):
+        raise ValueError(f"max_domain must be between 1 and {len(_DOMAIN_NAMES)}")
+    if max_models < 1:
+        raise ValueError("max_models must be at least 1")
     if free_vars(goal) or par_set(goal) or elem_set(goal):
         raise ModelError(f"countermodel goals must be sentences: {goal}")
 
@@ -317,8 +374,9 @@ def find_countermodel(
     checked = 0
     for n in range(1, max_domain + 1):
         domain = tuple(_DOMAIN_NAMES[:n])
+        table = _Table(domain)
         pool: dict[Formula, Formula] = {}
-        _add(pool, bodies, domain)
+        _add(pool, bodies, table)
         if len(pool) > _POOL_CAP:
             return CountermodelSearch(None, "exhausted", checked)
         # (canonical form, formula) pairs, so a subset is a bucket.
@@ -347,7 +405,7 @@ def find_countermodel(
                 ev: Evidence = {
                     t: dict(subset) for t, subset in zip(term_list, assignment)
                 }
-                _close_evidence(ev, closure_order, domain, cs)
+                _close_evidence(ev, closure_order, table, cs)
                 model = MkrtychevModel(domain, interp, ev)
                 if not satisfies(model, goal) and not validate_model(model, cs):
                     return CountermodelSearch(model, "found", checked)

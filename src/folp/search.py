@@ -65,6 +65,8 @@ class SearchBudget:
         for name in ("max_nodes", "max_depth", "max_params", "max_cut_candidates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not self.time_limit > 0:  # also rejects nan
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class Proved:
 
 @dataclass(frozen=True)
 class Open:
-    branch: tuple[str, ...]
+    branch: tuple[Formula, ...]
     diagnostics: str
 
 
@@ -472,7 +474,7 @@ class _Search:
         try:
             self.close_tableau(root)
         except _OpenBranch as ob:
-            return Open(tuple(str(f) for f in ob.branch), ob.diagnostics)
+            return Open(tuple(ob.branch), ob.diagnostics)
         except _ExhaustedError as ex:
             return Exhausted(ex.dimension)
         return Proved(ProofTree(roots=[root_formula], root=root))

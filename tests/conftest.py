@@ -4,7 +4,10 @@ random formula generator used for round-trip testing."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,15 @@ def example1_cs():
 
 def model_paths() -> list[Path]:
     return sorted((DATA / "models").glob("*.json"))
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter with the default stack, as
+    the CLI would, importing folp from this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # Goals provable under the corpus CS: three instances per axiom scheme

@@ -1,11 +1,7 @@
 """Independent proof verification: accepts search output, rejects
 single-edit corruptions with the precise violated condition."""
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 from folp import (
     Impl,
@@ -17,8 +13,7 @@ from folp import (
     prove,
 )
 from folp.fileio import parse_proof, proof_to_dict
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import DATA, run_fresh
 
 
 def proof_dict(goal_text, cs):
@@ -112,10 +107,8 @@ class TestAcceptance:
                 assert check_proof(outcome.tree, cs, expected_goal=goal).accepted
                 # A separately built goal is compared by structure.
                 assert check_proof(outcome.tree, cs, expected_goal=chain(n)).accepted
-        """ % str(ROOT / "tests" / "data" / "corpus.cs"))
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        """ % str(DATA / "corpus.cs"))
+        done = run_fresh(script)
         assert done.returncode == 0, done.stderr
 
     def test_bad_contradiction_witness(self, corpus_cs):

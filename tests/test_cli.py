@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from folp import cli
 from folp.cli import main
 from conftest import DATA
@@ -84,6 +86,13 @@ class TestProve:
         ])
         assert code == 1
         assert "exhausted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("timeout", ["nan", "-1", "0"])
+    def test_timeout_must_be_positive(self, timeout, capsys):
+        # nan would never time out and -1 would report exhaustion at once.
+        assert main(["prove", "Q0 -> Q0", "--cs", CS, "--timeout", timeout]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time_limit" in err
 
 
 class TestCheck:

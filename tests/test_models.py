@@ -1,5 +1,8 @@
 """Model validation (E1-E6), truth evaluation, and countermodel search."""
 
+import hashlib
+import json
+
 import pytest
 
 from folp import (
@@ -12,8 +15,8 @@ from folp import (
     satisfies,
     validate_model,
 )
-from folp.fileio import parse_model, read_model_file
-from conftest import model_paths
+from folp.fileio import parse_model, read_model_file, write_model
+from conftest import CORPUS_GOALS, model_paths
 
 
 def build(data, decls=("c",)):
@@ -217,3 +220,36 @@ class TestCountermodels:
     def test_open_goal_rejected(self, corpus_cs):
         with pytest.raises(ModelError):
             find_countermodel(parse_formula("Q(x)"), corpus_cs)
+
+    @pytest.mark.parametrize("limits", [
+        {"max_domain": 0}, {"max_domain": 9}, {"max_models": 0}, {"max_models": -1},
+    ])
+    def test_limits_out_of_range_rejected(self, limits, corpus_cs):
+        # Nothing is capped silently: 0 elements would check no model and
+        # report absence, and 9 would re-enumerate the 8-element domain.
+        with pytest.raises(ValueError):
+            find_countermodel(parse_formula("Q0", corpus_cs.constants), corpus_cs, **limits)
+
+
+# Countermodel identity: one digest over every search's status, count
+# and model, recorded before the closure went through a per-search table.
+COUNTERMODEL_DIGEST = "5fb6d833dcdd895bcbc78886d5ea4159197b9290e6642099a0a8c9d2f440f275"
+
+
+def test_countermodel_identity(corpus_cs):
+    """The SHA-256 of one JSON line ``[goal, status, models_checked,
+    write_model(model)]`` per search: the non-theorems at
+    ``max_domain=2``, then the corpus goals and ``p : Q0 -> Q0`` with
+    ``max_models=300``."""
+    searches = [(text, {}) for text, _ in NON_THEOREMS]
+    searches += [(text, {"max_models": 300}) for text in (*CORPUS_GOALS, "p : Q0 -> Q0")]
+    lines = []
+    for text, limits in searches:
+        goal = parse_formula(text, corpus_cs.constants)
+        result = find_countermodel(goal, corpus_cs, max_domain=2, **limits)
+        model = None if result.model is None else write_model(result.model)
+        lines.append(json.dumps(
+            [text, result.status, result.models_checked, model], sort_keys=True
+        ))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNTERMODEL_DIGEST

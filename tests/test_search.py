@@ -1,5 +1,6 @@
 """Proof search: the goal corpus, budgets, and non-verdict outcomes."""
 
+import textwrap
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from folp import (
     parse_formula,
     prove,
 )
-from conftest import CORPUS_GOALS, SCHEME_GOALS
+from conftest import CORPUS_GOALS, DATA, SCHEME_GOALS, run_fresh
 
 
 class TestGoldenProof:
@@ -55,7 +56,26 @@ class TestNonVerdicts:
         goal = parse_formula("Q0 -> Q1", corpus_cs.constants)
         outcome = prove(goal, corpus_cs)
         assert isinstance(outcome, Open)
-        assert "~Q1" in outcome.branch
+        assert parse_formula("~Q1", corpus_cs.constants) in outcome.branch
+
+    def test_deep_open_branch_in_a_fresh_interpreter(self):
+        # chain-1000 with Q0 as the last consequent, built directly,
+        # nests about 1,000 formula levels; its saturated branch is
+        # returned as formulas, so nothing prints them recursively.
+        script = textwrap.dedent("""
+            from folp import Impl, Neg, Open, Pred, SearchBudget, prove
+            from folp.fileio import read_cs_file
+            cs = read_cs_file(%r)
+            goal = Pred("Q0")
+            for i in reversed(range(1000)):
+                goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+            goal = Impl(Pred("P0"), goal)
+            outcome = prove(goal, cs, SearchBudget(max_nodes=100_000, max_depth=5_000))
+            assert isinstance(outcome, Open), type(outcome).__name__
+            assert outcome.branch[0] == Neg(goal) and Neg(Pred("Q0")) in outcome.branch
+        """ % str(DATA / "corpus.cs"))
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
 
     def test_open_on_unjustified_assertion(self, corpus_cs):
         outcome = prove(parse_formula("Q0 -> p : Q0", corpus_cs.constants), corpus_cs)
