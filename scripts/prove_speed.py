@@ -10,9 +10,9 @@ of the proof; parsing is not timed.  For the proofs of chain-128 (deep,
 formula-heavy) and sum-128 (term-heavy) it then prints the best times of
 ``write_proof_file`` and ``read_proof_file`` over N runs and the file's
 size.  Last it prints the best time of ``find_countermodel``
-(``max_domain=2``) on each of five non-theorems and how many models it
-checked, and fails if a count differs from the pinned one: the counts
-change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
+(``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
+and how many models it checked, and fails if a count differs from the
+one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
 enumerates the most, 4,098 models.  ``--src`` points at another
 checkout's ``src`` to time that version of folp instead.
 
@@ -52,15 +52,12 @@ def sum_family(n: int) -> str:
     return f"p : Q0 -> ({term}) : Q0"
 
 
-# Non-theorems with the number of models their countermodel search
-# enumerates before it finds one.
-NON_THEOREMS = (
-    ("Q0 -> p : Q0", 65),
-    ("p : Q(x)", 1),
-    ("exists x. Q(x) -> forall x. Q(x)", 25),
-    ("p : Q0 -> q : Q0", 521),
-    ("(p + q) : Q0 -> p : Q0", 4098),
-)
+def non_theorems() -> list[tuple[str, int]]:
+    """The goals of ``tests/data/non_theorems.txt`` with their pinned
+    model counts."""
+    lines = (ROOT / "tests" / "data" / "non_theorems.txt").read_text().splitlines()
+    rows = [line.split(maxsplit=1) for line in lines if line and not line.startswith("#")]
+    return [(goal, int(count)) for count, goal in rows]
 
 
 def best_time(repeat: int, run):
@@ -107,7 +104,7 @@ def main() -> None:
         print(f"{name} proof file: write {write * 1e3:.1f} ms, "
               f"read {read * 1e3:.1f} ms, {size:,} bytes")
 
-    for text, pinned in NON_THEOREMS:
+    for text, pinned in non_theorems():
         goal = parse_formula(text, cs.constants)
         best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
         assert search.status == "found", (text, search.status)

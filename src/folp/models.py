@@ -14,11 +14,10 @@ the evidence of unlisted terms close under the same demands.
 
 The closure reads through a ``_Table``, one per domain size of a
 countermodel search and one per ``validate_model`` or ``satisfies``
-call.  It computes once what the demands need of a formula: its
-canonical key (interned, so equal keys are one object and a bucket hit
-stops at the identity test), its E6 instances, the windowed assertions
-E4 demands of it under a term and the generalization E5 demands of it
-under a binder.  Every candidate of a search reuses them.
+call.  It computes each formula's canonical key once, interned so that
+equal keys are one object and a bucket hit stops at the identity test,
+together with the instances E6 demands of the formula.  Every candidate
+of a search, and its truth evaluation, reuses them.
 """
 
 from __future__ import annotations
@@ -122,8 +121,6 @@ class _Table:
         self.domain = domain
         self._facts: dict[Formula, tuple[Formula, tuple[Formula, ...]]] = {}
         self._keys: dict[Formula, Formula] = {}
-        self._checked: dict[tuple[Term, Formula], tuple[Formula, ...]] = {}
-        self._generalized: dict[tuple[str, Formula], Formula] = {}
 
     def facts(self, f: Formula) -> tuple[Formula, tuple[Formula, ...]]:
         """``f``'s canonical key and its E6 instances: one free variable
@@ -143,22 +140,6 @@ class _Table:
 
     def key(self, f: Formula) -> Formula:
         return self.facts(f)[0]
-
-    def checked(self, t: Term, f: Formula) -> tuple[Formula, ...]:
-        """The assertions ``t :_X f`` E4 demands in ``evidence(!t)``."""
-        out = self._checked.get((t, f))
-        if out is None:
-            out = self._checked[t, f] = tuple(
-                Assert(t, window, f) for window in _windows(f, self.domain)
-            )
-        return out
-
-    def generalized(self, x: str, f: Formula) -> Formula:
-        """The formula ``forall x. f`` E5 demands in ``evidence(gen_x(t))``."""
-        out = self._generalized.get((x, f))
-        if out is None:
-            out = self._generalized[x, f] = Forall(x, f)
-        return out
 
 
 def _demands(
@@ -185,11 +166,11 @@ def _demands(
                 yield "E3", f, part, f
     elif isinstance(t, Bang):
         for f in ev.get(t.inner, {}).values():
-            for a in table.checked(t.inner, f):
-                yield "E4", a, t.inner, f
+            for window in _windows(f, table.domain):
+                yield "E4", Assert(t.inner, window, f), t.inner, f
     elif isinstance(t, Gen):
         for f in ev.get(t.inner, {}).values():
-            yield "E5", table.generalized(t.bound, f), t.inner, f
+            yield "E5", Forall(t.bound, f), t.inner, f
     for f in ev.get(t, {}).values():
         for inst in table.facts(f)[1]:
             yield "E6", inst, t, f
@@ -307,7 +288,7 @@ def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:
         bucket = m.evidence.get(f.term)
         if bucket is None:
             bucket = _with_unlisted(m, [f.term], table)[f.term]
-        if canonical(f.body) not in bucket:
+        if table.key(f.body) not in bucket:
             return False
         return _eval(m, universal_closure(f.body), table)
     raise TypeError(f"not a formula: {f!r}")
@@ -407,7 +388,7 @@ def find_countermodel(
                 }
                 _close_evidence(ev, closure_order, table, cs)
                 model = MkrtychevModel(domain, interp, ev)
-                if not satisfies(model, goal) and not validate_model(model, cs):
+                if not _eval(model, goal, table) and not validate_model(model, cs):
                     return CountermodelSearch(model, "found", checked)
     return CountermodelSearch(None, "absent", checked)
 

@@ -146,6 +146,17 @@ CORPUS_GOALS: tuple[str, ...] = (
     "c : (forall x. A(x) -> A(x))",
 )
 
+# Non-theorems under the corpus CS, each with the number of models its
+# countermodel search (``max_domain=2``) enumerates before it finds one.
+NON_THEOREMS: tuple[tuple[str, int], ...] = tuple(
+    (goal, int(count))
+    for count, goal in (
+        line.split(maxsplit=1)
+        for line in (DATA / "non_theorems.txt").read_text().splitlines()
+        if line and not line.startswith("#")
+    )
+)
+
 # One representative per scheme, in matcher order, used by scheme-level
 # provability tests.
 SCHEME_GOALS: dict[str, tuple[str, str, str]] = {

@@ -16,7 +16,7 @@ from folp import (
     validate_model,
 )
 from folp.fileio import parse_model, read_model_file, write_model
-from conftest import CORPUS_GOALS, model_paths
+from conftest import CORPUS_GOALS, NON_THEOREMS, model_paths
 
 
 def build(data, decls=("c",)):
@@ -158,16 +158,6 @@ class TestSatisfaction:
             satisfies(build(CLEAN), parse_formula("Q(x)"))
         with pytest.raises(ModelError):
             satisfies(build(CLEAN), parse_formula("Q(@u)"))
-
-
-# Each non-theorem with the number of models its search enumerates.
-NON_THEOREMS = (
-    ("Q0 -> p : Q0", 65),
-    ("p : Q(x)", 1),
-    ("exists x. Q(x) -> forall x. Q(x)", 25),
-    ("p : Q0 -> q : Q0", 521),
-    ("(p + q) : Q0 -> p : Q0", 4098),
-)
 
 
 class TestBoundNameClash:
