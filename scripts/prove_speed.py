@@ -1,12 +1,15 @@
-"""Time the prover on cases-5 and chain-256, proof file I/O on chain-128
-and sum-128, and countermodel search on one non-theorem.
+"""Time the lexer on chain-256, the prover on cases-5, chain-256 and
+app-64, proof file I/O on chain-128 and sum-128, and countermodel search
+on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
-For each goal, under ``tests/data/corpus.cs`` and a budget that never
-binds, prints the best ``prove`` time over N runs (default 5), the node
-count of the proof, the time per node and the best ``check_proof`` time
-of the proof; parsing is not timed.  For the proofs of chain-128 (deep,
+First it prints the lexer's throughput, the best time of ``tokenize``
+over N runs per token, on the text of chain-256.  Then, for each goal,
+under ``tests/data/corpus.cs`` and a budget that never binds, it prints
+the best ``prove`` time over N runs (default 5), the node count of the
+proof, the time per node and the best ``check_proof`` time of the
+proof; parsing is not timed.  For the proofs of chain-128 (deep,
 formula-heavy) and sum-128 (term-heavy) it then prints the best times of
 ``write_proof_file`` and ``read_proof_file`` over N runs and the file's
 size.  Last it prints the best time of ``find_countermodel``
@@ -19,7 +22,10 @@ checkout's ``src`` to time that version of folp instead.
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
 choices of the literals ``li`` (``Pi`` or ``~Pi``), all implying ``Q0``;
-sum-n is ``p : Q0 -> (p + q0 + ... + q{n-1}) : Q0``.
+sum-n is ``p : Q0 -> (p + q0 + ... + q{n-1}) : Q0``; app-n is
+``p0 : (Q0 -> Q1) -> ... -> p{n-1} : (Q{n-1} -> Qn) -> q : Q0 ->
+(p{n-1} * (... (p0 * q))) : Qn``, n nested applications, each needing an
+FDot cut.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ def sum_family(n: int) -> str:
     return f"p : Q0 -> ({term}) : Q0"
 
 
+def app(n: int) -> str:
+    premises = [f"p{i} : (Q{i} -> Q{i + 1})" for i in range(n)]
+    term = "q"
+    for i in range(n):
+        term = f"(p{i} * {term})"
+    return " -> ".join([*premises, "q : Q0", f"{term} : Q{n}"])
+
+
 def non_theorems() -> list[tuple[str, int]]:
     """The goals of ``tests/data/non_theorems.txt`` with their pinned
     model counts."""
@@ -80,10 +94,16 @@ def main() -> None:
         Proved, SearchBudget, check_proof, find_countermodel, parse_formula, prove,
     )
     from folp.fileio import read_cs_file, read_proof_file, write_proof_file
+    from folp.parser import tokenize
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
     budget = SearchBudget(max_nodes=100_000, max_depth=5_000, time_limit=300.0)
-    for name, text in (("cases-5", cases(5)), ("chain-256", chain(256))):
+    text = chain(256)
+    lex, tokens = best_time(args.repeat, lambda: tokenize(text))
+    print(f"chain-256 text: tokenize {lex / len(tokens) * 1e6:.2f} us/token, "
+          f"{len(tokens):,} tokens")
+
+    for name, text in (("cases-5", cases(5)), ("chain-256", chain(256)), ("app-64", app(64))):
         goal = parse_formula(text, cs.constants)
         best, outcome = best_time(args.repeat, lambda: prove(goal, cs, budget))
         assert isinstance(outcome, Proved), outcome

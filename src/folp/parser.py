@@ -20,15 +20,23 @@ identifiers (a JID is a constant iff declared); parameters are
 following unary-level formula, so ``t:[x]A -> B`` reads ``(t:[x]A) -> B``
 and ``p : forall x. A(x) -> B`` reads ``(p : forall x. A(x)) -> B``.
 
+The lexer reads each token with one regex match, which also takes the
+whitespace and comments before it.  A token keeps its offset; its line
+and column are worked out only for an error message.  A ``(`` that
+starts a unary formula is read as a term first only if a term can start
+after the opening parentheses, at ``!`` or a lowercase identifier other
+than ``forall`` and ``exists``; otherwise it opens a formula.
+
 Chains are read iteratively.  Input nested deeper than ``MAX_DEPTH``
 levels (each prefix operator, parenthesis and chain link is one) is a
 :class:`ParseError`, so no recursive walker over it runs out of stack.
+The printer walks with its own stack, so formulas built through the API
+print at any depth.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .syntax import (
@@ -55,9 +63,9 @@ from .syntax import (
 KEYWORDS = {"forall", "exists", "gen"}
 
 # The chain-256 benchmark goal nests 258 levels.  This parser takes three
-# stack frames per level of nested parentheses, and the printer and the
-# model evaluator one, so 280 levels leave room under Python's default
-# limit of 1000 frames.  Formula hashing, equality and atom facts do not
+# stack frames per level of nested parentheses, and the model evaluator
+# one, so 280 levels leave room under Python's default limit of 1000
+# frames.  Formula hashing, equality, repr, atom facts and printing do not
 # recurse.
 MAX_DEPTH = 280
 
@@ -70,52 +78,64 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    """A token and its offset in ``source``; ``line`` and ``col`` are
+    worked out only when asked for, as when an error is raised."""
+
+    __slots__ = ("kind", "text", "offset", "source")
+
+    def __init__(self, kind: str, text: str, offset: int, source: str):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.source = source
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.offset) + 1
+
+    @property
+    def col(self) -> int:
+        return self.offset - self.source.rfind("\n", 0, self.offset)
 
 
+# One match per token: the whitespace and comments before it, then the
+# token, a character no token starts with (BAD), or the end (EOF).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>\#[^\n]*)
-    | (?P<VARIANT>variant-closed\b)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<VARIANT>variant-closed\b)
     | (?P<ARROW>->)
     | (?P<PARAM>@[A-Za-z_][A-Za-z0-9_]*)
     | (?P<ELEM>\$[A-Za-z_][A-Za-z0-9_]*)
     | (?P<UID>[A-Z][A-Za-z0-9_]*)
     | (?P<LID>[a-z_][A-Za-z0-9_]*)
     | (?P<PUNCT>[~:.,()\[\]<>+*!])
+    | (?P<BAD>.)
+    | (?P<EOF>\Z)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one EOF token."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        tok = m.group()
-        if kind not in ("WS", "COMMENT"):
-            if kind == "PUNCT":
-                kind = tok
-            tokens.append(Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        offset = m.start(kind)
+        if kind == "PUNCT":
+            kind = tok
+        elif kind == "BAD":
+            bad = Token(kind, tok, offset, text)
+            raise ParseError(f"unexpected character {tok!r}", bad.line, bad.col)
+        append(Token(kind, tok, offset, text))
+        if kind == "EOF":
+            break
     return tokens
 
 
@@ -221,7 +241,7 @@ class Parser:
             self.expect(".")
             body = self.nested(self.unary)
             return (Forall if tok.text == "forall" else Exists)(name_tok.text, body)
-        if tok.kind in ("LID", "!", "("):
+        if tok.kind in ("LID", "!") or tok.kind == "(" and self.term_after_parens():
             # Could be an assertion "term : ..." or, for "(", a
             # parenthesised formula.  Try the term reading first.
             save = self.pos, self.depth
@@ -248,6 +268,15 @@ class Parser:
             self.expect(")")
             return f
         return self.primary()
+
+    def term_after_parens(self) -> bool:
+        """Whether a term can start after the opening parentheses at the
+        current token; if not, they open a formula."""
+        tokens, i = self.tokens, self.pos
+        while tokens[i].kind == "(":
+            i += 1
+        tok = tokens[i]
+        return tok.kind == "!" or tok.kind == "LID" and tok.text not in ("forall", "exists")
 
     def primary(self) -> Formula:
         tok = self.peek()
@@ -379,38 +408,78 @@ _LEVEL = {Impl: _IMPL, Neg: _UNARY, Forall: _UNARY, Exists: _UNARY, Assert: _UNA
 
 
 def _fmt(x: Union[Formula, Term], required: int, memo: Optional[Memo]) -> str:
-    """``x`` in parentheses if its level is below ``required``; one stack
-    frame per level."""
+    """``x`` in parentheses if its level is below ``required``.
+
+    The walk keeps its own stack, so no depth of nesting exhausts the
+    interpreter's.  ``todo`` holds ``(node, level)`` pairs: a node to
+    print with the level its place requires, or, once its children are
+    queued, the node again with the level's complement (negative) to join
+    their texts.  ``done`` holds the texts printed so far."""
     s = None if memo is None else memo.get(x)
-    if s is None:
-        if isinstance(x, Pred):
-            s = x.name + (f"({', '.join(map(str, x.args))})" if x.args else "")
-        elif isinstance(x, Neg):
-            s = "~" + _fmt(x.body, _UNARY, memo)
-        elif isinstance(x, Impl):
-            s = f"{_fmt(x.left, _UNARY, memo)} -> {_fmt(x.right, _IMPL, memo)}"
-        elif isinstance(x, Forall):
-            s = f"forall {x.bound}. {_fmt(x.body, _UNARY, memo)}"
-        elif isinstance(x, Exists):
-            s = f"exists {x.bound}. {_fmt(x.body, _UNARY, memo)}"
-        elif isinstance(x, Assert):
-            w = "[" + ", ".join(str(a) for a in x.window) + "] " if x.window else ""
-            s = f"{_fmt(x.term, _SUM, memo)} : {w}{_fmt(x.body, _UNARY, memo)}"
-        elif isinstance(x, (TermVar, TermConst)):
-            s = x.name
-        elif isinstance(x, Sum):
-            s = f"{_fmt(x.left, _SUM, memo)}+{_fmt(x.right, _APP, memo)}"
-        elif isinstance(x, App):
-            s = f"{_fmt(x.left, _APP, memo)}*{_fmt(x.right, _PREFIX, memo)}"
-        elif isinstance(x, Bang):
-            s = "!" + _fmt(x.inner, _PREFIX, memo)
-        elif isinstance(x, Gen):
-            s = f"gen<{x.bound}>({_fmt(x.inner, _SUM, memo)})"
+    if s is not None:
+        return f"({s})" if _LEVEL.get(type(x), _PRIMARY) < required else s
+    todo = [(x, required)]
+    push, pop = todo.append, todo.pop
+    done: list[str] = []
+    while todo:
+        x, required = pop()
+        cls = type(x)
+        if required < 0:
+            required = ~required
+            right = done.pop()
+            if cls is Impl:
+                s = f"{done.pop()} -> {right}"
+            elif cls is Neg:
+                s = "~" + right
+            elif cls is Assert:
+                w = "[" + ", ".join(map(str, x.window)) + "] " if x.window else ""
+                s = f"{done.pop()} : {w}{right}"
+            elif cls is Sum:
+                s = f"{done.pop()}+{right}"
+            elif cls is App:
+                s = f"{done.pop()}*{right}"
+            elif cls is Bang:
+                s = "!" + right
+            elif cls is Gen:
+                s = f"gen<{x.bound}>({right})"
+            else:
+                s = f"{'forall' if cls is Forall else 'exists'} {x.bound}. {right}"
         else:
-            raise TypeError(f"not a formula or term: {x!r}")
+            s = None if memo is None else memo.get(x)
+            if s is not None:
+                done.append(f"({s})" if _LEVEL.get(cls, _PRIMARY) < required else s)
+                continue
+            if cls is Pred:
+                s = x.name + (f"({', '.join(map(str, x.args))})" if x.args else "")
+            elif cls is TermVar or cls is TermConst:
+                s = x.name
+            else:
+                push((x, ~required))
+                if cls is Impl:
+                    push((x.right, _IMPL))
+                    push((x.left, _UNARY))
+                elif cls is Neg or cls is Forall or cls is Exists:
+                    push((x.body, _UNARY))
+                elif cls is Assert:
+                    push((x.body, _UNARY))
+                    push((x.term, _SUM))
+                elif cls is Sum:
+                    push((x.right, _APP))
+                    push((x.left, _SUM))
+                elif cls is App:
+                    push((x.right, _PREFIX))
+                    push((x.left, _APP))
+                elif cls is Bang:
+                    push((x.inner, _PREFIX))
+                elif cls is Gen:
+                    push((x.inner, _SUM))
+                else:
+                    raise TypeError(f"not a formula or term: {x!r}")
+                continue
         if memo is not None:
             memo[x] = s
-    return f"({s})" if _LEVEL.get(type(x), _PRIMARY) < required else s
+        done.append(f"({s})" if _LEVEL.get(cls, _PRIMARY) < required else s)
+    return done[0]
 
 
 def print_formula(f: Formula, memo: Optional[Memo] = None) -> str:

@@ -11,10 +11,14 @@ The search runs off an agenda.  A node is classified once, when it joins
 the branch, into per-rule queues in branch order: one per deterministic
 rule, then delta (fresh parameter), TImp and gamma (generative).  A
 premise that has fired, or can never fire usefully again, is marked
-spent.  The same pass indexes the node's subformulas, FDot's cut
-candidates.  Formulas cache their hash and atom sets.  All branches
-share one agenda: each change is logged on a trail, which is unwound to
-the branch point before each child of a branching rule grows.
+spent.  The same pass indexes the node's subformulas and the antecedents
+of its asserted implications, the sources of FDot's cut candidates.
+Each FDot premise keeps its candidate list, and a later examination
+reads only the sources added since; the conclusions of each FDot
+instance examined are built once per search.  Formulas cache their hash
+and atom sets.  All branches share one agenda: each change is logged on
+a trail, which is unwound to the branch point before each child of a
+branching rule grows.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Optional, Sequence, Union
 
 from .axioms import ConstantSpecification
@@ -155,6 +159,11 @@ class _Agenda:
         # and the antecedents of asserted implications by consequent.
         self.subformulas: dict[Formula, None] = {}
         self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
+        # Each FDot premise's admissible cut candidates so far, as
+        # ``(candidates, front, ants, subs)``: the first ``front`` come
+        # from the hints and antecedents, and ``ants`` antecedents and
+        # ``subs`` subformulas have been read.
+        self.cuts: dict[int, tuple[tuple[Formula, ...], int, int, int]] = {}
         self.fresh_params = 0
         self.limit_hit: Optional[str] = None
         self.trail: list[tuple[Any, ...]] = []
@@ -162,6 +171,7 @@ class _Agenda:
     # -- logged changes ----------------------------------------------------
 
     def put(self, d: dict, key: Any, value: Any) -> None:
+        """``d[key] = value`` for a new ``key``."""
         d[key] = value
         self.trail.append((d.pop, key))
 
@@ -175,7 +185,11 @@ class _Agenda:
             self.trail.append((s.discard, x))
 
     def setitem(self, d: dict, key: Any, value: Any) -> None:
-        self.trail.append((d.__setitem__, key, d.get(key, 0)))
+        """``d[key] = value``; undone to the earlier entry, if any."""
+        if key in d:
+            self.trail.append((d.__setitem__, key, d[key]))
+        else:
+            self.trail.append((d.pop, key))
         d[key] = value
 
     def assign(self, attr: str, value: Any) -> None:
@@ -224,6 +238,11 @@ class _Agenda:
                 if isinstance(sub, Assert) and isinstance(sub.body, Impl):
                     self.append(self.antecedents[sub.body.right], sub.body.left)
 
+    def adds_to_each(self, extensions: list[list[Formula]]) -> bool:
+        """Whether each child branch would get a formula new to this one."""
+        formulas = self.formulas
+        return all(any(f not in formulas for f in ext) for ext in extensions)
+
     def pending(self, queue: str):
         """Unspent entries of ``queue`` in branch order."""
         entries, spent = self.queues[queue], self.spent
@@ -256,6 +275,9 @@ class _Search:
         self.nodes_created = 0
         self.fresh_counters = {"u": 0, "v": 0}  # parameters, variables
         self.deadline = time.monotonic() + budget.time_limit
+        # Each FDot instance examined, with its conclusions, by premise
+        # and cut: they depend on nothing else, and node ids are not reused.
+        self.fdot_instances: dict[tuple[int, Formula], tuple[RuleApp, list]] = {}
         # Free variables occur as atoms, so atoms_of covers them.
         sources = (goal, *hints, *(e for _, e in cs.concrete))
         self.reserved_names = {a.name for f in sources for a in atoms_of(f)}
@@ -299,8 +321,7 @@ class _Search:
             extensions = apply_rule(agenda.branch, rule)
         except RuleError:
             return False
-        formulas = agenda.formulas
-        return all(any(f not in formulas for f in ext) for ext in extensions)
+        return agenda.adds_to_each(extensions)
 
     def select(self, agenda: _Agenda) -> Optional[RuleApp]:
         for name in _DETERMINISTIC:
@@ -370,36 +391,73 @@ class _Search:
         if len(done) >= self.budget.max_cut_candidates:
             agenda.hit("max_cut_candidates")
             return None
-        for cut in self._cut_candidates(premise.body, agenda):
+        for cut in self._cut_candidates(nid, premise.body, agenda):
             if cut in done:
                 continue
-            rule = RuleApp("FDot", (nid,), cut=cut)
-            if self._try_rule(agenda, rule):
+            instance = self.fdot_instances.get((nid, cut))
+            if instance is None:
+                rule = RuleApp("FDot", (nid,), cut=cut)
+                instance = (rule, apply_rule(agenda.branch, rule))
+                self.fdot_instances[nid, cut] = instance
+            rule, extensions = instance
+            if agenda.adds_to_each(extensions):
                 return rule
             agenda.add(done, cut)
         return None
 
-    def _cut_candidates(self, a: Assert, agenda: _Agenda) -> list[Formula]:
+    def _cut_candidates(self, nid: int, a: Assert, agenda: _Agenda) -> tuple[Formula, ...]:
         """The first admissible candidates, in order: hints, antecedents
         of asserted implications whose consequent is the premise's body,
         antecedents of concrete CS entries, then the branch's
-        subformulas."""
-        window_pars = {w.name for w in a.window}
+        subformulas.
+
+        The list read for premise ``nid`` is kept on the agenda.  A later
+        read takes in only the antecedents and subformulas added since:
+        a new antecedent joins after the others, moving up from where it
+        stood, and new subformulas join at the end."""
         limit = self.budget.max_cut_candidates
+        ants = agenda.antecedents.get(a.body, ())
+        subs = agenda.subformulas
+        cuts = agenda.cuts.get(nid)
+        if cuts is not None:
+            known, front, ants_read, subs_read = cuts
+            if ants_read == len(ants) and (subs_read == len(subs) or len(known) == limit):
+                return known
+        window_pars = {w.name for w in a.window}
         out: list[Formula] = []
         seen: set[Formula] = set()
-        for f in chain(
-            self.hints,
-            agenda.antecedents.get(a.body, ()),
-            self.cs_antecedents,
-            agenda.subformulas,
-        ):
-            if f not in seen and par_set(f) <= window_pars and not elem_set(f):
-                seen.add(f)
-                out.append(f)
+
+        def admissible(f: Formula) -> bool:
+            return par_set(f) <= window_pars and not elem_set(f)
+
+        def extend(source) -> None:
+            for f in source:
                 if len(out) == limit:
-                    break
-        return out
+                    return
+                if f not in seen and admissible(f):
+                    seen.add(f)
+                    out.append(f)
+
+        if cuts is None:
+            extend(chain(self.hints, ants))
+            front = len(out)
+            extend(chain(self.cs_antecedents, subs))
+        else:
+            # A new admissible antecedent not among the first ``front``
+            # moves up to join them; the list stays capped at ``limit``.
+            out += known
+            for f in ants[ants_read:]:
+                if front < limit and f not in out[:front] and admissible(f):
+                    if f in out:
+                        out.remove(f)
+                    out.insert(front, f)
+                    front += 1
+                    del out[limit:]
+            seen.update(out)
+            extend(islice(subs, subs_read, None))
+        known = tuple(out)
+        agenda.setitem(agenda.cuts, nid, (known, front, len(ants), len(subs)))
+        return known
 
     # -- main loop ---------------------------------------------------------
 

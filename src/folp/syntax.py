@@ -65,11 +65,14 @@ def elem(name: str) -> Atom:
 def _node(cls):
     """Slotted dataclass that stores its hash in ``_hash`` once built (and
     normalized by its own ``__post_init__``), reading its children's, so
-    hashing never recurses; nor does equality (see ``_equal``).
-    ``dataclass`` keeps the ``__hash__`` and ``__eq__`` set here."""
+    hashing never recurses; nor does equality (see ``_equal``) or
+    ``repr`` (see ``_repr``).  ``dataclass`` keeps the ``__hash__``,
+    ``__eq__`` and ``__repr__`` set here."""
+    fields = _FIELDS[cls.__name__] = tuple(
+        (name, kind in ("Term", "Formula")) for name, kind in cls.__annotations__.items()
+    )
     key = attrgetter("__class__.__name__", *(
-        f"{name}._hash" if kind in ("Term", "Formula") else name
-        for name, kind in cls.__annotations__.items()
+        f"{name}._hash" if child else name for name, child in fields
     ))
     normalize = cls.__dict__.get("__post_init__")
 
@@ -84,7 +87,34 @@ def _node(cls):
     cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
     cls.__eq__ = _equal
+    cls.__repr__ = _repr
     return dataclass(slots=True)(cls)
+
+
+# Each node class's fields by name, in order, each with whether it holds
+# a term or formula.
+_FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {}
+
+
+def _repr(x) -> str:
+    """The ``dataclass`` repr of a term or formula, built off a stack of
+    nodes and finished text pieces, so no depth of nesting exhausts the
+    interpreter's stack."""
+    todo: list = [x]
+    out: list[str] = []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        name = type(x).__name__
+        parts = [name + "("]
+        for i, (field_name, child) in enumerate(_FIELDS[name]):
+            value = getattr(x, field_name)
+            parts += (", " * (i > 0) + field_name + "=", value if child else repr(value))
+        parts.append(")")
+        todo += reversed(parts)
+    return "".join(out)
 
 
 def _equal(a, b):

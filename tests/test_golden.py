@@ -3,8 +3,9 @@ search moved to an agenda with cached formula facts.  Any change to the
 search that alters a proof, even one the checker accepts, shows here.
 
 The digest is the SHA-256 of ``json.dumps(proof_to_dict(tree),
-sort_keys=True)``.  A last digest pins substitution and renaming the
-same way (see ``test_rename_identity``).
+sort_keys=True)``.  Two more digests pin substitution and renaming (see
+``test_rename_identity``) and parsing (see ``test_parse_identity``) the
+same way.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from folp import (
     Gen,
     Impl,
     Neg,
+    ParseError,
     Pred,
     Proved,
     Sum,
@@ -31,7 +33,9 @@ from folp import (
     elem,
     param,
     parse_formula,
+    parse_term,
     print_formula,
+    print_term,
     proof_to_dict,
     prove,
     substitute,
@@ -39,13 +43,17 @@ from folp import (
     var,
     variable_variant,
 )
+from folp.fileio import FileFormatError, parse_cs
+from folp.parser import Parser, tokenize
 from folp.syntax import VAR
 from conftest import (
     CORPUS_GOALS,
+    DATA,
     FAMILY_BUDGET,
     app,
     cases,
     chain,
+    model_paths,
     random_formula,
     sum_family,
 )
@@ -116,6 +124,14 @@ FAMILIES = {
     "sum-32": (sum_family(32), 66, "610de3255ef9e8c64804044625457c8f5eb0ba09c21749d37c6a81d2dfeaaaa0"),
     "app-4": (app(4), 32, "5d035180e0450b9dcded15ee731a93b9412ab37129f51edeec8797644fe29015"),
     "app-8": (app(8), 60, "2878bd0df4713cd5b9497e8d670360ba1aea070655be99bc1ac05914344b48f0"),
+    # Recorded before each FDot premise kept its cut candidates on the
+    # agenda.  In the last goal the premise ~(c * q) : (Q1 -> Q0) is read
+    # below both children of its own applications, each of which adds
+    # subformulas; test_search::TestCutCandidates checks each read.
+    "app-16": (app(16), 116, "6d0b9842459d6395582cbb50e9a0be71cec194be3bdefbef37fa3311a8268958"),
+    "app-32": (app(32), 228, "6f57142421ec98f9369c7d19131be5e6034ae23adf193d36965c6b185bf4aceb"),
+    "fdot-branches": ("p : Q1 -> q : Q0 -> (c * q) : (Q1 -> Q0)", 517,
+                      "9890c23563e23f23e56d7fed592911456c116ae5f5a73cc9e44796efc45e0b8b"),
 }
 
 
@@ -213,3 +229,72 @@ def _rename_lines():
 def test_rename_identity():
     text = "\n".join(_rename_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == RENAME_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Parse identity: what the parser makes of the shipped inputs and of
+# seeded corruptions of them, recorded before the lexer matched one token
+# per regex call.  Each line is the printed formula or term and how deep
+# the parser went, or the error text with its ``line:col``.
+
+PARSE_DIGEST = "7965d7f05fbdd192c16d3aa3ee86fea2a1ce23a93b7d23b0a751e7c17283eaac"
+
+_MUTATION_CHARS = "()~:.,[]<>+*!-#@$ \n\tpqxcPQ0A_%"
+
+
+def _mutations(rng, text, count):
+    """``count`` copies of ``text``, each with one to three characters
+    inserted, deleted or replaced."""
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3) if i < len(chars) else 0
+            if op == 0:
+                chars.insert(i, rng.choice(_MUTATION_CHARS))
+            elif op == 1:
+                del chars[i]
+            else:
+                chars[i] = rng.choice(_MUTATION_CHARS)
+        yield "".join(chars)
+
+
+def _parse_lines():
+    decls = {"c"}
+    formulas = [*CORPUS_GOALS, *(fam(n) for fam, sizes in (
+        (chain, (32, 64, 128, 256)), (cases, (3, 4)),
+        (sum_family, (32, 64, 128)), (app, (4, 8, 12, 16))) for n in sizes)]
+    terms = []
+    for path in model_paths():
+        for entry in json.loads(path.read_text())["evidence"]:
+            terms.append(entry["term"])
+            formulas.extend(entry["formulas"])
+
+    def formula(text):
+        p = Parser(tokenize(text), decls)
+        f = p.whole(p.formula)
+        return f"{print_formula(f)} peak {p.peak}"
+
+    def term(text):
+        return print_term(parse_term(text, decls))
+
+    def cs(text):
+        spec = parse_cs(text)
+        return repr((sorted(spec.constants), [(c, print_formula(f)) for c, f in spec.concrete],
+                     spec.schematic, spec.total, spec.variant_closed))
+
+    rng = random.Random(20261018)
+    for kind, read, texts, count in (("formula", formula, formulas, 12), ("term", term, terms, 12),
+                                     ("cs", cs, [(DATA / "corpus.cs").read_text()], 100)):
+        for text in texts:
+            for variant in (text, *_mutations(rng, text, count)):
+                try:
+                    out = read(variant)
+                except (ParseError, FileFormatError) as exc:
+                    out = f"{type(exc).__name__} {exc}"
+                yield f"{kind} {variant!r} {out}"
+
+
+def test_parse_identity():
+    text = "\n".join(_parse_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST

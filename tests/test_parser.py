@@ -1,6 +1,7 @@
 """Text format: precedence, error reporting, and print/parse round trips."""
 
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from folp import (
     print_term,
 )
 from folp.parser import MAX_DEPTH
-from conftest import random_formula
+from conftest import random_formula, run_fresh
 
 
 def f(text: str):
@@ -153,3 +154,25 @@ class TestNesting:
             assert isinstance(g, Impl)
             g = g.right
         assert isinstance(parse_term(" + ".join(["p"] * 200)), Term)
+
+    def test_deep_formula_prints_in_a_fresh_interpreter(self):
+        # Formulas and terms built through the API may nest deeper than
+        # any parsed one; printing and repr walk them with a stack.
+        script = textwrap.dedent("""
+            from folp import Impl, Neg, Open, Pred, Sum, TermVar, print_formula, print_term
+            goal = Pred("Q0")
+            for i in reversed(range(1000)):
+                goal = Impl(Impl(Pred(f"P{i}"), Pred(f"P{i + 1}")), goal)
+            goal = Impl(Pred("P0"), goal)
+            text = " -> ".join(["P0", *(f"(P{i} -> P{i + 1})" for i in range(1000)), "Q0"])
+            assert str(goal) == print_formula(goal) == print_formula(goal, {}) == text
+            assert repr(goal).startswith("Impl(left=Pred(name='P0', args=()), right=Impl(")
+            assert repr(goal).count("Impl(") == 2001
+            assert repr(goal) in repr(Open((Neg(goal),), "saturated"))
+            t = TermVar("p")
+            for i in range(2000):
+                t = Sum(t, TermVar(f"q{i}"))
+            assert str(t) == print_term(t) == "+".join(["p", *(f"q{i}" for i in range(2000))])
+        """)
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 
 import textwrap
 import time
+from itertools import chain
 
 import pytest
 
@@ -13,9 +14,12 @@ from folp import (
     Proved,
     SearchBudget,
     check_proof,
+    elem_set,
+    par_set,
     parse_formula,
     prove,
 )
+from folp import search
 from conftest import CORPUS_GOALS, DATA, SCHEME_GOALS, run_fresh
 
 
@@ -127,3 +131,49 @@ class TestHints:
         cuts = [n.rule.cut for n in outcome.tree.nodes() if n.rule and n.rule.cut]
         assert hint in cuts
         assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
+
+
+class TestCutCandidates:
+    """Each FDot premise keeps its cut candidates on the agenda and reads
+    only the antecedents and subformulas added since its last read, and
+    the trail restores the kept list at each branch point.  Every read
+    must give the list made afresh from the current branch."""
+
+    @staticmethod
+    def fresh(s, a, agenda):
+        window = {w.name for w in a.window}
+        out = []
+        for f in chain(s.hints, agenda.antecedents.get(a.body, ()), s.cs_antecedents,
+                       agenda.subformulas):
+            if f not in out and par_set(f) <= window and not elem_set(f):
+                out.append(f)
+        return tuple(out[:s.budget.max_cut_candidates])
+
+    @pytest.mark.parametrize("text, limit, hints", [
+        # Read below both children of its own applications.
+        ("p : Q1 -> q : Q0 -> (c * q) : (Q1 -> Q0)", 32, ()),
+        # The same with full lists, into which antecedents move up.
+        ("p : Q1 -> q : Q0 -> (c * q) : (Q1 -> Q0)", 6, ()),
+        # An antecedent new to a full list pushes the last candidate out.
+        ("q : ((Q0 -> Q2) -> Q2) -> p : (Q0 -> ~Q2 -> Q0) -> (q * q) : Q2", 4, ()),
+        # Hints come first.
+        ("p : (Q0 -> Q1) -> q : Q0 -> (p * q) : Q1", 4, ("Q1", "Q0")),
+        # Candidates limited to the window's parameters.
+        ("p : forall x. A(x) -> forall x. (c * p) :[x] A(x)", 32, ()),
+    ])
+    def test_every_read_is_the_fresh_list(self, text, limit, hints, corpus_cs, monkeypatch):
+        reads = []
+        kept = search._Search._cut_candidates
+
+        def checked(s, nid, a, agenda):
+            again = nid in agenda.cuts
+            out = kept(s, nid, a, agenda)
+            assert out == self.fresh(s, a, agenda)
+            reads.append(again)
+            return out
+
+        monkeypatch.setattr(search._Search, "_cut_candidates", checked)
+        goal = parse_formula(text, corpus_cs.constants)
+        prove(goal, corpus_cs, SearchBudget(max_nodes=3_000, max_cut_candidates=limit),
+              [parse_formula(h, corpus_cs.constants) for h in hints])
+        assert any(reads) and not all(reads)

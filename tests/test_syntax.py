@@ -154,3 +154,12 @@ class TestPrinting:
         assert str(TermVar("p")) == "p"
         assert str(param("u")) == "@u"
         assert str(elem("a")) == "$a"
+
+    def test_repr_is_the_dataclass_form(self):
+        g = f("Q0 -> ~(p + gen<x>(c)) :[x] forall x. Q(x)")
+        assert repr(g) == (
+            "Impl(left=Pred(name='Q0', args=()), right=Neg(body=Assert("
+            "term=Sum(left=TermVar(name='p'), right=Gen(bound='x', inner=TermConst(name='c'))), "
+            "window=(Atom(kind='var', name='x'),), "
+            "body=Forall(bound='x', body=Pred(name='Q', args=(Atom(kind='var', name='x'),))))))"
+        )
