@@ -139,6 +139,15 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _term_start(tok: Token) -> bool:
+    """Whether a term can start at ``tok``: ``Parser.tpre`` reads ``!``,
+    ``(`` and a lowercase identifier; ``forall`` and ``exists`` open a
+    formula instead."""
+    return tok.kind in ("!", "(") or (
+        tok.kind == "LID" and tok.text not in ("forall", "exists")
+    )
+
+
 class Parser:
     """Token-stream parser; reusable for formulas, terms, and CS files."""
 
@@ -241,7 +250,7 @@ class Parser:
             self.expect(".")
             body = self.nested(self.unary)
             return (Forall if tok.text == "forall" else Exists)(name_tok.text, body)
-        if tok.kind in ("LID", "!") or tok.kind == "(" and self.term_after_parens():
+        if _term_start(tok) and (tok.kind != "(" or self.term_after_parens()):
             # Could be an assertion "term : ..." or, for "(", a
             # parenthesised formula.  Try the term reading first.
             save = self.pos, self.depth
@@ -275,8 +284,7 @@ class Parser:
         tokens, i = self.tokens, self.pos
         while tokens[i].kind == "(":
             i += 1
-        tok = tokens[i]
-        return tok.kind == "!" or tok.kind == "LID" and tok.text not in ("forall", "exists")
+        return _term_start(tokens[i])
 
     def primary(self) -> Formula:
         tok = self.peek()
@@ -344,6 +352,8 @@ class Parser:
         return product if total is None else Sum(total, product)
 
     def tpre(self) -> Term:
+        # The tokens dispatched on here are those ``_term_start`` accepts,
+        # which ``unary`` reads ahead with; change both together.
         tok = self.peek()
         if tok.kind == "!":
             self.next()

@@ -14,11 +14,10 @@ premise that has fired, or can never fire usefully again, is marked
 spent.  The same pass indexes the node's subformulas and the antecedents
 of its asserted implications, the sources of FDot's cut candidates.
 Each FDot premise keeps its candidate list, and a later examination
-reads only the sources added since; the conclusions of each FDot
-instance examined are built once per search.  Formulas cache their hash
-and atom sets.  All branches share one agenda: each change is logged on
-a trail, which is unwound to the branch point before each child of a
-branching rule grows.
+reads only the sources added since.  Formulas cache their hash and atom
+sets.  All branches share one agenda: each change is logged on a trail,
+which is unwound to the branch point before each child of a branching
+rule grows.
 """
 
 from __future__ import annotations
@@ -238,11 +237,6 @@ class _Agenda:
                 if isinstance(sub, Assert) and isinstance(sub.body, Impl):
                     self.append(self.antecedents[sub.body.right], sub.body.left)
 
-    def adds_to_each(self, extensions: list[list[Formula]]) -> bool:
-        """Whether each child branch would get a formula new to this one."""
-        formulas = self.formulas
-        return all(any(f not in formulas for f in ext) for ext in extensions)
-
     def pending(self, queue: str):
         """Unspent entries of ``queue`` in branch order."""
         entries, spent = self.queues[queue], self.spent
@@ -275,9 +269,6 @@ class _Search:
         self.nodes_created = 0
         self.fresh_counters = {"u": 0, "v": 0}  # parameters, variables
         self.deadline = time.monotonic() + budget.time_limit
-        # Each FDot instance examined, with its conclusions, by premise
-        # and cut: they depend on nothing else, and node ids are not reused.
-        self.fdot_instances: dict[tuple[int, Formula], tuple[RuleApp, list]] = {}
         # Free variables occur as atoms, so atoms_of covers them.
         sources = (goal, *hints, *(e for _, e in cs.concrete))
         self.reserved_names = {a.name for f in sources for a in atoms_of(f)}
@@ -321,7 +312,8 @@ class _Search:
             extensions = apply_rule(agenda.branch, rule)
         except RuleError:
             return False
-        return agenda.adds_to_each(extensions)
+        formulas = agenda.formulas
+        return all(any(f not in formulas for f in ext) for ext in extensions)
 
     def select(self, agenda: _Agenda) -> Optional[RuleApp]:
         for name in _DETERMINISTIC:
@@ -394,13 +386,8 @@ class _Search:
         for cut in self._cut_candidates(nid, premise.body, agenda):
             if cut in done:
                 continue
-            instance = self.fdot_instances.get((nid, cut))
-            if instance is None:
-                rule = RuleApp("FDot", (nid,), cut=cut)
-                instance = (rule, apply_rule(agenda.branch, rule))
-                self.fdot_instances[nid, cut] = instance
-            rule, extensions = instance
-            if agenda.adds_to_each(extensions):
+            rule = RuleApp("FDot", (nid,), cut=cut)
+            if self._try_rule(agenda, rule):
                 return rule
             agenda.add(done, cut)
         return None
