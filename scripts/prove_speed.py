@@ -1,6 +1,6 @@
 """Time the lexer on chain-256, the prover on cases-5, chain-256 and
-app-64, proof file I/O on chain-128 and sum-128, and countermodel search
-on the non-theorems.
+app-64, proof file I/O on cases-4, chain-128 and sum-128, and
+countermodel search on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
@@ -9,10 +9,13 @@ over N runs per token, on the text of chain-256.  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node and the best ``check_proof`` time of the
-proof; parsing is not timed.  For the proofs of chain-128 (deep,
+proof; parsing is not timed.  It fails if a node count differs from the
+one pinned in ``PROOF_NODES``: the counts change only if the proofs do.
+For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
 formula-heavy) and sum-128 (term-heavy) it then prints the best times of
-``write_proof_file`` and ``read_proof_file`` over N runs and the file's
-size.  Last it prints the best time of ``find_countermodel``
+``write_proof_file`` and ``read_proof_file`` over N runs, the file's
+size, and the best ``check_proof`` time of the proof read back.  Last it
+prints the best time of ``find_countermodel``
 (``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
 and how many models it checked, and fails if a count differs from the
 one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
@@ -38,6 +41,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The node count of each timed proof.
+PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "app-64": 452}
 
 
 def chain(n: int) -> str:
@@ -112,17 +118,22 @@ def main() -> None:
         nodes = len(outcome.tree.nodes())
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node, check {check:.3f} s")
+        assert nodes == PROOF_NODES[name], (name, nodes, PROOF_NODES[name])
 
-    for name, text in (("chain-128", chain(128)), ("sum-128", sum_family(128))):
-        outcome = prove(parse_formula(text, cs.constants), cs, budget)
+    for name, text in (("cases-4", cases(4)), ("chain-128", chain(128)),
+                       ("sum-128", sum_family(128))):
+        goal = parse_formula(text, cs.constants)
+        outcome = prove(goal, cs, budget)
         assert isinstance(outcome, Proved), outcome
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "proof.json"
             write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
-            read, _ = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
+            read, tree = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
             size = path.stat().st_size
-        print(f"{name} proof file: write {write * 1e3:.1f} ms, "
-              f"read {read * 1e3:.1f} ms, {size:,} bytes")
+        check, verdict = best_time(args.repeat, lambda: check_proof(tree, cs, goal))
+        assert verdict.accepted, verdict
+        print(f"{name} proof file: write {write * 1e3:.1f} ms, read {read * 1e3:.1f} ms, "
+              f"{size:,} bytes, check read back {check * 1e3:.1f} ms")
 
     for text, pinned in non_theorems():
         goal = parse_formula(text, cs.constants)

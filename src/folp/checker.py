@@ -4,12 +4,19 @@ The checker re-derives every node's conclusion from the claimed rule
 instance and the ancestor premises; it never trusts a serialized
 conclusion.  Closure marks must name their witnesses and are
 re-verified locally.
+
+An instance's conclusions are derived once: the second child of a
+branching rule, and the next conclusion node of a non-branching one,
+reuse them when they cite an equal instance on the same premise object.
+Only the premise decides a rule's result, except for the freshness test
+of TExists and FForall, which reads the whole branch; those two are
+derived again at every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .axioms import ConstantSpecification
 from .syntax import (
@@ -20,11 +27,13 @@ from .syntax import (
 )
 from .tableau import (
     BRANCHING_RULES,
+    FRESH_PARAM_RULES,
     Branch,
     Contradiction,
     CsClosure,
     ProofNode,
     ProofTree,
+    RuleApp,
     RuleError,
     apply_rule,
     cs_closing_constant,
@@ -54,7 +63,7 @@ class _Reject(Exception):
         self.verdict = verdict
 
 
-def _reject(node_id: Optional[int], condition: str, message: str) -> None:
+def _reject(node_id: Optional[int], condition: str, message: str) -> NoReturn:
     raise _Reject(Verdict(False, node_id, condition, message))
 
 
@@ -88,7 +97,10 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
                 f"cited node {mark.with_id} is not on the branch",
             )
         f = leaf.formula
-        if f != Neg(other) and Neg(f) != other:
+        if not (
+            isinstance(f, Neg) and f.body == other
+            or isinstance(other, Neg) and other.body == f
+        ):
             _reject(
                 leaf.id,
                 "closure-contradiction",
@@ -106,20 +118,35 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
         _reject(leaf.id, "closure-kind", f"unknown closure mark {mark!r}")
 
 
+# An instance's derivation: the rule, its premise and its extensions.
+_Derived = tuple[RuleApp, Formula, list[list[Formula]]]
+
+
 def _check_rule_node(
     node: ProofNode,
     sibling_index: int,
     siblings: list[ProofNode],
     branch: Branch,
-) -> None:
-    """Verify that ``node``'s label is re-derivable from its rule."""
+    last: Optional[_Derived],
+) -> _Derived:
+    """Verify that ``node``'s label is re-derivable from its rule, and
+    return the derivation.  ``last`` is one made earlier on this branch,
+    reused if ``node`` cites an equal instance on the same premise."""
     rule = node.rule
     assert rule is not None
-    try:
-        extensions = apply_rule(branch, rule)
-    except RuleError as exc:
-        _reject(node.id, exc.condition, exc.message)
-        return
+    if (
+        last is not None
+        and (last[0] is rule or last[0] == rule)
+        and rule.name not in FRESH_PARAM_RULES
+        and branch.get(rule.premises[0]) is last[1]
+    ):
+        extensions = last[2]
+    else:
+        try:
+            extensions = apply_rule(branch, rule)
+        except RuleError as exc:
+            _reject(node.id, exc.condition, exc.message)
+        last = (rule, branch[rule.premises[0]], extensions)
     if rule.name in BRANCHING_RULES:
         if len(siblings) != 2:
             _reject(
@@ -154,6 +181,7 @@ def _check_rule_node(
                 "conclusion-mismatch",
                 f"{node.formula} is not a conclusion of this {rule.name} instance",
             )
+    return last
 
 
 def check_proof(
@@ -220,15 +248,17 @@ def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
     """Check every node below the root chain, depth first, children in order.
 
     ``branch`` maps the current node and its ancestors.  An explicit
-    stack of ``(node, index of the next child to visit)`` replaces
-    recursion, so proof depth is not bounded by the interpreter's stack.
+    stack of ``(node, index of the next child to visit, derivation)``
+    replaces recursion, so proof depth is not bounded by the
+    interpreter's stack.  The derivation is the one the next child may
+    reuse: the node's own, then its first child's for the second.
     """
     for node in chain:
         _check_label(node)
     branch = {n.id: n.formula for n in chain}
-    stack = [(chain[-1], 0)]
+    stack: list[tuple[ProofNode, int, Optional[_Derived]]] = [(chain[-1], 0, None)]
     while stack:
-        node, i = stack.pop()
+        node, i, last = stack.pop()
         if i:
             del branch[node.children[i - 1].id]
         elif not node.children:
@@ -236,11 +266,11 @@ def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
             continue
         if i == len(node.children):
             continue
-        stack.append((node, i + 1))
         child = node.children[i]
         if child.rule is None:
             _reject(child.id, "structural:roots", "non-root node carries no rule")
         _check_label(child)
-        _check_rule_node(child, i, node.children, branch)
+        derived = _check_rule_node(child, i, node.children, branch, last)
+        stack.append((node, i + 1, derived))
         branch[child.id] = child.formula
-        stack.append((child, 0))
+        stack.append((child, 0, derived))

@@ -287,35 +287,45 @@ def _closure_to_dict(mark) -> Optional[dict]:
     raise FileFormatError(f"unknown closure mark {mark!r}")
 
 
-def _node_to_dict(node: ProofNode, memo: Memo) -> dict:
-    return {
-        "id": node.id,
-        "formula": print_formula(node.formula, memo),
-        "rule": None if node.rule is None else _rule_to_dict(node.rule),
-        "children": [_node_to_dict(c, memo) for c in node.children],
-        "closure": _closure_to_dict(node.closure),
-    }
-
-
 def proof_to_dict(tree: ProofTree) -> dict:
+    """The JSON dict of a proof (see ``parse_proof``), built depth first
+    off an explicit stack.  Nodes that cite one ``RuleApp`` object share
+    one rule dict: copy it before editing it for one node only."""
     # Node formulas share most of their subformulas and subterms; each is
     # printed once.
     memo: Memo = {}
-    return {
-        "roots": [print_formula(f, memo) for f in tree.roots],
-        "tree": _node_to_dict(tree.root, memo),
-    }
+    rules: dict[int, dict] = {}
+    roots = [print_formula(f, memo) for f in tree.roots]
+    top: list[dict] = []
+    stack = [(top, tree.root)]  # (the parent's list of children, node)
+    while stack:
+        siblings, node = stack.pop()
+        rule = node.rule
+        if rule is not None and id(rule) not in rules:
+            rules[id(rule)] = _rule_to_dict(rule)
+        out = {
+            "id": node.id,
+            "formula": print_formula(node.formula, memo),
+            "rule": None if rule is None else rules[id(rule)],
+            "children": [],
+            "closure": _closure_to_dict(node.closure),
+        }
+        siblings.append(out)
+        for c in reversed(node.children):
+            stack.append((out["children"], c))
+    return {"roots": roots, "tree": top[0]}
 
 
 def proof_to_json(tree: ProofTree) -> str:
     """The text of a proof file: ``proof_to_dict`` as one line of JSON
     from the stdlib's C encoder (``indent`` would select its pure-Python
-    encoder), and a newline.
+    encoder), and a newline.  The dict holds no cycle, so the encoder
+    does not look for one.
 
-    Both recurse once per tree level, so a proof too deep for the stack
-    is a :class:`FileFormatError`, as it is for reading."""
+    The encoder recurses once per tree level, so a proof too deep for the
+    stack is a :class:`FileFormatError`, as it is for the decoder."""
     try:
-        return json.dumps(proof_to_dict(tree)) + "\n"
+        return json.dumps(proof_to_dict(tree), check_circular=False) + "\n"
     except RecursionError as exc:
         raise FileFormatError("proof nested too deeply to write as format v1") from exc
 
@@ -324,9 +334,35 @@ def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
     Path(path).write_text(proof_to_json(tree), encoding="utf-8")
 
 
-def _parse_rule(data: Optional[dict], decls: Iterable[str]) -> Optional[RuleApp]:
+def _typed(value, cls: type, what: str):
+    """``value`` if its type is ``cls``: a JSON integer is no boolean."""
+    if type(value) is not cls:
+        raise FileFormatError(f"{what} must be a JSON {cls.__name__}, not {value!r}")
+    return value
+
+
+_RULE_FIELDS = ("name", "premises", "param", "cut", "var")
+
+
+def _parse_rule(
+    data: Optional[dict], decls: Iterable[str], rules: dict[tuple, RuleApp]
+) -> Optional[RuleApp]:
+    """The rule instance ``data`` writes.  ``rules`` maps the fields of
+    each instance read so far to its ``RuleApp``, so the nodes citing an
+    instance share one, and its cut is parsed once."""
     if data is None:
         return None
+    fields = tuple(map(data.get, _RULE_FIELDS))
+    key = None
+    # Only integer premises: 1, 1.0 and true are equal keys.
+    if type(fields[1]) is list and {int}.issuperset(map(type, fields[1])):
+        key = (fields[0], tuple(fields[1]), *fields[2:])
+        try:
+            rule = rules.get(key)
+        except TypeError:  # a malformed, unhashable field
+            rule = None
+        if rule is not None:
+            return rule
     p: Optional[Atom] = None
     if data.get("param") is not None:
         text = data["param"]
@@ -337,13 +373,17 @@ def _parse_rule(data: Optional[dict], decls: Iterable[str]) -> Optional[RuleApp]
     v = data.get("var")
     if v is not None and not isinstance(v, str):
         raise FileFormatError(f"rule variable {v!r} must be a string")
-    return RuleApp(
+    # Reached only if every field is well typed, so ``key`` is set and hashable.
+    rule = rules[key] = RuleApp(
         name=data["name"],
-        premises=tuple(int(i) for i in data["premises"]),
+        premises=tuple(
+            _typed(i, int, "rule premise") for i in _typed(data["premises"], list, "premises")
+        ),
         param=p,
         cut=cut,
         var=v,
     )
+    return rule
 
 
 def _parse_closure(data: Optional[dict], nid: int):
@@ -351,7 +391,7 @@ def _parse_closure(data: Optional[dict], nid: int):
         return None
     kind = data.get("kind")
     if kind == "contradiction":
-        return Contradiction(node_id=nid, with_id=int(data["with"]))
+        return Contradiction(node_id=nid, with_id=_typed(data["with"], int, "closure 'with'"))
     if kind == "cs":
         return CsClosure(node_id=nid, constant=str(data["constant"]))
     raise FileFormatError(f"unknown closure kind {kind!r}")
@@ -391,27 +431,35 @@ def _add_signed_subformulas(table: dict[str, Formula], root: Formula, peak: int)
     table.update((s, g) for g, s in memo.items() if isinstance(g, Formula))
 
 
-def _parse_node(
+def _parse_tree(
     data: dict, decls: Iterable[str], arities: dict[str, int], table: dict[str, Formula]
 ) -> ProofNode:
-    try:
-        nid = int(data["id"])
-        text = data["formula"]
-        node = ProofNode(
-            id=nid,
-            formula=table.get(text) or parse_formula(text, decls, arities),
-            rule=_parse_rule(data.get("rule"), decls),
-            closure=_parse_closure(data.get("closure"), nid),
-            children=[
-                _parse_node(c, decls, arities, table) for c in data.get("children", [])
-            ],
-        )
-    except _MALFORMED as exc:
-        where = data.get("id") if isinstance(data, dict) else data
-        raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
-    if len(node.children) > 2:
-        raise FileFormatError(f"node {nid} has more than two children")
-    return node
+    """The tree ``data`` writes, read depth first, children in order, off
+    an explicit stack."""
+    rules: dict[tuple, RuleApp] = {}
+    top: list[ProofNode] = []
+    stack = [(top, data)]  # (the parent's list of children, node data)
+    while stack:
+        siblings, data = stack.pop()
+        try:
+            nid = _typed(data["id"], int, "node id")
+            text = data["formula"]
+            node = ProofNode(
+                id=nid,
+                formula=table.get(text) or parse_formula(text, decls, arities),
+                rule=_parse_rule(data.get("rule"), decls, rules),
+                closure=_parse_closure(data.get("closure"), nid),
+            )
+            children = list(data.get("children", []))
+        except _MALFORMED as exc:
+            where = data.get("id") if isinstance(data, dict) else data
+            raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
+        if len(children) > 2:
+            raise FileFormatError(f"node {nid} has more than two children")
+        siblings.append(node)
+        for c in reversed(children):
+            stack.append((node.children, c))
+    return top[0]
 
 
 def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
@@ -429,10 +477,12 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
                                   or {"kind": "cs", "constant": "c"}}}
 
     ``param``, ``cut`` and ``var`` appear only on rules that take them.
-    A node text that is a subformula of a root, an ``FPlus`` conclusion
-    from one, or the negation of either is looked up instead of parsed
-    (see ``_add_signed_subformulas``); others, such as quantifier
-    instances and cut formulas, are parsed.
+    Node ids, premises and ``with`` are JSON integers (not booleans), and
+    ``premises`` is a list.  A node text that is a subformula of a root,
+    an ``FPlus`` conclusion from one, or the negation of either is looked
+    up instead of parsed (see ``_add_signed_subformulas``); others, such
+    as quantifier instances, are parsed.  Nodes whose rule objects have
+    equal fields share one ``RuleApp``, built, cut parsed, once.
     """
     if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")
@@ -448,7 +498,7 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
             _add_signed_subformulas(table, roots[-1], p.peak)
     except _MALFORMED as exc:
         raise FileFormatError(f"bad proof root: {exc!r}") from exc
-    return ProofTree(roots=roots, root=_parse_node(data["tree"], decls, arities, table))
+    return ProofTree(roots=roots, root=_parse_tree(data["tree"], decls, arities, table))
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:

@@ -14,10 +14,13 @@ premise that has fired, or can never fire usefully again, is marked
 spent.  The same pass indexes the node's subformulas and the antecedents
 of its asserted implications, the sources of FDot's cut candidates.
 Each FDot premise keeps its candidate list, and a later examination
-reads only the sources added since.  Formulas cache their hash and atom
-sets.  All branches share one agenda: each change is logged on a trail,
-which is unwound to the branch point before each child of a branching
-rule grows.
+reads only the sources added since.  The agenda also maps each ``g``
+whose negation is on the branch to the first node of ``~g``: the
+closure test and TImp's redundancy test (is ``~left`` on the branch?)
+read it, so neither builds a negation.  Formulas cache their hash and
+atom sets.  All branches share one agenda: each change is logged on a
+trail, which is unwound to the branch point before each child of a
+branching rule grows.
 """
 
 from __future__ import annotations
@@ -146,6 +149,7 @@ class _Agenda:
     def __init__(self) -> None:
         self.branch: dict[int, Formula] = {}  # root first
         self.formulas: dict[Formula, int] = {}  # first node id per formula
+        self.negs: dict[Formula, int] = {}  # g -> first node id of ~g
         self.param_order: list[str] = []
         self.queues: dict[str, list] = {name: [] for name in _QUEUES}
         self.heads: dict[str, int] = dict.fromkeys(_QUEUES, 0)
@@ -215,6 +219,8 @@ class _Agenda:
         self.put(self.branch, nid, f)
         if f not in self.formulas:
             self.put(self.formulas, f, nid)
+            if isinstance(f, Neg):
+                self.put(self.negs, f.body, nid)
         for u in sorted(par_set(f)):
             if u not in self.param_order:
                 self.append(self.param_order, u)
@@ -317,6 +323,8 @@ class _Search:
 
     def select(self, agenda: _Agenda) -> Optional[RuleApp]:
         for name in _DETERMINISTIC:
+            if agenda.heads[name] == len(agenda.queues[name]):
+                continue  # nothing past the head
             for nid, rule in agenda.pending(name):
                 if name == "Ins":
                     # A fresh variable per examination, applicable or not.
@@ -332,7 +340,7 @@ class _Search:
                 continue
             return RuleApp(name, (nid,), param=self.fresh_param())
         for nid, f in agenda.pending("TImp"):
-            if Neg(f.left) in agenda.formulas or f.right in agenda.formulas:
+            if f.left in agenda.negs or f.right in agenda.formulas:
                 agenda.add(agenda.spent, ("TImp", nid))
                 continue
             return RuleApp("TImp", (nid,))
@@ -509,7 +517,7 @@ class _Search:
         agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
 
     def _note_and_close(self, agenda: _Agenda, node: ProofNode) -> Optional[Closure]:
-        mark = closure_against(node.id, node.formula, agenda.formulas, self.cs)
+        mark = closure_against(node.id, node.formula, agenda.formulas, agenda.negs, self.cs)
         agenda.note(node.id, node.formula)
         return mark
 

@@ -276,19 +276,22 @@ def closure_against(
     new_id: int,
     f: Formula,
     seen: dict[Formula, int],
+    negs: dict[Formula, int],
     cs: ConstantSpecification,
 ) -> Optional[Closure]:
     """Closure mark produced by adding ``f``, if any.
 
-    ``seen`` maps earlier branch formulas to their node ids.
+    ``seen`` maps earlier branch formulas to their first node ids, and
+    ``negs`` maps each ``g`` to the first node id of ``~g``, so that no
+    negation is built to look it up.
     """
     if isinstance(f, Neg) and f.body in seen:
         return Contradiction(new_id, seen[f.body])
     constant = cs_closing_constant(f, cs)
     if constant is not None:
         return CsClosure(new_id, constant)
-    if Neg(f) in seen:
-        return Contradiction(new_id, seen[Neg(f)])
+    if f in negs:
+        return Contradiction(new_id, negs[f])
     return None
 
 
@@ -297,11 +300,15 @@ def branch_closed(
 ) -> Optional[Closure]:
     """First closure mark on the branch, scanning in branch order."""
     seen: dict[Formula, int] = {}
+    negs: dict[Formula, int] = {}
     for nid, f in branch.items():
-        mark = closure_against(nid, f, seen, cs)
+        mark = closure_against(nid, f, seen, negs, cs)
         if mark is not None:
             return mark
-        seen.setdefault(f, nid)
+        if f not in seen:
+            seen[f] = nid
+            if isinstance(f, Neg):
+                negs[f.body] = nid
     return None
 
 

@@ -2,6 +2,9 @@
 single-edit corruptions with the precise violated condition."""
 
 import textwrap
+from dataclasses import replace
+
+import pytest
 
 from folp import (
     Impl,
@@ -13,7 +16,7 @@ from folp import (
     prove,
 )
 from folp.fileio import parse_proof, proof_to_dict
-from conftest import DATA, run_fresh
+from conftest import CORPUS_GOALS, DATA, run_fresh
 
 
 def proof_dict(goal_text, cs):
@@ -122,6 +125,38 @@ class TestAcceptance:
         leaf = [n for n in nodes_of(data) if n["closure"]][0]
         leaf["closure"] = {"kind": "cs", "constant": "c"}
         assert reject(data, corpus_cs).condition == "closure-cs"
+
+
+class TestInstanceReuse:
+    """The checker derives a rule instance's conclusions once for the
+    nodes that cite it, except where the result depends on the branch."""
+
+    @pytest.mark.parametrize("name, goal", [
+        ("TExists", "exists x. exists y. S(x, y) -> exists y. exists x. S(x, y)"),
+        ("FForall", "forall x. forall y. S(x, y) -> forall y. forall x. S(x, y)"),
+    ])
+    def test_fresh_instance_cited_twice(self, name, goal, corpus_cs):
+        # A second node below the first, citing the same instance: its
+        # parameter now occurs on the branch.
+        _, data = proof_dict(goal, corpus_cs)
+        node = find_rule(data, name)
+        copy = {**node, "id": max(n["id"] for n in nodes_of(data)) + 1}
+        node["children"], node["closure"] = [copy], None
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (copy["id"], "freshness")
+
+    @pytest.mark.parametrize("text", CORPUS_GOALS)
+    def test_equal_distinct_instances(self, text, corpus_cs):
+        # Every node, siblings and consecutive conclusions included,
+        # cites its own copy of its rule instance.
+        goal = parse_formula(text, corpus_cs.constants)
+        outcome = prove(goal, corpus_cs)
+        nodes = outcome.tree.nodes()
+        for node in nodes:
+            if node.rule is not None:
+                node.rule = replace(node.rule)
+        assert len({id(n.rule) for n in nodes}) == len(nodes)
+        assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
 
 
 class TestRuleMutants:

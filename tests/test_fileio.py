@@ -339,6 +339,31 @@ class TestProofFiles:
         with pytest.raises(FileFormatError):
             parse_proof({"roots": ["~Q0"], "tree": node})
 
+    # Node ids, premises and closure witnesses are JSON integers; the
+    # reader once converted these to ones, and the checker accepted them.
+    @pytest.mark.parametrize("field, value", [
+        ("premises", "1"), ("premises", [1.5]), ("premises", [True]), ("premises", {"1": 0}),
+        ("id", "1"), ("id", True), ("id", 1.7),
+        ("with", "3"), ("with", 3.9),
+    ], ids=lambda v: v if isinstance(v, str) and v.isalpha() else json.dumps(v))
+    def test_numbers_must_be_integers(self, field, value):
+        # ~(Q0 -> Q0); FImp gives Q0 and ~Q0, and ~Q0 closes against Q0.
+        data = {"roots": ["~(Q0 -> Q0)"], "tree": {
+            "id": 1, "formula": "~(Q0 -> Q0)", "rule": None, "closure": None, "children": [{
+                "id": 3, "formula": "Q0", "rule": {"name": "FImp", "premises": [1]},
+                "closure": None, "children": [{
+                    "id": 2, "formula": "~Q0", "rule": {"name": "FImp", "premises": [1]},
+                    "children": [], "closure": {"kind": "contradiction", "with": 3}}]}]}}
+        assert check_proof(parse_proof(data), parse_cs("")).accepted
+        if field == "premises":
+            data["tree"]["children"][0]["rule"]["premises"] = value
+        elif field == "id":
+            data["tree"]["id"] = value
+        else:
+            data["tree"]["children"][0]["children"][0]["closure"]["with"] = value
+        with pytest.raises(FileFormatError, match="must be"):
+            parse_proof(data)
+
     @pytest.mark.parametrize(
         "data", [[], 7, {"roots": "~Q0", "tree": {}}, {"roots": [7], "tree": {}}]
     )

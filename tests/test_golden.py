@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from folp import (
+    RULE_NAMES,
     App,
     Assert,
     Bang,
@@ -30,9 +31,11 @@ from folp import (
     Proved,
     Sum,
     alpha_eq,
+    check_proof,
     elem,
     param,
     parse_formula,
+    parse_proof,
     parse_term,
     print_formula,
     print_term,
@@ -43,7 +46,7 @@ from folp import (
     var,
     variable_variant,
 )
-from folp.fileio import FileFormatError, parse_cs
+from folp.fileio import FileFormatError, parse_cs, proof_to_json
 from folp.parser import Parser, tokenize
 from folp.syntax import VAR
 from conftest import (
@@ -130,6 +133,11 @@ FAMILIES = {
     # subformulas; test_search::TestCutCandidates checks each read.
     "app-16": (app(16), 116, "6d0b9842459d6395582cbb50e9a0be71cec194be3bdefbef37fa3311a8268958"),
     "app-32": (app(32), 228, "6f57142421ec98f9369c7d19131be5e6034ae23adf193d36965c6b185bf4aceb"),
+    # Recorded before the closure test read an index of negated formulas
+    # and before TImp read that index; these lean on both.
+    "cases-4": (cases(4), 1363, "86cfed029ba5d55d1495532ea390a892faee42300e43150c6ab64a1955d40eda"),
+    "chain-64": (chain(64), 259, "96d675cd9b7d8a28716dbea14d50d27b8238f070825393f560331421b9cabf9d"),
+    "sum-64": (sum_family(64), 130, "fd958288f4cf475b9353f8972b4581280e2a88620f9bd3a48398eabf04f68c80"),
     "fdot-branches": ("p : Q1 -> q : Q0 -> (c * q) : (Q1 -> Q0)", 517,
                       "9890c23563e23f23e56d7fed592911456c116ae5f5a73cc9e44796efc45e0b8b"),
 }
@@ -298,3 +306,89 @@ def _parse_lines():
 def test_parse_identity():
     text = "\n".join(_parse_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Verdict identity: what the checker says of proofs read back from their
+# files, and of seeded corruptions of them, recorded before the checker
+# derived each rule instance's conclusions once and the reader built one
+# rule instance per distinct rule object.  Each line is the verdict, or
+# the reader's error.
+
+VERDICT_DIGEST = "31504ba7c75bc03dd8fecc6c9da91f54c7774c353a4eddb6e09e0ab1f5f29caf"
+
+VERDICT_GOALS = (*CORPUS_GOALS, cases(3), app(8), sum_family(32))
+
+
+def _corrupt(rng, data, kind):
+    """Apply one corruption of ``kind`` to the proof document ``data`` in
+    place; ``False`` if no node admits it."""
+    nodes, stack = [], [data["tree"]]
+    while stack:
+        n = stack.pop()
+        nodes.append(n)
+        stack.extend(reversed(n["children"]))
+    ruled = [n for n in nodes if n["rule"]]
+    ids = [n["id"] for n in nodes]
+    texts = [n["formula"] for n in nodes]
+    pick = {
+        "name": ruled, "premises": ruled, "param": ruled, "cut": ruled,
+        "formula": ruled, "duplicate": ruled,
+        "with": [n for n in nodes if n["closure"] and n["closure"]["kind"] == "contradiction"],
+        "sibling": [n for n in nodes if len(n["children"]) == 2],
+        "drop": [n for n in nodes if n["children"]],
+    }[kind]
+    if not pick:
+        return False
+    n = rng.choice(pick)
+    if kind == "name":
+        n["rule"]["name"] = rng.choice(RULE_NAMES)
+    elif kind == "premises":
+        n["rule"]["premises"] = rng.sample(ids, rng.choice((1, 1, 2)))
+    elif kind == "param":
+        n["rule"]["param"] = rng.choice(("@u0", "@u1", "@u2", "@v0"))
+    elif kind == "cut":
+        n["rule"]["cut"] = rng.choice(texts)
+    elif kind == "formula":
+        n["formula"] = rng.choice(texts)
+    elif kind == "duplicate":
+        # A copy of the node below it, citing the same rule instance.
+        copy = {**n, "id": max(ids) + 1, "rule": dict(n["rule"])}
+        n["children"], n["closure"] = [copy], None
+    elif kind == "with":
+        n["closure"]["with"] = rng.choice(ids)
+    elif kind == "sibling":
+        child = n["children"][rng.randrange(2)]
+        child["rule"] = dict(rng.choice(ruled)["rule"])
+    else:
+        del n["children"][rng.randrange(len(n["children"]))]
+    return True
+
+
+def _verdict_lines(cs):
+    rng = random.Random(20261018)
+    kinds = ("name", "premises", "param", "cut", "with", "formula", "sibling", "drop",
+             "duplicate")
+    for i, text in enumerate(VERDICT_GOALS):
+        goal = parse_formula(text, cs.constants)
+        outcome = prove(goal, cs, FAMILY_BUDGET)
+        assert isinstance(outcome, Proved)
+        file_text = proof_to_json(outcome.tree)
+        for kind in ("none", *kinds * 3):
+            data = json.loads(file_text)
+            if kind != "none" and not _corrupt(rng, data, kind):
+                continue
+            try:
+                out = str(check_proof(parse_proof(data, cs.constants), cs, goal))
+            except FileFormatError as exc:
+                out = f"FileFormatError {exc}"
+            yield f"{i} {kind} {out}"
+
+
+def test_verdict_identity(corpus_cs):
+    lines = list(_verdict_lines(corpus_cs))
+    verdicts = Counter(line.split(" ", 2)[2].split(" at node")[0] for line in lines)
+    # Both verdicts occur, so the digest pins both.
+    assert verdicts["accept"] >= len(VERDICT_GOALS) and len(verdicts) > 1
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGEST

@@ -1,6 +1,7 @@
 """Rule application and branch closure."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,9 +17,10 @@ from folp import (
     CsClosure,
     parse_formula,
     param,
+    prove,
 )
-from folp.tableau import premise_rules
-from conftest import random_formula
+from folp.tableau import FRESH_PARAM_RULES, premise_rules
+from conftest import CORPUS_GOALS, random_formula
 
 
 def f(text: str):
@@ -216,3 +218,42 @@ class TestClosure:
         assert branch_closed(branch("~c : (Q0 -> Q1)"), cs) is None
         # Non-empty windows never close against the CS.
         assert branch_closed(branch("~c :[@u] (Q0 -> Q1 -> Q0)"), cs) is None
+
+
+class TestBranchIndependence:
+    def test_only_fresh_param_rules_read_the_branch(self, corpus_cs):
+        """Every rule but TExists and FForall reads only its premise: on
+        a random branch holding the premise, an instance gives what it
+        gives on the premise alone, conclusions or the same RuleError.
+        The checker reuses an instance's conclusions on this ground."""
+
+        def outcome(branch, rule):
+            try:
+                return apply_rule(branch, rule)
+            except RuleError as exc:
+                return exc.condition, exc.message
+
+        rng = random.Random(20261018)
+        names = [n for n in RULE_NAMES if n not in FRESH_PARAM_RULES]
+        applied = set()
+        for text in CORPUS_GOALS:
+            tree = prove(parse_formula(text, corpus_cs.constants), corpus_cs).tree
+            labels = {n.id: n.formula for n in tree.nodes()}
+            for node in tree.nodes():
+                if node.rule is None:
+                    continue
+                premise = labels[node.rule.premises[0]]
+                for name in names:
+                    rule = replace(node.rule, name=name)
+                    alone = outcome({rule.premises[0]: premise}, rule)
+                    # Other formulas before and after the premise, under
+                    # ids no proof node has.
+                    others = [rng.choice(list(labels.values())) if rng.random() < 0.5
+                              else random_formula(rng) for _ in range(rng.randrange(6))]
+                    branch = {-1 - i: g for i, g in enumerate(others)}
+                    branch[rule.premises[0]] = premise
+                    branch.update({-100 - i: g for i, g in enumerate(reversed(others))})
+                    assert outcome(branch, rule) == alone, (text, str(rule))
+                    if isinstance(alone, list):
+                        applied.add(name)
+        assert applied == set(names)
