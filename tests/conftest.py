@@ -14,6 +14,7 @@ import pytest
 
 from folp import (
     Assert,
+    Atom,
     Exists,
     Forall,
     Formula,
@@ -193,16 +194,20 @@ def random_term(rng: random.Random, depth: int) -> Term:
     return Gen(rng.choice(_VARS), random_term(rng, depth - 1))
 
 
+def random_atom(rng: random.Random) -> Atom:
+    return rng.choice(
+        [var(rng.choice(_VARS)), param(rng.choice(_PARAMS)), elem(rng.choice(_ELEMS))]
+    )
+
+
+def random_window(rng: random.Random) -> tuple[Atom, ...]:
+    return tuple([random_atom(rng) for _ in range(rng.randrange(3))])
+
+
 def random_formula(rng: random.Random, depth: int = 4) -> Formula:
     if depth <= 0 or rng.random() < 0.25:
         name = rng.choice(list(_PREDS))
-        args = tuple(
-            rng.choice(
-                [var(rng.choice(_VARS)), param(rng.choice(_PARAMS)),
-                 elem(rng.choice(_ELEMS))]
-            )
-            for _ in range(_PREDS[name])
-        )
+        args = tuple(random_atom(rng) for _ in range(_PREDS[name]))
         return Pred(name, args)
     kind = rng.randrange(5)
     if kind == 0:
@@ -213,17 +218,8 @@ def random_formula(rng: random.Random, depth: int = 4) -> Formula:
         cls = Forall if rng.random() < 0.5 else Exists
         return cls(rng.choice(_VARS), random_formula(rng, depth - 1))
     if kind == 3:
-        window = []
-        for _ in range(rng.randrange(3)):
-            window.append(
-                rng.choice(
-                    [var(rng.choice(_VARS)), param(rng.choice(_PARAMS)),
-                     elem(rng.choice(_ELEMS))]
-                )
-            )
-        return Assert(
-            random_term(rng, depth - 1), tuple(window), random_formula(rng, depth - 1)
-        )
+        window = random_window(rng)
+        return Assert(random_term(rng, depth - 1), window, random_formula(rng, depth - 1))
     return Impl(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from folp import (
     RULE_NAMES,
+    SCHEMES,
     App,
     Assert,
     Bang,
@@ -30,9 +31,12 @@ from folp import (
     Pred,
     Proved,
     Sum,
+    Term,
     alpha_eq,
     check_proof,
     elem,
+    match_axiom,
+    match_scheme,
     param,
     parse_formula,
     parse_proof,
@@ -48,7 +52,7 @@ from folp import (
 )
 from folp.fileio import FileFormatError, parse_cs, proof_to_json
 from folp.parser import Parser, tokenize
-from folp.syntax import VAR
+from folp.syntax import VAR, mkwindow
 from conftest import (
     CORPUS_GOALS,
     DATA,
@@ -57,9 +61,13 @@ from conftest import (
     cases,
     chain,
     model_paths,
+    random_atom,
     random_formula,
+    random_term,
+    random_window,
     sum_family,
 )
+from test_axioms import NEGATIVE, POSITIVE
 
 CORPUS_DIGESTS = (
     "3696c409e88bcbbba1e98872d21077b6341e75a5142b998e32e7d4e0d3b0ee6a",
@@ -392,3 +400,101 @@ def test_verdict_identity(corpus_cs):
     assert verdicts["accept"] >= len(VERDICT_GOALS) and len(verdicts) > 1
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Matcher identity: ``match_axiom`` and every ``match_scheme`` on the axiom
+# test cases, on seeded instances of every scheme, on one-part mutations
+# of those and on random formulas, recorded before the schemes were
+# stated as templates.  Each line is the formula, the scheme
+# ``match_axiom`` names and one bit per scheme of ``SCHEMES``.
+
+MATCHER_DIGEST = "8a6b0cd34587f1838ad6c12c52e5bb3c00b16a66934f9353baff79466fb33919"
+
+
+def _scheme_instances(rng):
+    """Instances of each scheme, in ``SCHEMES`` order (Q4 has two forms),
+    built from random formulas, terms, a window, a bound variable and an
+    atom.  Some break a side condition, such as x free in Q3's A."""
+    a, b, c = (random_formula(rng, 3) for _ in range(3))
+    s, t = random_term(rng, 2), random_term(rng, 2)
+    w = mkwindow(random_window(rng))
+    x, y = rng.choice("xyz"), random_atom(rng)
+    wy = mkwindow((*w, y))
+
+    def instance(body):  # body{x/y}, or body if y would be captured
+        try:
+            return substitute(body, x, y)
+        except CaptureError:
+            return body
+
+    yield Impl(a, Impl(b, a))
+    yield Impl(Impl(a, Impl(b, c)), Impl(Impl(a, b), Impl(a, c)))
+    yield Impl(Impl(Neg(a), Neg(b)), Impl(b, a))
+    yield Impl(Forall(x, a), instance(a))
+    yield Impl(Forall(x, Impl(a, b)), Impl(Forall(x, a), Forall(x, b)))
+    yield Impl(a, Forall(x, a))
+    yield Impl(instance(a), Exists(x, a))
+    yield Impl(Forall(x, Impl(a, b)), Impl(Exists(x, a), b))
+    yield Impl(Assert(t, wy, a), Assert(t, w, a))
+    yield Impl(Assert(t, w, a), Assert(t, wy, a))
+    yield Impl(Assert(s, w, a), Assert(Sum(s, t), w, a))
+    yield Impl(Assert(t, w, a), Assert(Sum(s, t), w, a))
+    yield Impl(Assert(s, w, Impl(a, b)), Impl(Assert(t, w, a), Assert(App(s, t), w, b)))
+    yield Impl(Assert(t, w, a), a)
+    yield Impl(Assert(t, w, a), Assert(Bang(t), w, Assert(t, w, a)))
+    yield Impl(Assert(t, w, a), Assert(Gen(x, t), w, Forall(x, a)))
+
+
+# The parts of each node class, in constructor order.
+_PARTS = {Impl: ("left", "right"), Sum: ("left", "right"), App: ("left", "right"),
+          Neg: ("body",), Forall: ("bound", "body"), Exists: ("bound", "body"),
+          Assert: ("term", "window", "body"), Bang: ("inner",), Gen: ("bound", "inner")}
+
+
+def _mutate(rng, x):
+    """``x``, a formula or term, with one part replaced by a random one of
+    its kind: a subformula, a subterm, a window or a bound variable."""
+    parts = _PARTS.get(type(x), ())
+    if not parts or rng.random() < 0.2:
+        return random_term(rng, 2) if isinstance(x, Term) else random_formula(rng, 2)
+    part = rng.choice(parts)
+    if part == "bound":
+        new = rng.choice("xyz")
+    elif part == "window":
+        new = random_window(rng)
+    else:
+        new = _mutate(rng, getattr(x, part))
+    return type(x)(*(new if p == part else getattr(x, p) for p in parts))
+
+
+def matcher_inputs():
+    """The formulas the matcher digest covers: the cases of
+    ``test_axioms``, 16,000 seeded scheme instances, a one-part mutation
+    of each, and 20,000 random formulas."""
+    out = [parse_formula(text, {"c"}) for texts in POSITIVE.values() for text in texts]
+    out += [parse_formula(text, {"c"}) for text in NEGATIVE]
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        for f in _scheme_instances(rng):
+            out += (f, _mutate(rng, f))
+    out += [random_formula(rng, 1 + i % 5) for i in range(20_000)]
+    return out
+
+
+def _matcher_lines():
+    hits = Counter()
+    for f in matcher_inputs():
+        bits = [match_scheme(s, f) for s in SCHEMES]
+        first = match_axiom(f)
+        assert first == next((s for s, bit in zip(SCHEMES, bits) if bit), None)
+        hits.update(s for s, bit in zip(SCHEMES, bits) if bit)
+        hits[first] += first is None
+        yield f"{print_formula(f)} {first} {''.join('01'[bit] for bit in bits)}"
+    # Every scheme matches, and some inputs match none.
+    assert min(hits[s] for s in (*SCHEMES, None)) >= 100, hits
+
+
+def test_matcher_identity():
+    text = "\n".join(_matcher_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == MATCHER_DIGEST
