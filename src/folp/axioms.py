@@ -5,12 +5,27 @@ P1-P3 / Q1-Q4; the justification schemes are contraction, expansion,
 the two sum axioms, application (jK), reflection (jT), proof checker
 (j4), and generalization.  ``match_axiom`` decides scheme instancehood
 syntactically, honoring all side conditions.
+
+Each scheme is written once, in ``_TEMPLATES``, as a formula in folp's
+concrete syntax, parsed at import; Q4 has two templates.  Every leaf and
+binder of a template is a metavariable: a predicate letter ``A``-``D``
+stands for any formula, a proof variable ``s`` or ``t`` for any term, a
+window ``[w]`` or ``[v]`` for any window, and the variable a quantifier
+or ``gen`` binds for any variable.  ``_bind`` walks a template and a
+formula together, binding each metavariable where it first occurs and
+requiring ``==`` where it recurs.  What a shape cannot say is a side
+condition, in code, on the bindings: the unquantified side is the
+quantified body with a substitutable ``y`` for ``x`` (Q1, Q4's first
+form); ``x`` is not free in ``A`` (Q3) or in ``B`` (Q4's second form); window ``w`` is ``v`` plus one atom
+(CTR, EXP), which does not occur in ``A`` (CTR); ``x`` is not in ``w``
+(GEN).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .parser import parse_formula
 from .syntax import (
     App,
     Assert,
@@ -23,31 +38,15 @@ from .syntax import (
     Gen,
     Impl,
     Neg,
+    Pred,
     Sum,
+    TermVar,
     atoms_of,
     free_vars,
     occurs,
     substitute,
     var,
     variable_variant,
-)
-
-SCHEMES = (
-    "P1",
-    "P2",
-    "P3",
-    "Q1",
-    "Q2",
-    "Q3",
-    "Q4",
-    "CTR",
-    "EXP",
-    "SUM1",
-    "SUM2",
-    "JK",
-    "JT",
-    "J4",
-    "GEN",
 )
 
 
@@ -63,240 +62,95 @@ def _matches_instantiation(body: Formula, x: str, rhs: Formula) -> bool:
     return False
 
 
-def _match_p1(f: Formula) -> bool:
-    return (
-        isinstance(f, Impl)
-        and isinstance(f.right, Impl)
-        and f.right.right == f.left
-    )
+def _added(m: dict) -> set:
+    """``{y}`` if window ``w`` is window ``v`` plus the atom ``y``, else empty."""
+    more = set(m["w"]).difference(m["v"])
+    return more if len(more) == 1 == len(m["w"]) - len(m["v"]) else set()
 
 
-def _match_p2(f: Formula) -> bool:
-    # (A -> (B -> C)) -> ((A -> B) -> (A -> C))
-    if not (isinstance(f, Impl) and isinstance(f.left, Impl)):
-        return False
-    lhs, rhs = f.left, f.right
-    if not (isinstance(lhs.right, Impl) and isinstance(rhs, Impl)):
-        return False
-    if not (isinstance(rhs.left, Impl) and isinstance(rhs.right, Impl)):
-        return False
-    a, b, c = lhs.left, lhs.right.left, lhs.right.right
-    return (
-        rhs.left.left == a
-        and rhs.left.right == b
-        and rhs.right.left == a
-        and rhs.right.right == c
-    )
+# (scheme, template, side condition on the bindings), in matching order.
+_TEMPLATES = tuple((scheme, parse_formula(text), side) for scheme, text, side in (
+    ("P1", "A -> B -> A", None),
+    ("P2", "(A -> B -> C) -> (A -> B) -> A -> C", None),
+    ("P3", "(~A -> ~B) -> B -> A", None),
+    ("Q1", "forall x. A -> B", lambda m: _matches_instantiation(m["A"], m["x"], m["B"])),
+    ("Q2", "forall x. (A -> B) -> forall x. A -> forall x. B", None),
+    ("Q3", "A -> forall x. A", lambda m: m["x"] not in free_vars(m["A"])),
+    ("Q4", "A -> exists x. B", lambda m: _matches_instantiation(m["B"], m["x"], m["A"])),
+    ("Q4", "forall x. (A -> B) -> exists x. A -> B", lambda m: m["x"] not in free_vars(m["B"])),
+    ("CTR", "t :[w] A -> t :[v] A", lambda m: any(not occurs(y, m["A"]) for y in _added(m))),
+    ("EXP", "t :[v] A -> t :[w] A", lambda m: bool(_added(m))),
+    ("SUM1", "s :[w] A -> (s + t) :[w] A", None),
+    ("SUM2", "t :[w] A -> (s + t) :[w] A", None),
+    ("JK", "s :[w] (A -> B) -> t :[w] A -> (s * t) :[w] B", None),
+    ("JT", "t :[w] A -> A", None),
+    ("J4", "t :[w] A -> !t :[w] t :[w] A", None),
+    ("GEN", "t :[w] A -> gen<x>(t) :[w] forall x. A", lambda m: var(m["x"]) not in m["w"]),
+))
+
+SCHEMES = tuple(dict.fromkeys(scheme for scheme, _, _ in _TEMPLATES))
 
 
-def _match_p3(f: Formula) -> bool:
-    # (~A -> ~B) -> (B -> A)
-    if not (isinstance(f, Impl) and isinstance(f.left, Impl) and isinstance(f.right, Impl)):
-        return False
-    lhs, rhs = f.left, f.right
-    if not (isinstance(lhs.left, Neg) and isinstance(lhs.right, Neg)):
-        return False
-    return lhs.left.body == rhs.right and lhs.right.body == rhs.left
+def _bind(template: Formula, f: Formula) -> dict | None:
+    """The metavariables of ``template`` bound so that it reads ``f``, or
+    None if ``f`` does not have its shape."""
+    m: dict = {}
+    stack = [(template, f)]
+    while stack:
+        p, g = stack.pop()
+        cls = type(p)
+        if cls is Pred or cls is TermVar:
+            key, value = p.name, g
+        elif cls is not type(g):
+            return None
+        elif cls is Impl or cls is Sum or cls is App:
+            stack += ((p.right, g.right), (p.left, g.left))
+            continue
+        elif cls is Neg or cls is Bang:
+            stack.append((p.body, g.body) if cls is Neg else (p.inner, g.inner))
+            continue
+        elif cls is Assert:
+            stack += ((p.body, g.body), (p.term, g.term))
+            key, value = p.window[0].name, g.window
+        else:  # Forall, Exists, Gen
+            stack.append((p.inner, g.inner) if cls is Gen else (p.body, g.body))
+            key, value = p.bound, g.bound
+        if m.setdefault(key, value) != value:
+            return None
+    return m
 
 
-def _match_q1(f: Formula) -> bool:
-    # forall x. A  ->  A{x/y}, y substitutable for x
-    if not (isinstance(f, Impl) and isinstance(f.left, Forall)):
-        return False
-    return _matches_instantiation(f.left.body, f.left.bound, f.right)
-
-
-def _match_q2(f: Formula) -> bool:
-    # forall x. (A -> B)  ->  (forall x. A -> forall x. B)
-    if not (isinstance(f, Impl) and isinstance(f.left, Forall)):
-        return False
-    if not isinstance(f.left.body, Impl):
-        return False
-    x, a, b = f.left.bound, f.left.body.left, f.left.body.right
-    rhs = f.right
-    return (
-        isinstance(rhs, Impl)
-        and rhs.left == Forall(x, a)
-        and rhs.right == Forall(x, b)
-    )
-
-
-def _match_q3(f: Formula) -> bool:
-    # A -> forall x. A, x not free in A
-    return (
-        isinstance(f, Impl)
-        and isinstance(f.right, Forall)
-        and f.right.body == f.left
-        and f.right.bound not in free_vars(f.left)
-    )
-
-
-def _match_q4(f: Formula) -> bool:
-    if not isinstance(f, Impl):
-        return False
-    # A{x/y} -> exists x. A
-    if isinstance(f.right, Exists) and _matches_instantiation(
-        f.right.body, f.right.bound, f.left
-    ):
-        return True
-    # forall x. (A -> B) -> (exists x. A -> B), x not free in B
-    if isinstance(f.left, Forall) and isinstance(f.left.body, Impl):
-        x, a, b = f.left.bound, f.left.body.left, f.left.body.right
-        rhs = f.right
-        if (
-            isinstance(rhs, Impl)
-            and rhs.left == Exists(x, a)
-            and rhs.right == b
-            and x not in free_vars(b)
-        ):
-            return True
-    return False
-
-
-def _dest_assert_impl(f: Formula) -> tuple[Assert, Assert] | None:
-    if (
-        isinstance(f, Impl)
-        and isinstance(f.left, Assert)
-        and isinstance(f.right, Assert)
-    ):
-        return f.left, f.right
+def _first_match(f: Formula, templates) -> str | None:
+    """The scheme of the first of ``templates`` that ``f`` instantiates."""
+    for scheme, template, side in templates:
+        m = _bind(template, f)
+        if m is not None and (side is None or side(m)):
+            return scheme
     return None
-
-
-def _match_ctr(f: Formula) -> bool:
-    # t:[X,y] A -> t:[X] A, y not occurring free in A
-    pair = _dest_assert_impl(f)
-    if pair is None:
-        return False
-    lhs, rhs = pair
-    if lhs.term != rhs.term or lhs.body != rhs.body:
-        return False
-    dropped = set(lhs.window) - set(rhs.window)
-    if len(dropped) != 1 or not (set(rhs.window) < set(lhs.window)):
-        return False
-    (y,) = dropped
-    return not occurs(y, lhs.body)
-
-
-def _match_exp(f: Formula) -> bool:
-    # t:[X] A -> t:[X,y] A
-    pair = _dest_assert_impl(f)
-    if pair is None:
-        return False
-    lhs, rhs = pair
-    if lhs.term != rhs.term or lhs.body != rhs.body:
-        return False
-    added = set(rhs.window) - set(lhs.window)
-    return len(added) == 1 and set(lhs.window) < set(rhs.window)
-
-
-def _match_sum(f: Formula, left_arg: bool) -> bool:
-    pair = _dest_assert_impl(f)
-    if pair is None:
-        return False
-    lhs, rhs = pair
-    if lhs.window != rhs.window or lhs.body != rhs.body:
-        return False
-    if not isinstance(rhs.term, Sum):
-        return False
-    return (rhs.term.left if left_arg else rhs.term.right) == lhs.term
-
-
-def _match_jk(f: Formula) -> bool:
-    # s:[X](A -> B) -> (t:[X] A -> (s*t):[X] B)
-    if not (isinstance(f, Impl) and isinstance(f.left, Assert)):
-        return False
-    lhs = f.left
-    if not isinstance(lhs.body, Impl):
-        return False
-    rhs = f.right
-    if not (
-        isinstance(rhs, Impl)
-        and isinstance(rhs.left, Assert)
-        and isinstance(rhs.right, Assert)
-    ):
-        return False
-    s, x, a, b = lhs.term, lhs.window, lhs.body.left, lhs.body.right
-    t = rhs.left.term
-    return (
-        rhs.left.window == x
-        and rhs.left.body == a
-        and rhs.right.window == x
-        and rhs.right.body == b
-        and rhs.right.term == App(s, t)
-    )
-
-
-def _match_jt(f: Formula) -> bool:
-    return (
-        isinstance(f, Impl)
-        and isinstance(f.left, Assert)
-        and f.left.body == f.right
-    )
-
-
-def _match_j4(f: Formula) -> bool:
-    # t:[X] A -> !t:[X] t:[X] A
-    pair = _dest_assert_impl(f)
-    if pair is None:
-        return False
-    lhs, rhs = pair
-    return (
-        rhs.term == Bang(lhs.term)
-        and rhs.window == lhs.window
-        and rhs.body == lhs
-    )
-
-
-def _match_gen(f: Formula) -> bool:
-    # t:[X] A -> gen<x>(t):[X] forall x. A, x not in X
-    pair = _dest_assert_impl(f)
-    if pair is None:
-        return False
-    lhs, rhs = pair
-    if not (isinstance(rhs.term, Gen) and isinstance(rhs.body, Forall)):
-        return False
-    x = rhs.term.bound
-    if rhs.body.bound != x or rhs.term.inner != lhs.term:
-        return False
-    if rhs.window != lhs.window or rhs.body.body != lhs.body:
-        return False
-    return var(x) not in lhs.window
-
-
-_MATCHERS = {
-    "P1": _match_p1,
-    "P2": _match_p2,
-    "P3": _match_p3,
-    "Q1": _match_q1,
-    "Q2": _match_q2,
-    "Q3": _match_q3,
-    "Q4": _match_q4,
-    "CTR": _match_ctr,
-    "EXP": _match_exp,
-    "SUM1": lambda f: _match_sum(f, True),
-    "SUM2": lambda f: _match_sum(f, False),
-    "JK": _match_jk,
-    "JT": _match_jt,
-    "J4": _match_j4,
-    "GEN": _match_gen,
-}
 
 
 def match_scheme(scheme: str, f: Formula) -> bool:
     """True iff ``f`` is an instance of the named scheme."""
-    try:
-        return _MATCHERS[scheme](f)
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _first_match(f, [x for x in _TEMPLATES if x[0] == scheme]) is not None
+
+
+# Every template is an implication.  Those an implication can match, by
+# the classes of its sides: a metavariable side takes any class.
+_FORMULA_CLASSES = (Pred, Neg, Impl, Forall, Exists, Assert)
+_BY_SIDES = {
+    (left, right): [x for x in _TEMPLATES
+                    if type(x[1].left) in (Pred, left) and type(x[1].right) in (Pred, right)]
+    for left in _FORMULA_CLASSES for right in _FORMULA_CLASSES
+}
 
 
 def match_axiom(f: Formula) -> str | None:
     """First scheme (in the fixed order) of which ``f`` is an instance."""
-    for scheme in SCHEMES:
-        if _MATCHERS[scheme](f):
-            return scheme
-    return None
+    if type(f) is not Impl:
+        return None
+    return _first_match(f, _BY_SIDES[type(f.left), type(f.right)])
 
 
 # ---------------------------------------------------------------------------
