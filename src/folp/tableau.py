@@ -81,6 +81,14 @@ class RuleApp:
             raise ValueError(f"unknown rule {self.name!r}")
 
 
+# The rules that take each optional field of a rule instance.
+_FIELD_RULES = {
+    "param": ("TForall", "FExists", "TExists", "FForall", "Ctr", "Exp", "Ins"),
+    "cut": ("FDot",),
+    "var": ("Ins",),
+}
+
+
 @dataclass(frozen=True)
 class Contradiction:
     """Closure by ``A`` and ``~A`` both on the branch."""
@@ -165,7 +173,8 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
 
     Returns one list per created child branch (two lists for the
     branching rules TImp and FDot, one otherwise).  Raises
-    :class:`RuleError` on premise-shape or side-condition violations.
+    :class:`RuleError` on premise-shape or side-condition violations,
+    and on a ``param``, ``cut`` or ``var`` that the rule does not take.
     """
     name = rule.name
     if len(rule.premises) != 1:
@@ -179,6 +188,9 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         )
     if name not in premise_rules(p):
         raise RuleError("premise-shape", f"{p} is not a {name} premise")
+    for part, rules in _FIELD_RULES.items():
+        if getattr(rule, part) is not None and name not in rules:
+            raise RuleError("rule-field", f"{name} takes no {part}")
 
     if name == "FNeg":
         return [[p.body.body]]

@@ -159,6 +159,31 @@ class TestInstanceReuse:
         assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
 
 
+class TestRuleFields:
+    """A ``param``, ``cut`` or ``var`` on a rule that does not take it is
+    rejected, on a conclusion node and on a branching rule's sibling alike.
+    The left sibling is checked first, so a field on the right one is
+    caught as a sibling that cites another instance."""
+
+    @pytest.mark.parametrize("part, value", [("param", "@u0"), ("cut", "Q0"), ("var", "x")])
+    def test_fimp_conclusion(self, part, value, corpus_cs):
+        _, data = proof_dict("Q0 -> Q0", corpus_cs)
+        node = find_rule(data, "FImp")
+        node["rule"][part] = value
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (node["id"], "rule-field")
+
+    @pytest.mark.parametrize("part, value", [("param", "@u0"), ("cut", "Q0"), ("var", "x")])
+    @pytest.mark.parametrize("which, condition", [(0, "rule-field"), (1, "branching-structure")])
+    def test_timp_sibling(self, part, value, which, condition, corpus_cs):
+        _, data = proof_dict("(Q0 -> Q1) -> (Q1 -> Q2) -> Q0 -> Q2", corpus_cs)
+        node = find_rule(data, "TImp", which)
+        node["rule"] = {**node["rule"], part: value}
+        verdict = reject(data, corpus_cs)
+        assert verdict.condition == condition
+        assert verdict.node_id == find_rule(data, "TImp")["id"]
+
+
 class TestRuleMutants:
     """One single-edit mutant per rule, each rejected for the right reason."""
 

@@ -105,6 +105,15 @@ class TestCheck:
         assert main(["check", str(out), "--cs", CS]) == 1
         assert "reject" in capsys.readouterr().out
 
+    def test_rejects_field_the_rule_does_not_take(self, tmp_path, capsys):
+        out = tmp_path / "proof.json"
+        assert main(["prove", "Q0 -> Q0", "--cs", CS, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tree"]["children"][0]["rule"].update(cut="Q0", param="@u0", var="x")
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), "--cs", CS]) == 1
+        assert "rule-field" in capsys.readouterr().out
+
     def test_malformed_proof_exits_2(self, tmp_path, capsys):
         out = tmp_path / "proof.json"
         assert main(["prove", "Q0 -> Q0", "--cs", CS, "--out", str(out)]) == 0

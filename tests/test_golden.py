@@ -321,9 +321,12 @@ def test_parse_identity():
 # files, and of seeded corruptions of them, recorded before the checker
 # derived each rule instance's conclusions once and the reader built one
 # rule instance per distinct rule object.  Each line is the verdict, or
-# the reader's error.
+# the reader's error.  Re-pinned when ``apply_rule`` began rejecting a
+# ``param``, ``cut`` or ``var`` its rule does not take: 289 lines of
+# ``param`` and ``cut`` corruptions changed, to ``rule-field``, from
+# ``accept`` (278) or "sibling does not cite the same rule instance" (11).
 
-VERDICT_DIGEST = "31504ba7c75bc03dd8fecc6c9da91f54c7774c353a4eddb6e09e0ab1f5f29caf"
+VERDICT_DIGEST = "5506f0248017bc08d24a227790daf446f1c711233267ba4cc4597b688008376d"
 
 VERDICT_GOALS = (*CORPUS_GOALS, cases(3), app(8), sum_family(32))
 

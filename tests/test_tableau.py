@@ -54,6 +54,17 @@ class TestPropositionalRules:
             apply_rule(branch("Q0"), RuleApp("FNeg", (2,)))
         assert exc.value.condition == "premise-missing"
 
+    @pytest.mark.parametrize("premise, rule", [
+        ("~(Q0 -> Q1)", RuleApp("FImp", (1,), cut=f("Q0"))),
+        ("Q0 -> Q1", RuleApp("TImp", (1,), param=param("u"))),
+        ("~p :[@u] Q0", RuleApp("Exp", (1,), param=param("u"), var="x")),
+        ("forall x. Q(x)", RuleApp("TForall", (1,), param=param("u"), var="x")),
+    ])
+    def test_field_the_rule_does_not_take(self, premise, rule):
+        with pytest.raises(RuleError) as exc:
+            apply_rule(branch(premise), rule)
+        assert exc.value.condition == "rule-field"
+
 
 class TestQuantifierRules:
     def test_tforall_any_param(self):
