@@ -80,7 +80,6 @@ from .tableau import (
     RuleApp,
     RuleError,
     apply_rule,
-    branch_closed,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -307,23 +307,6 @@ def closure_against(
     return None
 
 
-def branch_closed(
-    branch: Branch, cs: ConstantSpecification
-) -> Optional[Closure]:
-    """First closure mark on the branch, scanning in branch order."""
-    seen: dict[Formula, int] = {}
-    negs: dict[Formula, int] = {}
-    for nid, f in branch.items():
-        mark = closure_against(nid, f, seen, negs, cs)
-        if mark is not None:
-            return mark
-        if f not in seen:
-            seen[f] = nid
-            if isinstance(f, Neg):
-                negs[f.body] = nid
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Proof trees
 

@@ -12,14 +12,13 @@ from folp import (
     RuleApp,
     RuleError,
     apply_rule,
-    branch_closed,
     Contradiction,
     CsClosure,
     parse_formula,
     param,
     prove,
 )
-from folp.tableau import FRESH_PARAM_RULES, premise_rules
+from folp.tableau import FRESH_PARAM_RULES, closure_against, premise_rules
 from conftest import CORPUS_GOALS, random_formula
 
 
@@ -215,20 +214,28 @@ class TestPremiseShapes:
         assert seen == set(RULE_NAMES)
 
 
+def closure(*texts, cs=ConstantSpecification()):
+    """The mark ``closure_against`` gives the last of ``texts`` on a
+    branch of the others."""
+    *before, last = branch(*texts).items()
+    seen = {g: nid for nid, g in before}
+    negs = {g.body: nid for nid, g in before if isinstance(g, Neg)}
+    return closure_against(*last, seen, negs, cs)
+
+
 class TestClosure:
     def test_contradiction(self):
-        mark = branch_closed(branch("Q0", "~Q0"), ConstantSpecification())
-        assert mark == Contradiction(node_id=2, with_id=1)
-        assert branch_closed(branch("Q0", "~Q1"), ConstantSpecification()) is None
+        assert closure("Q0", "~Q0") == Contradiction(node_id=2, with_id=1)
+        assert closure("~Q0", "Q0") == Contradiction(node_id=2, with_id=1)
+        assert closure("Q0", "~Q1") is None
 
     def test_cs_closure(self):
         cs = ConstantSpecification(constants=frozenset({"c"}), total=True)
-        mark = branch_closed(branch("~c : (Q0 -> Q1 -> Q0)"), cs)
-        assert mark == CsClosure(node_id=1, constant="c")
+        assert closure("~c : (Q0 -> Q1 -> Q0)", cs=cs) == CsClosure(node_id=1, constant="c")
         # Not an axiom instance: no closure.
-        assert branch_closed(branch("~c : (Q0 -> Q1)"), cs) is None
+        assert closure("~c : (Q0 -> Q1)", cs=cs) is None
         # Non-empty windows never close against the CS.
-        assert branch_closed(branch("~c :[@u] (Q0 -> Q1 -> Q0)"), cs) is None
+        assert closure("~c :[@u] (Q0 -> Q1 -> Q0)", cs=cs) is None
 
 
 class TestBranchIndependence:
