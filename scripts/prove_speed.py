@@ -1,11 +1,13 @@
-"""Time the lexer on chain-256, the prover on cases-5, chain-256 and
-app-64, proof file I/O on cases-4, chain-128 and sum-128, and
-countermodel search on the non-theorems.
+"""Time the lexer on chain-256, the axiom matcher, the prover on
+cases-5, chain-256 and app-64, proof file I/O on cases-4, chain-128 and
+sum-128, and countermodel search on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
 First it prints the lexer's throughput, the best time of ``tokenize``
-over N runs per token, on the text of chain-256.  Then, for each goal,
+over N runs per token, on the text of chain-256, and the best time per
+call of ``match_axiom`` over the 52,036 formulas of the matcher digest
+in ``tests/test_golden.py`` (which needs pytest).  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node and the best ``check_proof`` time of the
@@ -97,7 +99,8 @@ def main() -> None:
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     from folp import (
-        Proved, SearchBudget, check_proof, find_countermodel, parse_formula, prove,
+        Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
+        prove,
     )
     from folp.fileio import read_cs_file, read_proof_file, write_proof_file
     from folp.parser import tokenize
@@ -108,6 +111,14 @@ def main() -> None:
     lex, tokens = best_time(args.repeat, lambda: tokenize(text))
     print(f"chain-256 text: tokenize {lex / len(tokens) * 1e6:.2f} us/token, "
           f"{len(tokens):,} tokens")
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_golden import matcher_inputs
+
+    formulas = matcher_inputs()
+    match, _ = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
+    print(f"match_axiom: {match / len(formulas) * 1e6:.2f} us/call, "
+          f"{len(formulas):,} formulas")
 
     for name, text in (("cases-5", cases(5)), ("chain-256", chain(256)), ("app-64", app(64))):
         goal = parse_formula(text, cs.constants)
