@@ -188,9 +188,11 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
         )
     if name not in premise_rules(p):
         raise RuleError("premise-shape", f"{p} is not a {name} premise")
-    for part, rules in _FIELD_RULES.items():
-        if getattr(rule, part) is not None and name not in rules:
-            raise RuleError("rule-field", f"{name} takes no {part}")
+    # Most instances carry no field: the first test is all they pay.
+    if rule.param is not None or rule.cut is not None or rule.var is not None:
+        for part, rules in _FIELD_RULES.items():
+            if getattr(rule, part) is not None and name not in rules:
+                raise RuleError("rule-field", f"{name} takes no {part}")
 
     if name == "FNeg":
         return [[p.body.body]]
