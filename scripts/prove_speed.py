@@ -6,8 +6,8 @@ sum-128, and countermodel search on the non-theorems.
 
 First it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256, and the best time per
-call of ``match_axiom`` over the 52,036 formulas of the matcher digest
-in ``tests/test_golden.py`` (which needs pytest).  Then, for each goal,
+call of ``match_axiom`` over the inputs of the matcher digest in
+``tests/test_golden.py`` (which needs pytest).  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node and the best ``check_proof`` time of the
