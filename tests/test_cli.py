@@ -162,3 +162,60 @@ class TestModelCheck:
         assert main(["model-check", str(bad), "--cs", CS]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# Command lines that argparse answers itself, with help or a usage error.
+# The file names are never read: argparse stops before any command runs.
+_COMMANDS = ("parse", "axiom-match", "prove", "check", "model-check")
+_HELP_ARGVS = [["-h"], ["--help"], *([c, "-h"] for c in _COMMANDS)]
+_ERROR_ARGVS = [
+    [],
+    ["bogus"],
+    ["Prove"],
+    ["pro"],
+    ["prove"],
+    ["prove", "Q0 -> Q0"],
+    ["--max-nodes", "abc"],
+    ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "--max-nodes", "abc"],
+    ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "extra"],
+    ["check", "proof.json", "--cs", "corpus.cs", "--goal"],
+    ["model-check", "--validate-only"],
+]
+
+
+def _argparse_exit(run, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestArguments:
+    """``main`` answers help and bad command lines exactly as a parser
+    with all five commands does."""
+
+    @pytest.mark.parametrize("argv", _HELP_ARGVS + _ERROR_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_as_full_parser(self, argv, capsys):
+        got = _argparse_exit(main, argv, capsys)
+        want = _argparse_exit(cli.build_parser().parse_args, argv, capsys)
+        assert got == want
+
+    @pytest.mark.parametrize("argv", _HELP_ARGVS,
+                             ids=lambda argv: " ".join(argv))
+    def test_help_exits_0(self, argv, capsys):
+        code, out, err = _argparse_exit(main, argv, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: folp")
+
+    @pytest.mark.parametrize("argv", _ERROR_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_error_exits_2(self, argv, capsys):
+        code, out, err = _argparse_exit(main, argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: folp") and "error: " in err
+
+    def test_extra_argument_usage_lists_every_command(self, capsys):
+        argv = ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "extra"]
+        _, _, err = _argparse_exit(main, argv, capsys)
+        assert "{parse,axiom-match,prove,check,model-check}" in err.splitlines()[0]
