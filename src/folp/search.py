@@ -93,6 +93,10 @@ class Exhausted:
 
 SearchOutcome = Union[Proved, Open, Exhausted]
 
+# A selected rule instance and its child-branch extensions, or ``None``
+# in their place when selection did not need to compute them.
+_Choice = tuple[RuleApp, Optional[list[list[Formula]]]]
+
 _DETERMINISTIC = ("FNeg", "FImp", "FPlus", "FBang", "GenX", "Exp", "TColon", "Ins")
 _QUEUES = (*_DETERMINISTIC, "delta", "TImp", "gamma")
 # The queue each rule's premises join.
@@ -311,17 +315,21 @@ class _Search:
 
     # -- rule selection ----------------------------------------------------
 
-    def _try_rule(self, agenda: _Agenda, rule: RuleApp) -> bool:
-        """Whether the instance applies and adds a formula to each child
-        branch."""
+    def _try_rule(self, agenda: _Agenda, rule: RuleApp) -> Optional[_Choice]:
+        """The instance with its extensions, if it applies and adds a
+        formula to each child branch."""
         try:
             extensions = apply_rule(agenda.branch, rule)
         except RuleError:
-            return False
+            return None
         formulas = agenda.formulas
-        return all(any(f not in formulas for f in ext) for ext in extensions)
+        if all(any(f not in formulas for f in ext) for ext in extensions):
+            return rule, extensions
+        return None
 
-    def select(self, agenda: _Agenda) -> Optional[RuleApp]:
+    def select(self, agenda: _Agenda) -> Optional[_Choice]:
+        """The next rule instance to apply, with its extensions when
+        they were computed to test it (``None`` when they were not)."""
         for name in _DETERMINISTIC:
             if agenda.heads[name] == len(agenda.queues[name]):
                 continue  # nothing past the head
@@ -329,8 +337,9 @@ class _Search:
                 if name == "Ins":
                     # A fresh variable per examination, applicable or not.
                     rule = replace(rule, var=self.fresh_name("v"))
-                if self._try_rule(agenda, rule):
-                    return rule
+                choice = self._try_rule(agenda, rule)
+                if choice is not None:
+                    return choice
                 if name != "Ins":
                     # Inapplicable or redundant, and stays so on this branch.
                     agenda.add(agenda.spent, (name, nid))
@@ -338,28 +347,28 @@ class _Search:
             if agenda.fresh_params >= self.budget.max_params:
                 agenda.hit("max_params")
                 continue
-            return RuleApp(name, (nid,), param=self.fresh_param())
+            return RuleApp(name, (nid,), param=self.fresh_param()), None
         for nid, f in agenda.pending("TImp"):
             if f.left in agenda.negs or f.right in agenda.formulas:
                 agenda.add(agenda.spent, ("TImp", nid))
                 continue
-            return RuleApp("TImp", (nid,))
+            return RuleApp("TImp", (nid,)), None
         # Every gamma premise is examined, even after an instance is found:
         # examining may draw a fresh parameter or retire used ones, which
         # later proofs depend on.  The least used, earliest instance wins.
-        best: Optional[tuple[tuple[int, int, str], RuleApp]] = None
+        best: Optional[tuple[tuple[int, int, str], _Choice]] = None
         for nid, pos, name, premise in agenda.queues["gamma"]:
             find = self._fdot_rule if name == "FDot" else self._param_rule
-            rule = find(name, nid, premise, agenda)
-            if rule is not None:
+            choice = find(name, nid, premise, agenda)
+            if choice is not None:
                 key = (agenda.gamma_uses.get(nid, 0), pos, name)
                 if best is None or key < best[0]:
-                    best = (key, rule)
+                    best = (key, choice)
         return None if best is None else best[1]
 
     def _param_rule(
         self, name: str, nid: int, premise: Formula, agenda: _Agenda
-    ) -> Optional[RuleApp]:
+    ) -> Optional[_Choice]:
         """TForall, FExists or Ctr with the first branch parameter not
         yet used on ``premise``; a quantifier premise may then take one
         fresh parameter."""
@@ -371,20 +380,20 @@ class _Search:
         for p in agenda.param_order:
             if p in used or p in window:
                 continue
-            rule = RuleApp(name, (nid,), param=mk_param(p))
-            if self._try_rule(agenda, rule):
-                return rule
+            choice = self._try_rule(agenda, RuleApp(name, (nid,), param=mk_param(p)))
+            if choice is not None:
+                return choice
             agenda.add(used, p)
         if name == "Ctr" or nid in agenda.gamma_fresh_used:
             return None
         if agenda.fresh_params >= self.budget.max_params:
             agenda.hit("max_params")
             return None
-        return RuleApp(name, (nid,), param=self.fresh_param())
+        return RuleApp(name, (nid,), param=self.fresh_param()), None
 
     def _fdot_rule(
         self, name: str, nid: int, premise: Formula, agenda: _Agenda
-    ) -> Optional[RuleApp]:
+    ) -> Optional[_Choice]:
         """FDot with the first cut candidate not yet tried on ``premise``
         whose two conclusions are both new to the branch."""
         done = agenda.fdot_done[nid]
@@ -394,9 +403,9 @@ class _Search:
         for cut in self._cut_candidates(nid, premise.body, agenda):
             if cut in done:
                 continue
-            rule = RuleApp("FDot", (nid,), cut=cut)
-            if self._try_rule(agenda, rule):
-                return rule
+            choice = self._try_rule(agenda, RuleApp("FDot", (nid,), cut=cut))
+            if choice is not None:
+                return choice
             agenda.add(done, cut)
         return None
 
@@ -473,8 +482,8 @@ class _Search:
             leaf.closure = self._note_and_close(agenda, leaf)
             while leaf.closure is None:
                 self.check_budget(agenda)
-                rule = self.select(agenda)
-                if rule is None:
+                choice = self.select(agenda)
+                if choice is None:
                     if agenda.limit_hit is not None:
                         raise _ExhaustedError(agenda.limit_hit)
                     raise _OpenBranch(
@@ -482,7 +491,9 @@ class _Search:
                         "branch saturated without closing; the goal may not be "
                         "provable with the current strategy",
                     )
-                extensions = apply_rule(agenda.branch, rule)
+                rule, extensions = choice
+                if extensions is None:
+                    extensions = apply_rule(agenda.branch, rule)
                 self._mark_applied(agenda, rule)
                 if len(extensions) > 1:
                     children = [self.make_node(ext[0], rule) for ext in extensions]
