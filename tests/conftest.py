@@ -1,5 +1,9 @@
 """Shared fixtures: the proved-goal corpus, data paths, and a seeded
-random formula generator used for round-trip testing."""
+random formula generator used for round-trip testing.
+
+The tests import folp from ``PYTHONPATH`` or the installed package, and
+from this checkout's ``src`` only when neither has it; the report
+header names the file imported."""
 
 from __future__ import annotations
 
@@ -11,6 +15,14 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import folp
+except ModuleNotFoundError as exc:
+    if exc.name != "folp":
+        raise
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    import folp
 
 from folp import (
     Assert,
@@ -37,6 +49,10 @@ from folp.fileio import read_cs_file
 
 DATA = Path(__file__).parent / "data"
 
+
+def pytest_report_header(config):
+    return f"folp: {folp.__file__}"
+
 # Predicate names at fixed arities, shared by the generator and corpus.
 _PREDS = {"Q0": 0, "Q1": 0, "Q2": 0, "Q": 1, "R": 1, "S": 2}
 _VARS = ("x", "y", "z")
@@ -62,8 +78,8 @@ def model_paths() -> list[Path]:
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter with the default stack, as
-    the CLI would, importing folp from this checkout's ``src``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    the CLI would, importing the folp that the tests import."""
+    src = str(Path(folp.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
