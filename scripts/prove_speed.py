@@ -7,7 +7,11 @@ sum-128, and countermodel search on the non-theorems.
 First it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256, and the best time per
 call of ``match_axiom`` over the inputs of the matcher digest in
-``tests/test_golden.py`` (which needs pytest).  Then, for each goal,
+``tests/test_golden.py`` (which needs pytest).  Next, for one command
+line of each CLI command, it prints the best time of building the
+parser ``folp.cli.main`` builds for it and parsing the line, over 100 N
+calls, and the same for the parser with all five commands on the
+``prove`` line.  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node and the best ``check_proof`` time of the
@@ -36,6 +40,7 @@ FDot cut.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import sys
 import tempfile
@@ -46,6 +51,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The node count of each timed proof.
 PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "app-64": 452}
+
+# One command line per CLI command; the files are never read.
+CLI_ARGVS = (
+    ["parse", "Q0 -> Q0"],
+    ["axiom-match", "Q0 -> Q1 -> Q0"],
+    ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "--out", "proof.json", "--timeout", "30"],
+    ["check", "proof.json", "--cs", "corpus.cs", "--goal", "Q0 -> Q0"],
+    ["model-check", "model.json", "--cs", "corpus.cs", "--formula", "Q0"],
+)
 
 
 def chain(n: int) -> str:
@@ -98,6 +112,7 @@ def main() -> None:
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
     sys.path.insert(0, args.src)
+    from folp import cli
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
@@ -119,6 +134,17 @@ def main() -> None:
     match, _ = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
     print(f"match_axiom: {match / len(formulas) * 1e6:.2f} us/call, "
           f"{len(formulas):,} formulas")
+
+    # A folp whose build_parser takes no command builds all five per call.
+    one_command = bool(inspect.signature(cli.build_parser).parameters)
+    calls = 100 * args.repeat
+    for argv in CLI_ARGVS:
+        build = (lambda: cli.build_parser(argv[0])) if one_command else cli.build_parser
+        best, _ = best_time(calls, lambda: build().parse_args(argv))
+        print(f"cli arguments, {argv[0]}: build and parse {best * 1e3:.3f} ms/call")
+    prove_argv = CLI_ARGVS[2]
+    best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
+    print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
 
     for name, text in (("cases-5", cases(5)), ("chain-256", chain(256)), ("app-64", app(64))):
         goal = parse_formula(text, cs.constants)
