@@ -190,7 +190,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     For a command line that starts with ``command`` the one-command
     parser prints the same help and errors as the full parser, and it
-    takes about half the time to build."""
+    takes a third to a half of the time to build."""
     ap = argparse.ArgumentParser(
         prog="folp",
         description="Parse, prove, check, and model-check formulas of the "
