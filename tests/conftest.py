@@ -53,6 +53,7 @@ DATA = Path(__file__).parent / "data"
 def pytest_report_header(config):
     return f"folp: {folp.__file__}"
 
+
 # Predicate names at fixed arities, shared by the generator and corpus.
 _PREDS = {"Q0": 0, "Q1": 0, "Q2": 0, "Q": 1, "R": 1, "S": 2}
 _VARS = ("x", "y", "z")
