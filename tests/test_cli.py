@@ -178,6 +178,8 @@ _ERROR_ARGVS = [
     ["--max-nodes", "abc"],
     ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "--max-nodes", "abc"],
     ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "extra"],
+    ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "--bogus"],
+    ["parse", "Q0", "extra", "more"],
     ["check", "proof.json", "--cs", "corpus.cs", "--goal"],
     ["model-check", "--validate-only"],
 ]
@@ -219,3 +221,45 @@ class TestArguments:
         argv = ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "extra"]
         _, _, err = _argparse_exit(main, argv, capsys)
         assert "{parse,axiom-match,prove,check,model-check}" in err.splitlines()[0]
+
+
+# Valid command lines; the files are never read, since every command is
+# replaced by a stub.
+_VALID_ARGVS = [
+    ["parse", "--cs=corpus.cs", "Q0 -> Q0"],
+    ["parse", "Q0 -> Q0"],
+    ["axiom-match", "--", "Q0 -> Q1 -> Q0"],
+    ["axiom-match", "--cs", "corpus.cs", "Q0 -> Q1 -> Q0"],
+    ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "--max-n", "7",
+     "--hint", "Q0", "--hint", "Q1 -> Q0", "--out", "proof.json"],
+    ["prove", "--cs", "corpus.cs", "--max-depth", "9", "--max-params", "2",
+     "--max-cuts", "3", "--timeout", "1.5", "--", "Q0 -> Q0"],
+    ["check", "proof.json", "--cs", "corpus.cs"],
+    ["check", "--goal", "Q0 -> Q0", "--cs=corpus.cs", "proof.json"],
+    ["model-check", "model.json", "--cs", "corpus.cs", "--validate-only"],
+    ["model-check", "--cs", "corpus.cs", "--formula", "Q0", "model.json"],
+]
+
+
+class TestNamespace:
+    """``main`` hands each command the Namespace a parser with all five
+    commands gives, through whatever ``cli.cmd_*`` is at call time."""
+
+    @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+    def test_same_as_full_parser(self, argv, monkeypatch):
+        seen = []
+
+        def stub(name):
+            def run(args):
+                seen.append((name, args))
+                return 0
+            return run
+
+        for command in _COMMANDS:
+            name = "cmd_" + command.replace("-", "_")
+            monkeypatch.setattr(cli, name, stub(name))
+        assert main(argv) == 0
+        [(name, args)] = seen
+        assert name == "cmd_" + argv[0].replace("-", "_")
+        assert args.func is getattr(cli, name)
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
