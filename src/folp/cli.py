@@ -5,6 +5,12 @@ verdicts (unproved goal, rejected proof, falsified formula, no axiom
 match), 2 for malformed input or internal errors.  An exception that no
 command expects is an internal error: it is reported as ``internal
 error:`` with its traceback on stderr, never as a negative verdict.
+
+A command line that names a command is read by that command's parser
+alone.  The parser with all five commands (``build_parser``) reads every
+other line, and a line the command's parser leaves arguments over, so
+help and usage errors print what it prints.  Each call builds its
+parsers anew.
 """
 
 from __future__ import annotations
@@ -179,43 +185,50 @@ _COMMANDS = (
              "cmd_model_check", _model_check_arguments),
 )
 
-# What the usage line shows for the command, with every command listed
-# even when the parser has only one.
-_COMMAND_CHOICES = "{" + ",".join(c.name for c in _COMMANDS) + "}"
+
+def _fill(p: argparse.ArgumentParser, c: _Command) -> argparse.ArgumentParser:
+    c.add_arguments(p)
+    p.set_defaults(command=c.name, func=globals()[c.handler])
+    return p
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser of ``folp``, with every command, or with only
-    ``command`` when it names one.
+def _command_parser(name: str) -> Optional[argparse.ArgumentParser]:
+    """The parser of the command ``name`` alone, the same as the
+    five-command parser's subparser for it; None if no command has that
+    name."""
+    for c in _COMMANDS:
+        if c.name == name:
+            return _fill(argparse.ArgumentParser(prog=f"folp {name}"), c)
+    return None
 
-    For a command line that starts with ``command`` the one-command
-    parser prints the same help and errors as the full parser, and it
-    takes a third to a half of the time to build."""
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``folp``, with every command.
+
+    ``main`` uses it for what no single command's parser can answer:
+    help before a command, no command, an unknown command and leftover
+    arguments, whose error's usage line lists every command."""
     ap = argparse.ArgumentParser(
         prog="folp",
         description="Parse, prove, check, and model-check formulas of the "
         "first-order logic of proofs.",
     )
-    chosen = [c for c in _COMMANDS if c.name == command]
-    if chosen:
-        sub = ap.add_subparsers(dest="command", required=True, metavar=_COMMAND_CHOICES)
-    else:
-        # No metavar here: it would also replace "command" in the errors
-        # for a missing or unknown command, which only this parser prints.
-        chosen = list(_COMMANDS)
-        sub = ap.add_subparsers(dest="command", required=True)
-    for c in chosen:
-        p = sub.add_parser(c.name, help=c.help)
-        c.add_arguments(p)
-        p.set_defaults(func=globals()[c.handler])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for c in _COMMANDS:
+        _fill(sub.add_parser(c.name, help=c.help), c)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named command's subparser is built; building all five is
-    # most of the fixed cost of a call.
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # A line that names a command is read by that command's parser
+    # alone: building the five-command parser is most of the fixed cost
+    # of a call.
+    own = _command_parser(argv[0]) if argv else None
+    if own is not None:
+        args, extras = own.parse_known_args(argv[1:])
+    if own is None or extras:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (
