@@ -9,9 +9,9 @@ over N runs per token, on the text of chain-256, and the best time per
 call of ``match_axiom`` over the inputs of the matcher digest in
 ``tests/test_golden.py`` (which needs pytest).  Next, for one command
 line of each CLI command, it prints the best time of building the
-parser ``folp.cli.main`` builds for it and parsing the line, over 100 N
-calls, and the same for the parser with all five commands on the
-``prove`` line.  Then, for each goal,
+parser ``folp.cli.main`` builds for it (the command's own parser) and
+parsing the line, over 100 N calls, and the same for the parser with all
+five commands on the ``prove`` line.  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node and the best ``check_proof`` time of the
@@ -135,12 +135,22 @@ def main() -> None:
     print(f"match_axiom: {match / len(formulas) * 1e6:.2f} us/call, "
           f"{len(formulas):,} formulas")
 
-    # A folp whose build_parser takes no command builds all five per call.
-    one_command = bool(inspect.signature(cli.build_parser).parameters)
+    # What main builds and parses per call, in this folp and in older ones:
+    # the command's own parser; the five-command parser with only the
+    # named command's subparser (build_parser takes the command); or the
+    # five-command parser with all five.
+    if hasattr(cli, "_command_parser"):
+        def parse(argv):
+            return cli._command_parser(argv[0]).parse_known_args(argv[1:])
+    elif inspect.signature(cli.build_parser).parameters:
+        def parse(argv):
+            return cli.build_parser(argv[0]).parse_args(argv)
+    else:
+        def parse(argv):
+            return cli.build_parser().parse_args(argv)
     calls = 100 * args.repeat
     for argv in CLI_ARGVS:
-        build = (lambda: cli.build_parser(argv[0])) if one_command else cli.build_parser
-        best, _ = best_time(calls, lambda: build().parse_args(argv))
+        best, _ = best_time(calls, lambda: parse(argv))
         print(f"cli arguments, {argv[0]}: build and parse {best * 1e3:.3f} ms/call")
     prove_argv = CLI_ARGVS[2]
     best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
