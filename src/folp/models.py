@@ -261,10 +261,21 @@ def satisfies(m: MkrtychevModel, f: Formula) -> bool:
     """Truth of a closed domain formula in ``m``.
 
     An assertion is true iff its body belongs to the term's evidence and
-    the body's universal closure holds over the domain.
+    the body's universal closure holds over the domain.  A formula outside
+    the model's language, one that names an element not in the domain or
+    uses a predicate at an arity other than the one the model's rows or
+    evidence fix, raises ``ModelError``.
     """
     if free_vars(f) or par_set(f):
         raise ModelError(f"satisfaction is defined for closed domain formulas: {f}")
+    outside = elem_set(f).difference(m.domain)
+    if outside:
+        raise ModelError(f"element ${min(outside)} is not in the domain: {f}")
+    arities = _arity_map(m)
+    for q, used in predicate_arities(f).items():
+        if q in arities and used != {arities[q]}:
+            k = max(used - {arities[q]})
+            raise ModelError(f"predicate {q} used at arity {k}, expected {arities[q]}: {f}")
     return _eval(m, f, _Table(m.domain))
 
 

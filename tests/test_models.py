@@ -16,7 +16,7 @@ from folp import (
     validate_model,
 )
 from folp.fileio import parse_model, read_model_file, write_model
-from conftest import CORPUS_GOALS, NON_THEOREMS, model_paths
+from conftest import CORPUS_GOALS, DATA, NON_THEOREMS, model_paths
 
 
 def build(data, decls=("c",)):
@@ -158,6 +158,27 @@ class TestSatisfaction:
             satisfies(build(CLEAN), parse_formula("Q(x)"))
         with pytest.raises(ModelError):
             satisfies(build(CLEAN), parse_formula("Q(@u)"))
+
+    # model07's domain is {a, b}, and its rows fix Q as unary.
+    @pytest.mark.parametrize("text", ["~Q($zz)", "Q($a, $a)", "~(exists x. Q(x, x))"])
+    def test_formula_outside_the_language_rejected(self, text, corpus_cs):
+        m = read_model_file(DATA / "models" / "model07.json", corpus_cs.constants)
+        with pytest.raises(ModelError):
+            satisfies(m, parse_formula(text, corpus_cs.constants))
+
+    def test_evidence_fixes_an_arity(self):
+        # CLEAN lists no row of A, but its evidence uses A as unary; an
+        # assertion's body is in the language too.
+        m = build(CLEAN)
+        for text in ("A($a, $a)", "c : forall x. A($a, x)", "q : Q0($a)", "q :[$b] Q0"):
+            with pytest.raises(ModelError):
+                satisfies(m, parse_formula(text, ("c",)))
+
+    def test_unfixed_arity_is_free(self):
+        # Q has no rows and no evidence in CLEAN, and R is not declared.
+        m = build(CLEAN)
+        assert not satisfies(m, parse_formula("Q($a, $a)"))
+        assert satisfies(m, parse_formula("R($a, $a) -> Q($a)"))
 
 
 class TestBoundNameClash:
