@@ -24,6 +24,7 @@ A file that is not UTF-8, or JSON nested past the decoder's limit, is a
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -179,7 +180,9 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ParseError)
 
 def parse_model(data: dict, decls: Iterable[str] = ()):
     """Build a model from its JSON dict; returns ``models.MkrtychevModel``.
-    Malformed input raises :class:`FileFormatError`.
+    Malformed input raises :class:`FileFormatError`, and so does a domain
+    that repeats an element or names one that ``$name`` cannot write (an
+    element is an identifier, ``[A-Za-z_][A-Za-z0-9_]*``).
 
     Schema::
 
@@ -199,6 +202,9 @@ def _parse_model(data: dict, decls: Iterable[str]):
     if not isinstance(data.get("domain"), list) or not data["domain"]:
         raise FileFormatError("model domain must be a non-empty list")
     domain = tuple(str(d) for d in data["domain"])
+    for i, d in enumerate(domain):
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", d) or d in domain[:i]:
+            raise FileFormatError(f"domain element {d!r} is not a unique identifier")
     interp: dict[str, frozenset[tuple[str, ...]]] = {}
     for pred, tuples in data.get("predicates", {}).items():
         rows = set()

@@ -163,6 +163,24 @@ class TestModelCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("domain", [["a", "a"], ["a", "1"]])
+    def test_bad_domain_exits_2(self, domain, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain": domain, "predicates": {"Q": [["a"]]}}))
+        assert main(["model-check", str(bad), "--cs", CS]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert f"domain element {domain[1]!r}" in err
+
+    # model07's domain is {a, b}, and its rows fix Q as unary.
+    @pytest.mark.parametrize("formula", ["~Q($zz)", "Q($a, $a)", "~(exists x. Q(x, x))"])
+    def test_formula_outside_the_model_language_exits_2(self, formula, capsys):
+        model = str(DATA / "models" / "model07.json")
+        assert main(["model-check", model, "--cs", CS, "--formula", formula]) == 2
+        out, err = capsys.readouterr()
+        assert out == "model valid\n"
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 # Command lines that argparse answers itself, with help or a usage error.
 # The file names are never read: argparse stops before any command runs.

@@ -165,6 +165,9 @@ class TestModelFiles:
         "data",
         [
             {"domain": [], "predicates": {}, "evidence": []},
+            # An element listed twice, or one that $name cannot write.
+            {"domain": ["a", "a"], "predicates": {}, "evidence": []},
+            {"domain": ["a", "1"], "predicates": {}, "evidence": []},
             {"domain": ["a"], "predicates": {"Q": [["b"]]}, "evidence": []},
             {"domain": ["a"], "predicates": {},
              "evidence": [{"term": "p", "formulas": ["Q(@u)"]}]},
