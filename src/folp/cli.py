@@ -6,11 +6,9 @@ match), 2 for malformed input or internal errors.  An exception that no
 command expects is an internal error: it is reported as ``internal
 error:`` with its traceback on stderr, never as a negative verdict.
 
-A command line that names a command is read by that command's parser
-alone.  The parser with all five commands (``build_parser``) reads every
-other line, and a line the command's parser leaves arguments over, so
-help and usage errors print what it prints.  Each call builds its
-parsers anew.
+A command line that names a command is read by that command's own
+parser; ``build_parser``'s five-command parser answers the rest.  No
+parser is kept between calls.
 """
 
 from __future__ import annotations
