@@ -275,8 +275,10 @@ def _mutations(rng, text, count):
         yield "".join(chars)
 
 
-def _parse_lines():
-    decls = {"c"}
+def _parse_inputs():
+    """``(kind, text)`` for each shipped input and its seeded mutations:
+    the corpus goals, the family goals, the model evidence terms and
+    formulas, and ``corpus.cs``."""
     formulas = [*CORPUS_GOALS, *(fam(n) for fam, sizes in (
         (chain, (32, 64, 128, 256)), (cases, (3, 4)),
         (sum_family, (32, 64, 128)), (app, (4, 8, 12, 16))) for n in sizes)]
@@ -285,6 +287,16 @@ def _parse_lines():
         for entry in json.loads(path.read_text())["evidence"]:
             terms.append(entry["term"])
             formulas.extend(entry["formulas"])
+    rng = random.Random(20261018)
+    for kind, texts, count in (("formula", formulas, 12), ("term", terms, 12),
+                               ("cs", [(DATA / "corpus.cs").read_text()], 100)):
+        for text in texts:
+            for variant in (text, *_mutations(rng, text, count)):
+                yield kind, variant
+
+
+def _parse_lines():
+    decls = {"c"}
 
     def formula(text):
         p = Parser(tokenize(text), decls)
@@ -299,21 +311,39 @@ def _parse_lines():
         return repr((sorted(spec.constants), [(c, print_formula(f)) for c, f in spec.concrete],
                      spec.schematic, spec.total, spec.variant_closed))
 
-    rng = random.Random(20261018)
-    for kind, read, texts, count in (("formula", formula, formulas, 12), ("term", term, terms, 12),
-                                     ("cs", cs, [(DATA / "corpus.cs").read_text()], 100)):
-        for text in texts:
-            for variant in (text, *_mutations(rng, text, count)):
-                try:
-                    out = read(variant)
-                except (ParseError, FileFormatError) as exc:
-                    out = f"{type(exc).__name__} {exc}"
-                yield f"{kind} {variant!r} {out}"
+    read = {"formula": formula, "term": term, "cs": cs}
+    for kind, variant in _parse_inputs():
+        try:
+            out = read[kind](variant)
+        except (ParseError, FileFormatError) as exc:
+            out = f"{type(exc).__name__} {exc}"
+        yield f"{kind} {variant!r} {out}"
 
 
 def test_parse_identity():
     text = "\n".join(_parse_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
+
+
+# Token identity: what ``tokenize`` returns for the inputs of the parse
+# digest, recorded before the lexer read each text with one ``findall``.
+# Each line is the token list, or the error text with its ``line:col``.
+
+TOKEN_DIGEST = "f7982b6d7e97b8dae7323c8cb3d7fdf5393f842f0e9a75c30df1fd96d2e0d159"
+
+
+def _token_lines():
+    for _, text in _parse_inputs():
+        try:
+            out = repr([(t.kind, t.text, t.offset, t.line, t.col) for t in tokenize(text)])
+        except ParseError as exc:
+            out = f"ParseError {exc}"
+        yield f"{text!r} {out}"
+
+
+def test_token_identity():
+    text = "\n".join(_token_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == TOKEN_DIGEST
 
 
 # ---------------------------------------------------------------------------
