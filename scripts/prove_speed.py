@@ -1,11 +1,15 @@
-"""Time the lexer on chain-256, the axiom matcher, the prover on
-cases-5, chain-256 and app-64, proof file I/O on cases-4, chain-128 and
-sum-128, and countermodel search on the non-theorems.
+"""Time the lexer on chain-256 and the model evidence texts, the axiom
+matcher, the prover on cases-5, chain-256 and app-64, proof file I/O on
+cases-4, chain-128, sum-64, sum-128 and app-16, and countermodel search
+on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
 First it prints the lexer's throughput, the best time of ``tokenize``
-over N runs per token, on the text of chain-256, and the best time per
+over N runs per token, on the text of chain-256 and on the evidence
+terms and formulas of ``tests/data/models``; on the latter also that of
+building a ``Parser``, which scans the text itself, where it does so.
+Then the best time per
 call of ``match_axiom`` over the inputs of the matcher digest in
 ``tests/test_golden.py`` (which needs pytest).  Next, for one command
 line of each CLI command, it prints the best time of building the
@@ -18,9 +22,13 @@ proof, the time per node and the best ``check_proof`` time of the
 proof; parsing is not timed.  It fails if a node count differs from the
 one pinned in ``PROOF_NODES``: the counts change only if the proofs do.
 For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
-formula-heavy) and sum-128 (term-heavy) it then prints the best times of
-``write_proof_file`` and ``read_proof_file`` over N runs, the file's
-size, and the best ``check_proof`` time of the proof read back.  Last it
+formula-heavy), sum-64 and sum-128 (term-heavy) and app-16 (FDot cuts)
+it then prints the best times of ``write_proof_file`` and
+``read_proof_file`` over N runs, the best times of the reader's three
+parts (reading and decoding the JSON in ``fileio._read_json``, the nodes in
+``fileio._parse_tree``, and the rest: the roots and their lookup
+table), the file's size, and the best ``check_proof`` time of the proof
+read back.  Last it
 prints the best time of ``find_countermodel``
 (``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
 and how many models it checked, and fails if a count differs from the
@@ -42,6 +50,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import itertools
+import json
 import sys
 import tempfile
 import time
@@ -106,6 +115,33 @@ def best_time(repeat: int, run):
     return best, out
 
 
+def timed_parts(module, names, run):
+    """Call ``run()`` with the functions ``names`` of ``module`` timed;
+    return its time, the time spent in each of them, and its result."""
+    spent = dict.fromkeys(names, 0.0)
+    saved = {name: getattr(module, name) for name in names}
+
+    def timed(name, fn):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return call
+
+    for name, fn in saved.items():
+        setattr(module, name, timed(name, fn))
+    try:
+        start = time.perf_counter()
+        out = run()
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)
+    return total, spent, out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
@@ -117,8 +153,9 @@ def main() -> None:
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
     )
+    from folp import fileio
     from folp.fileio import read_cs_file, read_proof_file, write_proof_file
-    from folp.parser import tokenize
+    from folp.parser import Parser, tokenize
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
     budget = SearchBudget(max_nodes=100_000, max_depth=5_000, time_limit=300.0)
@@ -126,6 +163,17 @@ def main() -> None:
     lex, tokens = best_time(args.repeat, lambda: tokenize(text))
     print(f"chain-256 text: tokenize {lex / len(tokens) * 1e6:.2f} us/token, "
           f"{len(tokens):,} tokens")
+    texts = [text for path in sorted((ROOT / "tests" / "data" / "models").glob("*.json"))
+             for entry in json.loads(path.read_text())["evidence"]
+             for text in (entry["term"], *entry["formulas"])]
+    lex, lists = best_time(args.repeat, lambda: [tokenize(text) for text in texts])
+    count = sum(map(len, lists))
+    line = (f"model evidence texts: tokenize {lex / count * 1e6:.2f} us/token, "
+            f"{count:,} tokens in {len(texts)} texts")
+    if "text" in inspect.signature(Parser).parameters:  # Parser reads the text itself
+        scan, _ = best_time(args.repeat, lambda: [Parser(text) for text in texts])
+        line += f"; the parser's own scan {scan / count * 1e6:.2f} us/token"
+    print(line)
 
     sys.path.insert(0, str(ROOT / "tests"))
     from test_golden import matcher_inputs
@@ -167,20 +215,29 @@ def main() -> None:
               f"{best / nodes * 1e6:.1f} us/node, check {check:.3f} s")
         assert nodes == PROOF_NODES[name], (name, nodes, PROOF_NODES[name])
 
+    parts = ("_read_json", "_parse_tree")
     for name, text in (("cases-4", cases(4)), ("chain-128", chain(128)),
-                       ("sum-128", sum_family(128))):
+                       ("sum-64", sum_family(64)), ("sum-128", sum_family(128)),
+                       ("app-16", app(16))):
         goal = parse_formula(text, cs.constants)
         outcome = prove(goal, cs, budget)
         assert isinstance(outcome, Proved), outcome
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "proof.json"
             write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
-            read, tree = best_time(args.repeat, lambda: read_proof_file(path, cs.constants))
+            runs = [timed_parts(fileio, parts, lambda: read_proof_file(path, cs.constants))
+                    for _ in range(args.repeat)]
             size = path.stat().st_size
+        tree = runs[-1][2]
+        read = min(total for total, _, _ in runs)
+        decode, nodes = (min(spent[part] for _, spent, _ in runs) for part in parts)
+        roots = min(total - sum(spent.values()) for total, spent, _ in runs)
         check, verdict = best_time(args.repeat, lambda: check_proof(tree, cs, goal))
         assert verdict.accepted, verdict
-        print(f"{name} proof file: write {write * 1e3:.1f} ms, read {read * 1e3:.1f} ms, "
-              f"{size:,} bytes, check read back {check * 1e3:.1f} ms")
+        print(f"{name} proof file: write {write * 1e3:.2f} ms, read {read * 1e3:.2f} ms "
+              f"(JSON {decode * 1e3:.2f}, roots and table {roots * 1e3:.2f}, "
+              f"nodes {nodes * 1e3:.2f}), {size:,} bytes, "
+              f"check read back {check * 1e3:.1f} ms")
 
     for text, pinned in non_theorems():
         goal = parse_formula(text, cs.constants)

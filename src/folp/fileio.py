@@ -37,12 +37,12 @@ from .parser import (
     parse_formula,
     parse_term,
     print_formula,
-    tokenize,
 )
 from .syntax import (
     Assert,
     Atom,
     Formula,
+    Impl,
     Neg,
     Sum,
     canonical,
@@ -75,68 +75,66 @@ def parse_cs(text: str) -> ConstantSpecification:
 
 
 def _parse_cs(text: str) -> ConstantSpecification:
-    tokens = tokenize(text)
-    p = Parser(tokens)
     constants: set[str] = set()
+    # Entries read the constants declared so far.
+    p = Parser(text, arities={})
+    p.decls = constants
+    kinds, texts = p.kinds, p.texts
     concrete: list[tuple[str, Formula]] = []
     schematic: list[tuple[str, str]] = []
     total = False
     variant_closed = False
-    arities: dict[str, int] = {}
 
     while not p.at_end():
-        tok = p.peek()
-        if tok.kind == "VARIANT":
+        i = p.pos
+        kind, word = kinds[i], texts[i]
+        if kind == "VARIANT":
             p.next()
             p.expect(".")
             variant_closed = True
             continue
-        if tok.kind == "LID" and tok.text == "total":
+        if kind == "LID" and word == "total":
             p.next()
             p.expect(".")
             total = True
             continue
-        if tok.kind == "LID" and tok.text == "const":
+        if kind == "LID" and word == "const":
             p.next()
             while True:
-                name = p.expect("LID")
-                constants.add(name.text)
-                if p.peek().kind == ",":
+                constants.add(p.expect("LID"))
+                if kinds[p.pos] == ",":
                     p.next()
                     continue
                 break
             p.expect(".")
             continue
-        if tok.kind == "LID":
-            cname = p.next().text
+        if kind == "LID":
+            cname = p.next()
             if cname not in constants:
                 raise FileFormatError(
-                    f"line {tok.line}: entry for undeclared constant {cname!r}"
+                    f"line {p.token(i).line}: entry for undeclared constant {cname!r}"
                 )
             p.expect(":")
-            nxt = p.peek()
-            if nxt.kind == "LID" and nxt.text == "scheme":
+            j = p.pos
+            if kinds[j] == "LID" and texts[j] == "scheme":
                 p.next()
-                scheme = p.expect("UID").text
+                scheme = p.expect("UID")
                 if scheme not in SCHEMES:
                     raise FileFormatError(
-                        f"line {nxt.line}: unknown scheme {scheme!r}"
+                        f"line {p.token(j).line}: unknown scheme {scheme!r}"
                     )
                 p.expect(".")
                 schematic.append((cname, scheme))
                 continue
-            fp = Parser(p.tokens, constants, arities)
-            fp.pos = p.pos
             try:
-                f = fp.formula()
+                f = p.formula()
             except ParseError as exc:
                 raise FileFormatError(f"in entry for {cname}: {exc}") from exc
-            p.pos = fp.pos
             p.expect(".")
             concrete.append((cname, f))
             continue
         raise FileFormatError(
-            f"line {tok.line}: unexpected {tok.text!r} in constant specification"
+            f"line {p.token(i).line}: unexpected {word!r} in constant specification"
         )
 
     try:
@@ -399,50 +397,58 @@ def _parse_closure(data: Optional[dict], nid: int):
     if kind == "contradiction":
         return Contradiction(node_id=nid, with_id=_typed(data["with"], int, "closure 'with'"))
     if kind == "cs":
-        return CsClosure(node_id=nid, constant=str(data["constant"]))
+        return CsClosure(node_id=nid, constant=_typed(data["constant"], str, "closure 'constant'"))
     raise FileFormatError(f"unknown closure kind {kind!r}")
 
 
-def _add_signed_subformulas(table: dict[str, Formula], root: Formula, peak: int) -> None:
-    """Enter into ``table``, under its printed text, every subformula
-    ``g`` of ``root``, every ``u :[X] A`` that ``FPlus`` reaches from a
+def _add_subformulas(table: dict[str, Formula], root: Formula) -> None:
+    """Enter into ``table``, under its printed text, every subformula of
+    ``root`` and every ``u :[X] A`` that ``FPlus`` reaches from a
     subformula ``t :[X] A`` (``u`` a summand of ``t``, through ``+``
-    only), and the negation of each; ``peak`` is the most nesting levels
-    the parser entered reading ``root``.
+    only).  Only ``root`` is printed: a summand assertion's text is the
+    summand's text, then the rest of the text of ``t :[X] A``.
 
-    Most rules conclude a subformula of a premise, or its negation, and
-    ``FPlus`` concludes ``~(u :[X] A)`` from ``~(t :[X] A)``, so most
-    proof nodes carry one of these formulas.  Each entry is what
-    ``parse_formula`` returns for its text: the text reparses to the
-    formula, no deeper than ``root`` (a summand nests no deeper than its
-    sum), and the arity of every predicate in it is already recorded.  A
-    negation nests at most two levels deeper than its formula, so
-    negations are entered only when that stays within ``MAX_DEPTH``;
-    otherwise the node text is parsed, and may be rejected.  Each
-    subterm is printed once.
+    Most rules conclude a subformula of a premise, or its negation (see
+    ``_negation``), and ``FPlus`` concludes ``~(u :[X] A)`` from
+    ``~(t :[X] A)``.  Each entry is what ``parse_formula`` returns for
+    its text: the text reparses to the formula, no deeper than ``root``
+    (a summand nests no deeper than its sum), and the arity of every
+    predicate in it is already recorded.
     """
     memo: Memo = {}
     print_formula(root, memo)
     for g in [g for g in memo if isinstance(g, Assert)]:
+        rest = memo[g][len(memo[g.term]):]
         stack = [g.term]
         while stack:
             t = stack.pop()
             if isinstance(t, Sum):
                 for u in (t.left, t.right):
-                    print_formula(Assert(u, g.window, g.body), memo)
+                    table.setdefault(memo[u] + rest, Assert(u, g.window, g.body))
                     stack.append(u)
-    if peak + 2 <= MAX_DEPTH:
-        for g in [g for g in memo if isinstance(g, Formula)]:
-            print_formula(Neg(g), memo)
     table.update((s, g) for g, s in memo.items() if isinstance(g, Formula))
 
 
-def _parse_tree(
-    data: dict, decls: Iterable[str], arities: dict[str, int], table: dict[str, Formula]
-) -> ProofNode:
+def _negation(table: dict[str, Formula], text: str) -> Optional[Formula]:
+    """``~g`` if ``text``, which starts with ``~``, is the printed
+    negation of an entry ``g`` of ``table``: ``~`` and the text of ``g``,
+    which is in parentheses if ``g`` is an implication."""
+    g = table.get(text[1:])
+    if g is None or type(g) is Impl:
+        g = table.get(text[2:-1])
+        if type(g) is not Impl or text[1] + text[-1] != "()":
+            return None
+    return Neg(g)
+
+
+def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
+                table: dict[str, Formula], negate: bool) -> ProofNode:
     """The tree ``data`` writes, read depth first, children in order, off
-    an explicit stack."""
+    an explicit stack.  A node text that is an entry of ``table``, or,
+    if ``negate``, the negation of one, is looked up instead of parsed;
+    each negation is built once, and none on top of another."""
     rules: dict[tuple, RuleApp] = {}
+    negations: dict[str, Formula] = {}
     top: list[ProofNode] = []
     stack = [(top, data)]  # (the parent's list of children, node data)
     while stack:
@@ -450,9 +456,12 @@ def _parse_tree(
         try:
             nid = _typed(data["id"], int, "node id")
             text = data["formula"]
+            formula = table.get(text) or negations.get(text)
+            if formula is None and negate and text[:1] == "~":
+                formula = negations[text] = _negation(table, text)
             node = ProofNode(
                 id=nid,
-                formula=table.get(text) or parse_formula(text, decls, arities),
+                formula=formula or parse_formula(text, decls, arities),
                 rule=_parse_rule(data.get("rule"), decls, rules),
                 closure=_parse_closure(data.get("closure"), nid),
             )
@@ -483,12 +492,14 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
                                   or {"kind": "cs", "constant": "c"}}}
 
     ``param``, ``cut`` and ``var`` appear only on rules that take them.
-    Node ids, premises and ``with`` are JSON integers (not booleans), and
-    ``premises`` is a list.  A node text that is a subformula of a root,
-    an ``FPlus`` conclusion from one, or the negation of either is looked
-    up instead of parsed (see ``_add_signed_subformulas``); others, such
-    as quantifier instances, are parsed.  Nodes whose rule objects have
-    equal fields share one ``RuleApp``, built, cut parsed, once.
+    Node ids, premises and ``with`` are JSON integers (not booleans),
+    ``premises`` is a list, and a CS closure's ``constant`` is a JSON
+    string.  A node text that is a subformula of a root, an ``FPlus``
+    conclusion from one, or the negation of either is looked up instead
+    of parsed (see ``_add_subformulas`` and ``_negation``); others, such
+    as quantifier instances, are parsed.  Only the roots are printed.
+    Nodes whose rule objects have equal fields share one ``RuleApp``,
+    built, cut parsed, once.
     """
     if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")
@@ -497,14 +508,18 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
         raise FileFormatError("proof 'roots' must be a list of formulas")
     roots: list[Formula] = []
     table: dict[str, Formula] = {}
+    peak = 0  # the most nesting levels the parser entered reading a root
     try:
         for text in data["roots"]:
-            p = Parser(tokenize(text), decls, arities)
+            p = Parser(text, decls, arities)
             roots.append(p.whole(p.formula))
-            _add_signed_subformulas(table, roots[-1], p.peak)
+            peak = max(peak, p.peak)
+            _add_subformulas(table, roots[-1])
     except _MALFORMED as exc:
         raise FileFormatError(f"bad proof root: {exc!r}") from exc
-    return ProofTree(roots=roots, root=_parse_tree(data["tree"], decls, arities, table))
+    # A negation nests at most two levels deeper than its formula.
+    root = _parse_tree(data["tree"], decls, arities, table, peak + 2 <= MAX_DEPTH)
+    return ProofTree(roots=roots, root=root)
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:

@@ -264,19 +264,32 @@ def satisfies(m: MkrtychevModel, f: Formula) -> bool:
     the body's universal closure holds over the domain.  A formula outside
     the model's language, one that names an element not in the domain or
     uses a predicate at an arity other than the one the model's rows or
-    evidence fix, raises ``ModelError``.
+    evidence fix, raises ``ModelError``.  Only the predicates of ``f`` are
+    read for this; ``validate_model`` checks the rest of the model.
     """
     if free_vars(f) or par_set(f):
         raise ModelError(f"satisfaction is defined for closed domain formulas: {f}")
     outside = elem_set(f).difference(m.domain)
     if outside:
         raise ModelError(f"element ${min(outside)} is not in the domain: {f}")
-    arities = _arity_map(m)
     for q, used in predicate_arities(f).items():
-        if q in arities and used != {arities[q]}:
-            k = max(used - {arities[q]})
-            raise ModelError(f"predicate {q} used at arity {k}, expected {arities[q]}: {f}")
+        fixed = _fixed_arity(m, q)
+        if fixed is not None and used != {fixed}:
+            k = max(used - {fixed})
+            raise ModelError(f"predicate {q} used at arity {k}, expected {fixed}: {f}")
     return _eval(m, f, _Table(m.domain))
+
+
+def _fixed_arity(m: MkrtychevModel, q: str) -> Optional[int]:
+    """The arity ``m`` fixes for ``q``, if it declares ``q``: that of its
+    rows or, with none, of its first use in the evidence.  Only ``q`` is
+    read; ``validate_model`` checks the rest of the model."""
+    sizes = {len(row) for row in m.interp.get(q, ())}
+    if len(sizes) > 1:
+        raise ModelError(f"predicate {q} interpreted at mixed arities")
+    uses = (min(arities[q]) for bucket in m.evidence.values()
+            for arities in map(predicate_arities, bucket.values()) if q in arities)
+    return sizes.pop() if sizes else next(uses, None) if q in m.interp else None
 
 
 def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:

@@ -20,12 +20,16 @@ identifiers (a JID is a constant iff declared); parameters are
 following unary-level formula, so ``t:[x]A -> B`` reads ``(t:[x]A) -> B``
 and ``p : forall x. A(x) -> B`` reads ``(p : forall x. A(x)) -> B``.
 
-The lexer reads each token with one regex match, which also takes the
-whitespace and comments before it.  A token keeps its offset; its line
-and column are worked out only for an error message.  A ``(`` that
-starts a unary formula is read as a term first only if a term can start
-after the opening parentheses, at ``!`` or a lowercase identifier other
-than ``forall`` and ``exists``; otherwise it opens a formula.
+The lexer reads a text with one ``findall`` of one regex, which skips
+the whitespace and comments before each token and captures its text; a
+table gives the token's kind.  The parser reads the lists of kinds and
+texts by index.  A token's offset, line and column are worked out, by
+scanning again, only for an error message or for ``tokenize``.
+
+A ``(`` that starts a unary formula is read as a term first only if a
+term can start after the opening parentheses, at ``!`` or a lowercase
+identifier other than ``forall`` and ``exists``; otherwise it opens a
+formula.
 
 Chains are read iteratively.  Input nested deeper than ``MAX_DEPTH``
 levels (each prefix operator, parenthesis and chain link is one) is a
@@ -37,6 +41,7 @@ print at any depth.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .syntax import (
@@ -99,65 +104,64 @@ class Token:
         return self.offset - self.source.rfind("\n", 0, self.offset)
 
 
-# One match per token: the whitespace and comments before it, then the
-# token, a character no token starts with (BAD), or the end (EOF).
+# The whitespace and comments before a token, then the token: a
+# character no token starts with (BAD), or the end (EOF, "").  The one
+# group is the token's text.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|\#[^\n]*)*
-    (?:
-      (?P<VARIANT>variant-closed\b)
-    | (?P<ARROW>->)
-    | (?P<PARAM>@[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<ELEM>\$[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<UID>[A-Z][A-Za-z0-9_]*)
-    | (?P<LID>[a-z_][A-Za-z0-9_]*)
-    | (?P<PUNCT>[~:.,()\[\]<>+*!])
-    | (?P<BAD>.)
-    | (?P<EOF>\Z)
+    (
+      variant-closed\b | -> | [@$]?[A-Za-z_][A-Za-z0-9_]*
+    | [~:.,()\[\]<>+*!] | . | \Z
     )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+# The kind of each token text listed; an identifier has the kind of the
+# identifier made of its first character and ``_``.  Any other text is a
+# BAD character.
+_KIND = {"": "EOF", "->": "ARROW", "variant-closed": "VARIANT", "@": "BAD", "$": "BAD",
+         **{c: c for c in "~:.,()[]<>+*!"},
+         **{c + "_": "UID" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"},
+         **{c + "_": "LID" for c in "abcdefghijklmnopqrstuvwxyz_"},
+         "@_": "PARAM", "$_": "ELEM"}
+
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, ending with one EOF token."""
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = m[kind]
-        offset = m.start(kind)
-        if kind == "PUNCT":
-            kind = tok
-        elif kind == "BAD":
-            bad = Token(kind, tok, offset, text)
-            raise ParseError(f"unexpected character {tok!r}", bad.line, bad.col)
-        append(Token(kind, tok, offset, text))
-        if kind == "EOF":
-            break
-    return tokens
+    p = Parser(text)
+    offsets = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    return list(map(Token, p.kinds, p.texts, offsets, [text] * len(p.kinds)))
 
 
-def _term_start(tok: Token) -> bool:
-    """Whether a term can start at ``tok``: ``Parser.tpre`` reads ``!``,
+def _term_start(kind: str, text: str) -> bool:
+    """Whether a term can start at a token: ``Parser.tpre`` reads ``!``,
     ``(`` and a lowercase identifier; ``forall`` and ``exists`` open a
     formula instead."""
-    return tok.kind in ("!", "(") or (
-        tok.kind == "LID" and tok.text not in ("forall", "exists")
-    )
+    return kind in ("!", "(") or (kind == "LID" and text not in ("forall", "exists"))
 
 
 class Parser:
-    """Token-stream parser; reusable for formulas, terms, and CS files."""
+    """Recursive descent over the kinds and texts of the tokens of
+    ``text``, which end with EOF; reusable for formulas, terms, and CS
+    files."""
 
     def __init__(
         self,
-        tokens: list[Token],
+        text: str,
         decls: Iterable[str] = (),
         arities: Optional[dict[str, int]] = None,
     ):
-        self.tokens = tokens
+        self.source = text
+        self.texts = texts = _TOKEN_RE.findall(text)
+        if len(texts) > 1 and not texts[-2]:
+            texts.pop()  # a second empty match at the end, after its whitespace
+        get = _KIND.get
+        self.kinds = [get(t) or get(t[0] + "_", "BAD") for t in texts]
+        if "BAD" in self.kinds:
+            i = self.kinds.index("BAD")
+            raise self.error(f"unexpected character {texts[i]!r}", i)
         self.pos = 0
         self.decls = set(decls)
         self.arities = arities if arities is not None else {}
@@ -166,31 +170,32 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        # ``next`` never moves past the closing EOF token.
-        return self.tokens[self.pos]
+    def token(self, i: Optional[int] = None) -> Token:
+        """Token ``i``, by default the current one, its offset found by
+        scanning again, as for an error."""
+        i = self.pos if i is None else i
+        m = next(islice(_TOKEN_RE.finditer(self.source), i, None))
+        return Token(self.kinds[i], self.texts[i], m.start(1), self.source)
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def next(self) -> str:
+        """The current token's text; moves on, but never past EOF."""
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            self.pos = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            raise self.error(
+                f"expected {kind!r}, found {self.texts[self.pos] or 'end of input'!r}"
             )
         return self.next()
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+        return self.kinds[self.pos] == "EOF"
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
+    def error(self, message: str, i: Optional[int] = None) -> ParseError:
+        tok = self.token(i)
         return ParseError(message, tok.line, tok.col)
 
     def deeper(self) -> None:
@@ -205,7 +210,7 @@ class Parser:
         """``parse()``, which must read all of the input."""
         out = parse()
         if not self.at_end():
-            raise self.error(f"trailing input {self.peek().text!r}")
+            raise self.error(f"trailing input {self.texts[self.pos]!r}")
         return out
 
     def nested(self, parse):
@@ -219,8 +224,8 @@ class Parser:
 
     def formula(self) -> Formula:
         parts = [self.unary()]
-        while self.peek().kind == "ARROW":
-            self.next()
+        while self.kinds[self.pos] == "ARROW":
+            self.pos += 1
             self.deeper()
             parts.append(self.unary())
         self.depth -= len(parts) - 1
@@ -230,49 +235,47 @@ class Parser:
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "~":
+            self.pos += 1
             return Neg(self.nested(self.unary))
-        if tok.kind == "LID" and tok.text in ("forall", "exists"):
-            self.next()
-            bound = self.peek()
-            if bound.kind in ("PARAM", "ELEM"):
+        if kind == "LID" and text in ("forall", "exists"):
+            self.pos += 1
+            if self.kinds[self.pos] in ("PARAM", "ELEM"):
                 raise self.error(
-                    f"cannot quantify over {bound.text!r}: "
+                    f"cannot quantify over {self.texts[self.pos]!r}: "
                     "quantifier binders are individual variables"
                 )
-            name_tok = self.expect("LID")
-            if name_tok.text in KEYWORDS:
-                raise ParseError(
-                    f"{name_tok.text!r} is reserved", name_tok.line, name_tok.col
-                )
+            name = self.expect("LID")
+            if name in KEYWORDS:
+                raise self.error(f"{name!r} is reserved", self.pos - 1)
             self.expect(".")
             body = self.nested(self.unary)
-            return (Forall if tok.text == "forall" else Exists)(name_tok.text, body)
-        if _term_start(tok) and (tok.kind != "(" or self.term_after_parens()):
+            return (Forall if text == "forall" else Exists)(name, body)
+        if _term_start(kind, text) and (kind != "(" or self.term_after_parens()):
             # Could be an assertion "term : ..." or, for "(", a
             # parenthesised formula.  Try the term reading first.
             save = self.pos, self.depth
             try:
                 t = self.term()
-                if self.peek().kind == ":":
-                    self.next()
+                if self.kinds[self.pos] == ":":
+                    self.pos += 1
                     window: tuple[Atom, ...] = ()
-                    if self.peek().kind == "[":
-                        self.next()
-                        if self.peek().kind != "]":
+                    if self.kinds[self.pos] == "[":
+                        self.pos += 1
+                        if self.kinds[self.pos] != "]":
                             window = tuple(self.atom_list())
                         self.expect("]")
                     return Assert(t, window, self.nested(self.unary))
-                if tok.kind != "(":
+                if kind != "(":
                     raise self.error("expected ':' after justification term")
             except ParseError:
-                if tok.kind != "(":
+                if kind != "(":
                     raise
             self.pos, self.depth = save
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
+            self.pos += 1
             f = self.nested(self.formula)
             self.expect(")")
             return f
@@ -281,52 +284,49 @@ class Parser:
     def term_after_parens(self) -> bool:
         """Whether a term can start after the opening parentheses at the
         current token; if not, they open a formula."""
-        tokens, i = self.tokens, self.pos
-        while tokens[i].kind == "(":
+        kinds, i = self.kinds, self.pos
+        while kinds[i] == "(":
             i += 1
-        return _term_start(tokens[i])
+        return _term_start(kinds[i], self.texts[i])
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "UID":
-            self.next()
+        i = self.pos
+        if self.kinds[i] == "UID":
+            name = self.next()
             args: tuple[Atom, ...] = ()
-            if self.peek().kind == "(":
-                self.next()
+            if self.kinds[self.pos] == "(":
+                self.pos += 1
                 args = tuple(self.atom_list())
                 self.expect(")")
-            known = self.arities.get(tok.text)
+            known = self.arities.get(name)
             if known is not None and known != len(args):
-                raise ParseError(
-                    f"predicate {tok.text} used with arity {len(args)}, "
-                    f"previously {known}",
-                    tok.line,
-                    tok.col,
+                raise self.error(
+                    f"predicate {name} used with arity {len(args)}, previously {known}", i
                 )
-            self.arities[tok.text] = len(args)
-            return Pred(tok.text, args)
-        raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}")
+            self.arities[name] = len(args)
+            return Pred(name, args)
+        raise self.error(f"expected a formula, found {self.texts[i] or 'end of input'!r}")
 
     def atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind == "PARAM":
-            self.next()
-            return param(tok.text[1:])
-        if tok.kind == "ELEM":
-            self.next()
-            return elem(tok.text[1:])
-        if tok.kind == "LID" and tok.text not in KEYWORDS:
-            self.next()
-            return var(tok.text)
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "PARAM":
+            self.pos += 1
+            return param(text[1:])
+        if kind == "ELEM":
+            self.pos += 1
+            return elem(text[1:])
+        if kind == "LID" and text not in KEYWORDS:
+            self.pos += 1
+            return var(text)
         raise self.error(
             f"expected a variable, parameter, or domain element, "
-            f"found {tok.text or 'end of input'!r}"
+            f"found {text or 'end of input'!r}"
         )
 
     def atom_list(self) -> list[Atom]:
         atoms = [self.atom()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
             atoms.append(self.atom())
         return atoms
 
@@ -338,8 +338,8 @@ class Parser:
         links = 0
         total: Optional[Term] = None
         product = self.tpre()
-        while self.peek().kind in ("+", "*"):
-            op = self.next().kind
+        while self.kinds[self.pos] in ("+", "*"):
+            op = self.next()
             self.deeper()
             links += 1
             right = self.tpre()
@@ -354,35 +354,36 @@ class Parser:
     def tpre(self) -> Term:
         # The tokens dispatched on here are those ``_term_start`` accepts,
         # which ``unary`` reads ahead with; change both together.
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "!":
+            self.pos += 1
             return Bang(self.nested(self.tpre))
-        if tok.kind == "LID" and tok.text == "gen":
-            self.next()
+        if kind == "LID" and text == "gen":
+            self.pos += 1
             self.expect("<")
             name = self.expect("LID")
-            if name.text in KEYWORDS:
-                raise ParseError(f"{name.text!r} is reserved", name.line, name.col)
+            if name in KEYWORDS:
+                raise self.error(f"{name!r} is reserved", self.pos - 1)
             self.expect(">")
             self.expect("(")
             t = self.nested(self.term)
             self.expect(")")
-            return Gen(name.text, t)
-        if tok.kind == "LID":
-            self.next()
-            if tok.text in KEYWORDS:
-                raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
-            if tok.text in self.decls:
-                return TermConst(tok.text)
-            return TermVar(tok.text)
-        if tok.kind == "(":
-            self.next()
+            return Gen(name, t)
+        if kind == "LID":
+            self.pos += 1
+            if text in KEYWORDS:
+                raise self.error(f"{text!r} is reserved", i)
+            if text in self.decls:
+                return TermConst(text)
+            return TermVar(text)
+        if kind == "(":
+            self.pos += 1
             t = self.nested(self.term)
             self.expect(")")
             return t
         raise self.error(
-            f"expected a justification term, found {tok.text or 'end of input'!r}"
+            f"expected a justification term, found {text or 'end of input'!r}"
         )
 
 
@@ -393,12 +394,12 @@ def parse_formula(
 ) -> Formula:
     """Parse a formula; identifiers in term position resolve to constants
     iff declared in ``decls``."""
-    p = Parser(tokenize(text), decls, arities)
+    p = Parser(text, decls, arities)
     return p.whole(p.formula)
 
 
 def parse_term(text: str, decls: Iterable[str] = ()) -> Term:
-    p = Parser(tokenize(text), decls)
+    p = Parser(text, decls)
     return p.whole(p.term)
 
 

@@ -126,6 +126,20 @@ class TestCheck:
         assert main(["check", str(out), "--cs", CS]) == 2
         assert "error: bad proof node" in capsys.readouterr().err
 
+    def test_constant_not_a_string_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "proof.json"
+        goal = "c : (forall x. A(x) -> A(x))"
+        assert main(["prove", goal, "--cs", CS, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        node = data["tree"]
+        while node["children"]:
+            node = node["children"][0]
+        assert node["closure"] == {"kind": "cs", "constant": "c"}
+        node["closure"]["constant"] = 5
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), "--cs", CS, "--goal", goal]) == 2
+        assert capsys.readouterr().err == "error: closure 'constant' must be a JSON str, not 5\n"
+
     def test_too_deeply_nested_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "proof.json"
         out.write_text("[" * 5000 + "]" * 5000)

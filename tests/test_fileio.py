@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,18 @@ from pathlib import Path
 import pytest
 
 from folp import (
+    Assert,
     FileFormatError,
+    Formula,
+    Neg,
     ParseError,
     Proved,
+    Sum,
     check_proof,
     parse_cs,
     parse_formula,
     parse_proof,
+    print_formula,
     proof_to_dict,
     prove,
     read_proof_file,
@@ -33,6 +39,8 @@ from conftest import (
     cases,
     chain,
     model_paths,
+    random_formula,
+    random_window,
     sum_family,
 )
 
@@ -103,6 +111,34 @@ def _negated_root(shape, levels):
 def _one_node(root, text):
     return {"roots": [root], "tree": {"id": 1, "formula": text, "rule": None,
                                       "children": [], "closure": None}}
+
+
+def _chain_of_nodes(roots, texts):
+    """A proof document whose nodes, one below the other, carry ``texts``."""
+    tree = None
+    for i, text in reversed(list(enumerate(texts, 1))):
+        tree = {"id": i, "formula": text, "rule": None,
+                "children": [tree] if tree else [], "closure": None}
+    return {"roots": roots, "tree": tree}
+
+
+def _texts_near(root):
+    """Texts a proof of ``root`` carries, and near misses of them: each
+    subformula, its negation as printed and spelled otherwise, an
+    implication from it, and each ``FPlus`` summand assertion under its
+    own window and under another."""
+    memo = {}
+    print_formula(root, memo)
+    rng = random.Random(print_formula(root))
+    for g in [g for g in memo if isinstance(g, Formula)]:
+        s = memo[g]
+        yield from (s, print_formula(Neg(g)), "~" + s, f"~({s})", f"~ {s}", f"~ {s} ",
+                    "~~" + s, f"~~({s})", f"~~{s} ", f"~{s} -> Q1", f"({s})")
+        if isinstance(g, Assert) and isinstance(g.term, Sum):
+            for u in (g.term.left, g.term.right):
+                for window in (g.window, random_window(rng)):
+                    yield print_formula(Assert(u, window, g.body))
+                    yield print_formula(Neg(Assert(u, window, g.body)))
 
 
 SPELLINGS = {
@@ -299,6 +335,54 @@ class TestProofFiles:
         root, text = _negated_root(shape, MAX_DEPTH)
         assert parse_proof(_one_node(root, text)).root.formula == parse_formula(text)
 
+    def test_lookup_reads_as_the_parser_on_random_formulas(self):
+        # Each node formula equals what parse_formula makes of its text,
+        # whether the table answers it or not; a text the parser rejects
+        # makes the whole file a FileFormatError.
+        rng = random.Random(20261019)
+        decls = {"c"}
+        for i in range(300):
+            root = random_formula(rng, 1 + i % 5)
+            roots = [print_formula(r) for r in (root, Neg(root))]
+            arities = {}
+            for text in roots:
+                parse_formula(text, decls, arities)
+            good, bad = [], []
+            for text in dict.fromkeys(_texts_near(root)):
+                try:
+                    good.append((text, parse_formula(text, decls, dict(arities))))
+                except ParseError:
+                    bad.append(text)
+            back = parse_proof(_chain_of_nodes(roots, [t for t, _ in good]), decls)
+            assert [n.formula for n in back.nodes()] == [f for _, f in good]
+            for text in bad:
+                with pytest.raises(FileFormatError):
+                    parse_proof(_chain_of_nodes(roots, [text]), decls)
+
+    # Texts the table must not answer from the root's entries; each reads
+    # as parse_formula reads it.
+    @pytest.mark.parametrize("text", [
+        "~(Q0)", "~ Q0", "~~(p : Q0)", "~Q0 -> Q1", "~(p : Q0)", "~~Q0 ", "~ Q0 -> Q1 ",
+        "(p + q) : Q(x)", "p : Q(x)", "~p :[y] Q(x)", "~q : Q(x)",
+    ])
+    def test_near_misses_read_as_parsed(self, text):
+        root = "(Q0 -> Q1) -> ~p : Q0 -> (p + q) :[x] Q(x)"
+        decls = {"c"}
+        arities = {}
+        parse_formula(root, decls, arities)
+        back = parse_proof(_chain_of_nodes([root], ["Q0 -> Q1", text]), decls)
+        assert back.nodes()[1].formula == parse_formula(text, decls, arities)
+
+    def test_negations_are_not_stacked_past_the_limit(self):
+        # ~Q0 is a negation of the root's Q0; ~~Q0 is not built from it,
+        # so the texts nest one level deeper each and the parser rejects
+        # the first past MAX_DEPTH.
+        texts = ["~" * k + "Q0" for k in range(1, MAX_DEPTH + 1)]
+        back = parse_proof(_chain_of_nodes(["Q0"], texts))
+        assert [n.formula for n in back.nodes()] == [parse_formula(t) for t in texts]
+        with pytest.raises(FileFormatError, match="nested deeper than"):
+            parse_proof(_chain_of_nodes(["Q0"], [*texts, "~" + texts[-1]]))
+
     def test_malformed(self):
         with pytest.raises(FileFormatError):
             parse_proof({"roots": ["Q0"]})
@@ -334,6 +418,11 @@ class TestProofFiles:
             {"rule": {"name": "FDot", "premises": [1], "cut": 7}},  # non-string cut
             {"rule": {"name": "FDot", "premises": [1], "cut": "Q0 ->"}},
             {"rule": {"name": "Ins", "premises": [1], "param": "@u", "var": 7}},
+            # A CS closure names its constant with a JSON string.
+            {"closure": {"kind": "cs", "constant": 5}},
+            {"closure": {"kind": "cs", "constant": None}},
+            {"closure": {"kind": "cs", "constant": ["c"]}},
+            {"closure": {"kind": "cs", "constant": {"a": 1}}},
         ],
     )
     def test_malformed_node(self, tree):

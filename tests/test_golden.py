@@ -299,7 +299,7 @@ def _parse_lines():
     decls = {"c"}
 
     def formula(text):
-        p = Parser(tokenize(text), decls)
+        p = Parser(text, decls)
         f = p.whole(p.formula)
         return f"{print_formula(f)} peak {p.peak}"
 

@@ -174,6 +174,19 @@ class TestSatisfaction:
             with pytest.raises(ModelError):
                 satisfies(m, parse_formula(text, ("c",)))
 
+    def test_defects_f_does_not_touch(self):
+        # satisfies reads only the predicates of its formula: R's mixed
+        # rows, Q0 used at arity 1 in the evidence and the undeclared S
+        # are left to validate_model.
+        m = build({"domain": ["a"], "predicates": {"Q0": [[]], "R": [["a"], ["a", "a"]]},
+                   "evidence": [{"term": "p", "formulas": ["Q0($a)", "S($a)"]}]})
+        assert satisfies(m, parse_formula("Q0"))
+        assert not satisfies(m, parse_formula("p : Q0"))
+        with pytest.raises(ModelError, match="mixed arities"):
+            satisfies(m, parse_formula("R($a)"))
+        with pytest.raises(ModelError):
+            validate_model(m, CS)
+
     def test_unfixed_arity_is_free(self):
         # Q has no rows and no evidence in CLEAN, and R is not declared.
         m = build(CLEAN)
