@@ -79,7 +79,6 @@ def _parse_cs(text: str) -> ConstantSpecification:
     # Entries read the constants declared so far.
     p = Parser(text, arities={})
     p.decls = constants
-    kinds, texts = p.kinds, p.texts
     concrete: list[tuple[str, Formula]] = []
     schematic: list[tuple[str, str]] = []
     total = False
@@ -87,7 +86,7 @@ def _parse_cs(text: str) -> ConstantSpecification:
 
     while not p.at_end():
         i = p.pos
-        kind, word = kinds[i], texts[i]
+        kind, word = p.kinds[i], p.texts[i]
         if kind == "VARIANT":
             p.next()
             p.expect(".")
@@ -102,7 +101,7 @@ def _parse_cs(text: str) -> ConstantSpecification:
             p.next()
             while True:
                 constants.add(p.expect("LID"))
-                if kinds[p.pos] == ",":
+                if p.kinds[p.pos] == ",":
                     p.next()
                     continue
                 break
@@ -116,7 +115,7 @@ def _parse_cs(text: str) -> ConstantSpecification:
                 )
             p.expect(":")
             j = p.pos
-            if kinds[j] == "LID" and texts[j] == "scheme":
+            if p.kinds[j] == "LID" and p.texts[j] == "scheme":
                 p.next()
                 scheme = p.expect("UID")
                 if scheme not in SCHEMES:

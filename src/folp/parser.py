@@ -41,7 +41,6 @@ print at any depth.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .syntax import (
@@ -131,8 +130,8 @@ _KIND = {"": "EOF", "->": "ARROW", "variant-closed": "VARIANT", "@": "BAD", "$":
 def tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, ending with one EOF token."""
     p = Parser(text)
-    offsets = [m.start(1) for m in _TOKEN_RE.finditer(text)]
-    return list(map(Token, p.kinds, p.texts, offsets, [text] * len(p.kinds)))
+    p.token(0)  # finds the offsets
+    return list(map(Token, p.kinds, p.texts, p.offsets, [text] * len(p.kinds)))
 
 
 def _term_start(kind: str, text: str) -> bool:
@@ -154,6 +153,7 @@ class Parser:
         arities: Optional[dict[str, int]] = None,
     ):
         self.source = text
+        self.offsets: Optional[list[int]] = None
         self.texts = texts = _TOKEN_RE.findall(text)
         if len(texts) > 1 and not texts[-2]:
             texts.pop()  # a second empty match at the end, after its whitespace
@@ -171,11 +171,11 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def token(self, i: Optional[int] = None) -> Token:
-        """Token ``i``, by default the current one, its offset found by
-        scanning again, as for an error."""
+        """Token ``i``, by default the current one, as for an error."""
+        if self.offsets is None:  # scanned again, once, when first asked for
+            self.offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.source)]
         i = self.pos if i is None else i
-        m = next(islice(_TOKEN_RE.finditer(self.source), i, None))
-        return Token(self.kinds[i], self.texts[i], m.start(1), self.source)
+        return Token(self.kinds[i], self.texts[i], self.offsets[i], self.source)
 
     def next(self) -> str:
         """The current token's text; moves on, but never past EOF."""

@@ -18,6 +18,8 @@ from folp import (
     print_formula,
     print_term,
 )
+from folp import parser
+from folp.fileio import parse_cs
 from folp.parser import MAX_DEPTH
 from conftest import random_formula, run_fresh
 
@@ -86,6 +88,25 @@ class TestErrors:
             parse_formula("Q0 -> ->")
         assert exc.value.line == 1
         assert exc.value.col > 1
+
+    def test_positions_found_once_per_text(self, monkeypatch):
+        # Each parenthesised assertion is first read as a term, which
+        # fails; finding every failure's position by scanning the text
+        # again made a CS file of n such entries take time quadratic in n.
+        scans, regex = [], parser._TOKEN_RE
+
+        class Counting:
+            def findall(self, text):
+                return regex.findall(text)
+
+            def finditer(self, text):
+                scans.append(text)
+                return regex.finditer(text)
+
+        text = "const c.\n" + "c : (p : (Q0 -> Q1)) -> Q0 -> Q1.\n" * 50
+        monkeypatch.setattr(parser, "_TOKEN_RE", Counting())
+        assert len(parse_cs(text).concrete) == 50
+        assert len(scans) <= 1
 
 
 class TestRoundTrip:
