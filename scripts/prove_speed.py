@@ -9,9 +9,9 @@ First it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256 and on the evidence
 terms and formulas of ``tests/data/models``; on the latter also that of
 building a ``Parser``, which scans the text itself, where it does so.
-Then the best time per
-call of ``match_axiom`` over the inputs of the matcher digest in
-``tests/test_golden.py`` (which needs pytest).  Next, for one command
+Then it prints the best time per call of ``match_axiom`` over the
+inputs of the matcher digest in ``tests/test_golden.py`` (which needs
+pytest).  Next, for one command
 line of each CLI command, it prints the best time of building the
 parser ``folp.cli.main`` builds for it (the command's own parser) and
 parsing the line, over 100 N calls, and the same for the parser with all
@@ -25,11 +25,11 @@ For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
 formula-heavy), sum-64 and sum-128 (term-heavy) and app-16 (FDot cuts)
 it then prints the best times of ``write_proof_file`` and
 ``read_proof_file`` over N runs, the best times of the reader's three
-parts (reading and decoding the JSON in ``fileio._read_json``, the nodes in
-``fileio._parse_tree``, and the rest: the roots and their lookup
-table), the file's size, and the best ``check_proof`` time of the proof
-read back.  Last it
-prints the best time of ``find_countermodel``
+parts (reading and decoding the JSON in ``fileio._read_json``, the
+nodes in ``fileio._parse_tree``, and the rest: the roots and their
+lookup table), the file's size, and the best ``check_proof`` time of
+the proof read back.  Last it prints the best time of
+``find_countermodel``
 (``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
 and how many models it checked, and fails if a count differs from the
 one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
