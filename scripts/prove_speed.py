@@ -9,6 +9,9 @@ First it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256 and on the evidence
 terms and formulas of ``tests/data/models``; on the latter also that of
 building a ``Parser``, which scans the text itself, where it does so.
+Next it prints the best time per entry of ``parse_cs`` on CS files of
+500 and of 8,000 entries of each shape in ``CS_ENTRIES``; a parser that
+stays linear reads both sizes at about the same cost per entry.
 Then it prints the best time per call of ``match_axiom`` over the
 inputs of the matcher digest in ``tests/test_golden.py`` (which needs
 pytest).  Next, for one command
@@ -60,6 +63,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The node count of each timed proof.
 PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "app-64": 452}
+
+# The two shapes of CS entry timed: one whose body starts with a
+# parenthesised assertion, and one without parentheses.
+CS_ENTRIES = ("c : (p : (Q0 -> Q1)) -> Q0 -> Q1.", "c : Q0 -> Q1 -> Q0.")
 
 # One command line per CLI command; the files are never read.
 CLI_ARGVS = (
@@ -154,7 +161,7 @@ def main() -> None:
         prove,
     )
     from folp import fileio
-    from folp.fileio import read_cs_file, read_proof_file, write_proof_file
+    from folp.fileio import parse_cs, read_cs_file, read_proof_file, write_proof_file
     from folp.parser import Parser, tokenize
 
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
@@ -174,6 +181,13 @@ def main() -> None:
         scan, _ = best_time(args.repeat, lambda: [Parser(text) for text in texts])
         line += f"; the parser's own scan {scan / count * 1e6:.2f} us/token"
     print(line)
+
+    for entry in CS_ENTRIES:
+        for n in (500, 8_000):
+            cs_text = "const c.\n" + (entry + "\n") * n
+            best, spec = best_time(args.repeat, lambda: parse_cs(cs_text))
+            assert len(spec.concrete) == n, (entry, len(spec.concrete))
+            print(f"parse_cs, {n:,} entries {entry!r}: {best / n * 1e6:.1f} us/entry")
 
     sys.path.insert(0, str(ROOT / "tests"))
     from test_golden import matcher_inputs

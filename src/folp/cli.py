@@ -33,10 +33,6 @@ from .parser import ParseError, parse_formula, print_formula
 from .search import Exhausted, Open, Proved, SearchBudget, prove
 
 
-class CliError(Exception):
-    """Bad input reported to the user; maps to exit code 2."""
-
-
 def _load_cs(path: Optional[str]) -> ConstantSpecification:
     if path is None:
         return ConstantSpecification()
@@ -128,14 +124,9 @@ def cmd_model_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _parse_arguments(p: argparse.ArgumentParser) -> None:
+def _formula_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("formula")
     p.add_argument("--cs", help="constant specification file (declares constants)")
-
-
-def _axiom_match_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("formula")
-    p.add_argument("--cs")
 
 
 def _prove_arguments(p: argparse.ArgumentParser) -> None:
@@ -173,9 +164,9 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = (
-    _Command("parse", "parse a formula and reprint it", "cmd_parse", _parse_arguments),
+    _Command("parse", "parse a formula and reprint it", "cmd_parse", _formula_arguments),
     _Command("axiom-match", "report the first axiom scheme a formula instantiates",
-             "cmd_axiom_match", _axiom_match_arguments),
+             "cmd_axiom_match", _formula_arguments),
     _Command("prove", "search for a tableau proof of a sentence", "cmd_prove",
              _prove_arguments),
     _Command("check", "verify a serialized tableau proof", "cmd_check", _check_arguments),
@@ -230,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError, FileFormatError, ModelError, CliError, ValueError, OSError
+        ParseError, FileFormatError, ModelError, ValueError, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

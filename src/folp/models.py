@@ -81,26 +81,32 @@ class Violation:
         return f"{self.condition}: {self.message}"
 
 
-def _arity_map(m: MkrtychevModel) -> dict[str, int]:
+def _arities(
+    m: MkrtychevModel, names: Iterable[str], uses: Iterable[dict[str, set[int]]]
+) -> dict[str, int]:
+    """The arity ``m`` fixes for each of ``names`` that it declares: that
+    of its rows or, with none, of its first use in ``uses``, the
+    ``predicate_arities`` of its evidence formulas.  Only these
+    predicates are read, and ``uses`` only until each has an arity; rows
+    of mixed arities raise ``ModelError``."""
     arities: dict[str, int] = {}
-    for q, rows in m.interp.items():
-        for row in rows:
+    for q in names:
+        for row in m.interp.get(q, ()):
             if arities.setdefault(q, len(row)) != len(row):
                 raise ModelError(f"predicate {q} interpreted at mixed arities")
-    for bucket in m.evidence.values():
-        for f in bucket.values():
-            for q, used in predicate_arities(f).items():
-                if q not in m.interp:
-                    raise ModelError(
-                        f"evidence references undeclared predicate {q}"
-                    )
-                for k in used:
-                    if arities.setdefault(q, k) != k:
-                        raise ModelError(
-                            f"predicate {q} used at arity {k}, "
-                            f"expected {arities[q]}"
-                        )
+    rowless = {q for q in names if q in m.interp and q not in arities}
+    for used_by in uses if rowless else ():
+        for q in rowless.intersection(used_by):
+            arities[q] = next(iter(used_by[q]))
+        rowless.difference_update(used_by)
+        if not rowless:
+            break
     return arities
+
+
+def _evidence_uses(m: MkrtychevModel) -> Iterator[dict[str, set[int]]]:
+    """The ``predicate_arities`` of each evidence formula of ``m``."""
+    return (predicate_arities(f) for bucket in m.evidence.values() for f in bucket.values())
 
 
 def _windows(f: Formula, domain: tuple[str, ...]) -> Iterator[Window]:
@@ -241,7 +247,15 @@ def validate_model(
     """
     if not m.domain:
         raise ModelError("domain must be non-empty")
-    _arity_map(m)
+    uses = list(_evidence_uses(m))
+    arities = _arities(m, m.interp, uses)
+    for used_by in uses:
+        for q, used in used_by.items():
+            if q not in m.interp:
+                raise ModelError(f"evidence references undeclared predicate {q}")
+            for k in used:
+                if k != arities[q]:
+                    raise ModelError(f"predicate {q} used at arity {k}, expected {arities[q]}")
     table = _Table(m.domain)
     ev = _with_unlisted(m, m.evidence, table)
     terms = dict.fromkeys([*m.evidence, *(TermConst(c) for c, _ in cs.concrete)])
@@ -272,24 +286,13 @@ def satisfies(m: MkrtychevModel, f: Formula) -> bool:
     outside = elem_set(f).difference(m.domain)
     if outside:
         raise ModelError(f"element ${min(outside)} is not in the domain: {f}")
-    for q, used in predicate_arities(f).items():
-        fixed = _fixed_arity(m, q)
-        if fixed is not None and used != {fixed}:
-            k = max(used - {fixed})
-            raise ModelError(f"predicate {q} used at arity {k}, expected {fixed}: {f}")
+    own = predicate_arities(f)
+    fixed = _arities(m, own, _evidence_uses(m))
+    for q, used in own.items():
+        if q in fixed and used != {fixed[q]}:
+            k = max(used - {fixed[q]})
+            raise ModelError(f"predicate {q} used at arity {k}, expected {fixed[q]}: {f}")
     return _eval(m, f, _Table(m.domain))
-
-
-def _fixed_arity(m: MkrtychevModel, q: str) -> Optional[int]:
-    """The arity ``m`` fixes for ``q``, if it declares ``q``: that of its
-    rows or, with none, of its first use in the evidence.  Only ``q`` is
-    read; ``validate_model`` checks the rest of the model."""
-    sizes = {len(row) for row in m.interp.get(q, ())}
-    if len(sizes) > 1:
-        raise ModelError(f"predicate {q} interpreted at mixed arities")
-    uses = (min(arities[q]) for bucket in m.evidence.values()
-            for arities in map(predicate_arities, bucket.values()) if q in arities)
-    return sizes.pop() if sizes else next(uses, None) if q in m.interp else None
 
 
 def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:

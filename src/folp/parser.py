@@ -26,10 +26,11 @@ table gives the token's kind.  The parser reads the lists of kinds and
 texts by index.  A token's offset, line and column are worked out, by
 scanning again, only for an error message or for ``tokenize``.
 
-A ``(`` that starts a unary formula is read as a term first only if a
-term can start after the opening parentheses, at ``!`` or a lowercase
-identifier other than ``forall`` and ``exists``; otherwise it opens a
-formula.
+A ``(`` that starts a unary formula opens an assertion's term exactly
+when the token after its matching ``)`` is ``:``, ``+`` or ``*``, since
+none of these follows a formula; otherwise it opens a formula.  So the
+parser never backtracks.  The parentheses are paired once per text, when
+a ``(`` first needs the decision.
 
 Chains are read iteratively.  Input nested deeper than ``MAX_DEPTH``
 levels (each prefix operator, parenthesis and chain link is one) is a
@@ -134,13 +135,6 @@ def tokenize(text: str) -> list[Token]:
     return list(map(Token, p.kinds, p.texts, p.offsets, [text] * len(p.kinds)))
 
 
-def _term_start(kind: str, text: str) -> bool:
-    """Whether a term can start at a token: ``Parser.tpre`` reads ``!``,
-    ``(`` and a lowercase identifier; ``forall`` and ``exists`` open a
-    formula instead."""
-    return kind in ("!", "(") or (kind == "LID" and text not in ("forall", "exists"))
-
-
 class Parser:
     """Recursive descent over the kinds and texts of the tokens of
     ``text``, which end with EOF; reusable for formulas, terms, and CS
@@ -154,6 +148,7 @@ class Parser:
     ):
         self.source = text
         self.offsets: Optional[list[int]] = None
+        self.closers: Optional[dict[int, int]] = None  # "(" -> its ")"
         self.texts = texts = _TOKEN_RE.findall(text)
         if len(texts) > 1 and not texts[-2]:
             texts.pop()  # a second empty match at the end, after its whitespace
@@ -253,27 +248,18 @@ class Parser:
             self.expect(".")
             body = self.nested(self.unary)
             return (Forall if text == "forall" else Exists)(name, body)
-        if _term_start(kind, text) and (kind != "(" or self.term_after_parens()):
-            # Could be an assertion "term : ..." or, for "(", a
-            # parenthesised formula.  Try the term reading first.
-            save = self.pos, self.depth
-            try:
-                t = self.term()
-                if self.kinds[self.pos] == ":":
-                    self.pos += 1
-                    window: tuple[Atom, ...] = ()
-                    if self.kinds[self.pos] == "[":
-                        self.pos += 1
-                        if self.kinds[self.pos] != "]":
-                            window = tuple(self.atom_list())
-                        self.expect("]")
-                    return Assert(t, window, self.nested(self.unary))
-                if kind != "(":
-                    raise self.error("expected ':' after justification term")
-            except ParseError:
-                if kind != "(":
-                    raise
-            self.pos, self.depth = save
+        if kind == "!" or kind == "LID" or (kind == "(" and self.opens_term(i)):
+            t = self.term()
+            if self.kinds[self.pos] != ":":
+                raise self.error("expected ':' after justification term")
+            self.pos += 1
+            window: tuple[Atom, ...] = ()
+            if self.kinds[self.pos] == "[":
+                self.pos += 1
+                if self.kinds[self.pos] != "]":
+                    window = tuple(self.atom_list())
+                self.expect("]")
+            return Assert(t, window, self.nested(self.unary))
         if kind == "(":
             self.pos += 1
             f = self.nested(self.formula)
@@ -281,13 +267,19 @@ class Parser:
             return f
         return self.primary()
 
-    def term_after_parens(self) -> bool:
-        """Whether a term can start after the opening parentheses at the
-        current token; if not, they open a formula."""
-        kinds, i = self.kinds, self.pos
-        while kinds[i] == "(":
-            i += 1
-        return _term_start(kinds[i], self.texts[i])
+    def opens_term(self, i: int) -> bool:
+        """Whether the ``(`` at token ``i`` opens a justification term: the
+        token after its matching ``)`` is ``:``, ``+`` or ``*``, which
+        never follow a formula."""
+        if self.closers is None:  # paired once, when first asked for
+            self.closers, opened = {}, []
+            for j, kind in enumerate(self.kinds):
+                if kind == "(":
+                    opened.append(j)
+                elif kind == ")" and opened:
+                    self.closers[opened.pop()] = j
+        j = self.closers.get(i)
+        return j is not None and self.kinds[j + 1] in (":", "+", "*")
 
     def primary(self) -> Formula:
         i = self.pos
@@ -352,8 +344,6 @@ class Parser:
         return product if total is None else Sum(total, product)
 
     def tpre(self) -> Term:
-        # The tokens dispatched on here are those ``_term_start`` accepts,
-        # which ``unary`` reads ahead with; change both together.
         i = self.pos
         kind, text = self.kinds[i], self.texts[i]
         if kind == "!":

@@ -187,6 +187,27 @@ class TestSatisfaction:
         with pytest.raises(ModelError):
             validate_model(m, CS)
 
+    @pytest.mark.parametrize("text, message", [
+        ("Q0($a)", "predicate Q0 used at arity 1, expected 0: Q0($a)"),  # rows
+        ("A($a, $a)", "predicate A used at arity 2, expected 1: A($a, $a)"),  # evidence
+    ])
+    def test_arity_error_text(self, text, message):
+        with pytest.raises(ModelError) as exc:
+            satisfies(build(CLEAN), parse_formula(text))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("predicates, formulas, message", [
+        ({"R": [["a"], ["a", "a"]]}, ["R($a)"], "predicate R interpreted at mixed arities"),
+        ({"Q0": [[]]}, ["S($a)"], "evidence references undeclared predicate S"),
+        ({"Q0": [[]]}, ["Q0($a)"], "predicate Q0 used at arity 1, expected 0"),
+    ])
+    def test_validation_arity_error_text(self, predicates, formulas, message):
+        m = build({"domain": ["a"], "predicates": predicates,
+                   "evidence": [{"term": "p", "formulas": formulas}]})
+        with pytest.raises(ModelError) as exc:
+            validate_model(m, CS)
+        assert str(exc.value) == message
+
     def test_unfixed_arity_is_free(self):
         # Q has no rows and no evidence in CLEAN, and R is not declared.
         m = build(CLEAN)

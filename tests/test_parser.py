@@ -28,6 +28,19 @@ def f(text: str):
     return parse_formula(text, {"c"})
 
 
+@pytest.fixture
+def parse_errors(monkeypatch):
+    """The arguments of each ``ParseError`` built while the test runs."""
+    built, init = [], ParseError.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParseError, "__init__", counting_init)
+    return built
+
+
 class TestPrecedence:
     def test_implication_right_assoc(self):
         assert f("Q0 -> Q1 -> Q2") == f("Q0 -> (Q1 -> Q2)")
@@ -89,10 +102,27 @@ class TestErrors:
         assert exc.value.line == 1
         assert exc.value.col > 1
 
-    def test_positions_found_once_per_text(self, monkeypatch):
-        # Each parenthesised assertion is first read as a term, which
-        # fails; finding every failure's position by scanning the text
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(p + q) : (Q0 <-> Q1)", "1:15: expected ')', found '<'"),
+            ("(p  q) : Q0 -> Q0", "1:5: expected ')', found 'q'"),
+            # The token after the matching ")" is ":", so the error is
+            # reported in the assertion's body.
+            ("(p) : ~", "1:8: expected a formula, found 'end of input'"),
+        ],
+    )
+    def test_parenthesised_term_error_position(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
+    def test_positions_found_once_per_text(self, monkeypatch, parse_errors):
+        # A parenthesised assertion was once read as a term first, which
+        # failed; finding every failure's position by scanning the text
         # again made a CS file of n such entries take time quadratic in n.
+        # Reading a valid text now neither scans it again nor builds an
+        # error.
         scans, regex = [], parser._TOKEN_RE
 
         class Counting:
@@ -106,7 +136,7 @@ class TestErrors:
         text = "const c.\n" + "c : (p : (Q0 -> Q1)) -> Q0 -> Q1.\n" * 50
         monkeypatch.setattr(parser, "_TOKEN_RE", Counting())
         assert len(parse_cs(text).concrete) == 50
-        assert len(scans) <= 1
+        assert scans == [] and parse_errors == []
 
 
 class TestRoundTrip:
@@ -122,6 +152,25 @@ class TestRoundTrip:
     def test_property(self, seed):
         g = random_formula(random.Random(seed))
         assert parse_formula(print_formula(g), {"c"}) == g
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(p + q) * r : Q0", "(p+q)*r : Q0"),
+            ("((p)) : Q0", "p : Q0"),
+            ("(p) + q : Q0", "p+q : Q0"),
+            ("((p : Q0) -> Q1)", "p : Q0 -> Q1"),
+            ("~(p : Q0 -> Q1)", "~(p : Q0 -> Q1)"),
+            ("(p : Q0)", "p : Q0"),
+        ],
+    )
+    def test_parentheses_round_trip(self, text, printed, parse_errors):
+        # A "(" opens a term exactly when ":", "+" or "*" follows its
+        # matching ")"; no reading is tried and given up.
+        g = f(text)
+        assert print_formula(g) == printed
+        assert f(printed) == g
+        assert parse_errors == []
 
     def test_windows_round_trip(self):
         for text in ["p :[x, y] Q0", "p :[@u] Q(@u)", "p :[$a, x] Q(x)"]:
