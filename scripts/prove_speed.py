@@ -1,11 +1,20 @@
-"""Time the lexer on chain-256 and the model evidence texts, the axiom
-matcher, the prover on cases-5, chain-256 and app-64, proof file I/O on
-cases-4, chain-128, sum-64, sum-128 and app-16, and countermodel search
-on the non-theorems.
+"""Time folp's start-up, the lexer on chain-256 and the model evidence
+texts, the axiom matcher, the prover on cases-5, chain-256 and app-64,
+proof file I/O on cases-4, chain-128, sum-64, sum-128 and app-16, and
+countermodel search on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
-First it prints the lexer's throughput, the best time of ``tokenize``
+First it prints, for ``import folp``, for the benchmark's set-up path
+(``import folp``, then ``folp.fileio``, reading ``tests/data/corpus.cs``
+and the model files of ``tests/data/models``) and for ``import
+folp.cli``, the median time over N fresh interpreters (interpreter
+start-up not included) and the ``folp`` modules each one loaded, both
+without bytecode (``PYTHONDONTWRITEBYTECODE=1``) and with bytecode
+cached in a warmed ``PYTHONPYCACHEPREFIX``.  The interpreters import a
+copy of the package in a temporary directory, so none reads or writes
+a ``__pycache__`` under ``--src``.
+Next it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256 and on the evidence
 terms and formulas of ``tests/data/models``; on the latter also that of
 building a ``Parser``, which scans the text itself, where it does so.
@@ -54,6 +63,10 @@ import argparse
 import inspect
 import itertools
 import json
+import os
+import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -76,6 +89,29 @@ CLI_ARGVS = (
     ["check", "proof.json", "--cs", "corpus.cs", "--goal", "Q0 -> Q0"],
     ["model-check", "model.json", "--cs", "corpus.cs", "--formula", "Q0"],
 )
+
+
+# What each fresh interpreter times: the code run after ``sys.path``
+# names the package's copy.
+STARTUP_CODE = {
+    "import folp": "import folp",
+    "set-up": """import folp
+from folp.fileio import read_cs_file, read_model_file
+cs = read_cs_file(DATA / "corpus.cs")
+models = [read_model_file(p, cs.constants) for p in sorted((DATA / "models").glob("*.json"))]""",
+    "import folp.cli": "import folp.cli",
+}
+
+# Runs ``sys.argv[3]`` and prints its time and the folp modules loaded.
+STARTUP_RUNNER = """import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+DATA = Path(sys.argv[2])
+exec(sys.argv[3])
+elapsed = time.perf_counter() - t0
+print(elapsed, *sorted(m for m in sys.modules if m == "folp" or m.startswith("folp.")))
+"""
 
 
 def chain(n: int) -> str:
@@ -149,11 +185,42 @@ def timed_parts(module, names, run):
     return total, spent, out
 
 
+def startup(src: str, runs: int) -> None:
+    """Print each ``STARTUP_CODE`` entry's median time over ``runs``
+    fresh interpreters, without and with bytecode, and the folp modules
+    it loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(Path(src) / "folp", copy / "folp",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        # Without bytecode, then with bytecode cached outside the package.
+        modes = ({**base, "PYTHONDONTWRITEBYTECODE": "1"},
+                 {**base, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")})
+
+        def run(code: str, env: dict) -> tuple[float, list[str]]:
+            argv = [sys.executable, "-c", STARTUP_RUNNER, str(copy),
+                    str(ROOT / "tests" / "data"), code]
+            done = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+            elapsed, *modules = done.stdout.split()
+            return float(elapsed), modules
+
+        run(STARTUP_CODE["import folp.cli"], modes[1])  # fills the bytecode cache
+        for name, code in STARTUP_CODE.items():
+            results = [[run(code, env) for _ in range(runs)] for env in modes]
+            bare, cached = (statistics.median(t for t, _ in rs) for rs in results)
+            print(f"start-up, {name}: {bare * 1e3:.1f} ms without bytecode, "
+                  f"{cached * 1e3:.1f} ms with, median of {runs}; "
+                  f"loads {' '.join(results[-1][-1][1])}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
+    startup(args.src, args.repeat)
     sys.path.insert(0, args.src)
     from folp import cli
     from folp import (

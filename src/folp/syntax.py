@@ -7,17 +7,18 @@ namespaces exist: individual variables (bare lowercase), parameters
 (``@u``), and domain elements (``$a``).  Parameters and domain elements
 are never bound by quantifiers.
 
-Values are never changed after construction.  Each node hashes itself
-when built, from its children's cached hashes; formulas also cache their
-atom facts and canonical form.  Windows are sorted duplicate-free tuples,
-so structural equality of formulas is plain ``==``.
+Values are never changed after construction.  Each term and formula
+class is a slotted class that ``_node`` makes from its annotated fields.
+Each node hashes itself when built, from its children's cached hashes;
+formulas also cache their atom facts and canonical form.  Windows are
+sorted duplicate-free tuples, so structural equality of formulas is
+plain ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 VAR = "var"
@@ -62,33 +63,42 @@ def elem(name: str) -> Atom:
 # Terms and formulas cache their hash, and formulas their atom name sets.
 
 
-def _node(cls):
-    """Slotted dataclass that stores its hash in ``_hash`` once built (and
-    normalized by its own ``__post_init__``), reading its children's, so
-    hashing never recurses; nor does equality (see ``_equal``) or
-    ``repr`` (see ``_repr``).  ``dataclass`` keeps the ``__hash__``,
-    ``__eq__`` and ``__repr__`` set here."""
-    fields = _FIELDS[cls.__name__] = tuple(
-        (name, kind in ("Term", "Formula")) for name, kind in cls.__annotations__.items()
+def _node(name: str, bases: tuple, ns: dict) -> type:
+    """Metaclass of the term and formula classes: makes the slotted class
+    once.  Its annotations are its fields, and its ``__init__`` takes
+    them by position or keyword, runs the class's own ``__post_init__``
+    normaliser, if any, and stores the node's hash in ``_hash``, read off
+    its children's, so hashing never recurses; nor does equality (see
+    ``_equal``) or ``repr`` (see ``_repr``).  The base's other slots
+    (caches) start as None."""
+    fields = _FIELDS[name] = tuple(
+        (field, kind in ("Term", "Formula")) for field, kind in ns["__annotations__"].items()
     )
-    key = attrgetter("__class__.__name__", *(
-        f"{name}._hash" if child else name for name, child in fields
-    ))
-    normalize = cls.__dict__.get("__post_init__")
+    names = [field for field, _ in fields]
+    defaults = tuple(ns.pop(field) for field in names if field in ns)
+    normalize = "__post_init__" in ns
+    read = "self." if normalize else ""
+    key = [repr(name), *(f"{read}{field}._hash" if child else read + field
+                         for field, child in fields)]
+    source = "\n ".join([
+        f"def __init__(self, {', '.join(names)}):",
+        *(f"self.{field} = {field}" for field in names),
+        *(f"self.{slot} = None" for slot in bases[0].__slots__ if slot != "_hash"),
+        *(["self.__post_init__()"] if normalize else []),
+        f"self._hash = hash(({', '.join(key)}))",
+    ])
+    scope: dict = {}
+    exec(source, scope)
+    init = scope["__init__"]
+    init.__defaults__ = defaults
+    init.__qualname__ = f"{name}.__init__"
+    ns.update(__slots__=tuple(names), __init__=init, __hash__=_cached_hash,
+              __eq__=_equal, __repr__=_repr)
+    return type(name, bases, ns)
 
-    def __post_init__(self) -> None:
-        if normalize is not None:
-            normalize(self)
-        self._hash = hash(key(self))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    cls.__post_init__ = __post_init__
-    cls.__hash__ = __hash__
-    cls.__eq__ = _equal
-    cls.__repr__ = _repr
-    return dataclass(slots=True)(cls)
+def _cached_hash(self) -> int:
+    return self._hash
 
 
 # Each node class's fields by name, in order, each with whether it holds
@@ -97,9 +107,9 @@ _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {}
 
 
 def _repr(x) -> str:
-    """The ``dataclass`` repr of a term or formula, built off a stack of
-    nodes and finished text pieces, so no depth of nesting exhausts the
-    interpreter's stack."""
+    """The repr of a term or formula in the form a dataclass prints,
+    ``Neg(body=...)``, built off a stack of nodes and finished text
+    pieces, so no depth of nesting exhausts the interpreter's stack."""
     todo: list = [x]
     out: list[str] = []
     while todo:
@@ -174,9 +184,8 @@ def _equal(a, b):
 # Justification terms
 
 
-@dataclass(slots=True, eq=False)
 class Term:
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         from .parser import print_term
@@ -184,35 +193,29 @@ class Term:
         return print_term(self)
 
 
-@_node
-class TermVar(Term):
+class TermVar(Term, metaclass=_node):
     name: str
 
 
-@_node
-class TermConst(Term):
+class TermConst(Term, metaclass=_node):
     name: str
 
 
-@_node
-class Sum(Term):
+class Sum(Term, metaclass=_node):
     left: Term
     right: Term
 
 
-@_node
-class App(Term):
+class App(Term, metaclass=_node):
     left: Term
     right: Term
 
 
-@_node
-class Bang(Term):
+class Bang(Term, metaclass=_node):
     inner: Term
 
 
-@_node
-class Gen(Term):
+class Gen(Term, metaclass=_node):
     """``gen_x(t)``; ``bound`` is always an individual variable name."""
 
     bound: str
@@ -235,11 +238,9 @@ def subterms(t: Term) -> Iterator[Term]:
 # Formulas
 
 
-@dataclass(slots=True, eq=False)
 class Formula:
-    _hash: int = field(init=False, repr=False, compare=False)
-    _facts: Optional[_Facts] = field(default=None, init=False, repr=False, compare=False)
-    _canon: Optional[Formula] = field(default=None, init=False, repr=False, compare=False)
+    # The hash, the atom facts (see ``_facts``) and the canonical form.
+    __slots__ = ("_hash", "_facts", "_canon")
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -255,8 +256,7 @@ def mkwindow(atoms: Iterable[Atom]) -> Window:
     return tuple(sorted(set(atoms), key=Atom.sort_key))
 
 
-@_node
-class Pred(Formula):
+class Pred(Formula, metaclass=_node):
     name: str
     args: tuple[Atom, ...] = ()
 
@@ -264,31 +264,26 @@ class Pred(Formula):
         self.args = tuple(self.args)
 
 
-@_node
-class Neg(Formula):
+class Neg(Formula, metaclass=_node):
     body: Formula
 
 
-@_node
-class Impl(Formula):
+class Impl(Formula, metaclass=_node):
     left: Formula
     right: Formula
 
 
-@_node
-class Forall(Formula):
+class Forall(Formula, metaclass=_node):
     bound: str
     body: Formula
 
 
-@_node
-class Exists(Formula):
+class Exists(Formula, metaclass=_node):
     bound: str
     body: Formula
 
 
-@_node
-class Assert(Formula):
+class Assert(Formula, metaclass=_node):
     """A justification assertion ``term :_window body``."""
 
     term: Term

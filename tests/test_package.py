@@ -1,0 +1,77 @@
+"""The ``folp`` package: its exported names, and the modules that
+importing it, and reading the benchmark's set-up inputs, load."""
+
+import json
+
+from conftest import DATA, run_fresh
+
+# Each exported name, by the module that defines it; the module names
+# are exported too.
+EXPORTS = {
+    "axioms": "SCHEMES ConstantSpecification CsError cs_appropriateness_gaps "
+    "cs_axiomatically_appropriate cs_contains match_axiom match_scheme",
+    "checker": "Verdict check_proof",
+    "fileio": "FileFormatError parse_cs parse_model parse_proof proof_to_dict "
+    "read_cs_file read_model_file read_proof_file write_model write_proof_file",
+    "models": "CountermodelSearch MkrtychevModel ModelError Violation "
+    "find_countermodel satisfies validate_model",
+    "parser": "ParseError parse_formula parse_term print_formula print_term",
+    "search": "Exhausted Open Proved SearchBudget prove",
+    "syntax": "App Assert Atom Bang CaptureError Exists Forall Formula Gen Impl "
+    "Neg Pred Sum Term TermConst TermVar alpha_eq canonical elem elem_set "
+    "free_vars par_set param substitute substitute_param universal_closure "
+    "var variable_variant",
+    "tableau": "BRANCHING_RULES FRESH_PARAM_RULES RULE_NAMES Contradiction "
+    "CsClosure ProofNode ProofTree RuleApp RuleError apply_rule",
+}
+HOME = {name: module for module, names in EXPORTS.items()
+        for name in (module, *names.split())}
+
+# Run in a fresh interpreter, after ``home`` (``HOME``) and ``data``
+# (``DATA`` as text) are set: what each step loads, then what the
+# exported names are.
+SCRIPT = """
+import importlib, json, sys
+from pathlib import Path
+
+out = {}
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("folp."))
+
+import folp
+out["import"] = loaded()
+out["dir_missing"] = sorted(set(folp.__all__) - set(dir(folp)))
+from folp.fileio import read_cs_file, read_model_file
+cs = read_cs_file(Path(data, "corpus.cs"))
+models = [read_model_file(p, cs.constants) for p in sorted(Path(data, "models").glob("*.json"))]
+out["set-up"] = loaded()
+try:
+    folp.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+out["all"] = folp.__all__
+star = {}
+exec("from folp import *", star)
+out["star_missing"] = sorted(set(folp.__all__) - set(star))
+out["not_own"] = []
+for name in folp.__all__:
+    module = importlib.import_module("folp." + home[name])
+    own = module if name == home[name] else getattr(module, name)
+    if not (star[name] is own and getattr(folp, name) is own):
+        out["not_own"].append(name)
+print(json.dumps(out))
+"""
+
+
+def test_package_loads_modules_on_first_use():
+    done = run_fresh(f"home, data = {HOME!r}, {str(DATA)!r}" + SCRIPT)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["import"] == []
+    assert not {"folp.search", "folp.checker", "folp.cli"} & set(out["set-up"])
+    assert out["dir_missing"] == []
+    assert out["unknown"] == "module 'folp' has no attribute 'no_such_name'"
+    assert sorted(out["all"]) == sorted(HOME) and len(HOME) == 83
+    assert out["star_missing"] == []
+    assert out["not_own"] == []

@@ -3,9 +3,20 @@
 import pytest
 
 from folp import (
+    App,
+    Assert,
+    Bang,
     CaptureError,
+    Exists,
+    Forall,
+    Formula,
+    Gen,
     Impl,
+    Neg,
     Pred,
+    Sum,
+    Term,
+    TermConst,
     TermVar,
     alpha_eq,
     canonical,
@@ -163,3 +174,55 @@ class TestPrinting:
             "window=(Atom(kind='var', name='x'),), "
             "body=Forall(bound='x', body=Pred(name='Q', args=(Atom(kind='var', name='x'),))))))"
         )
+
+
+_P, _Q, _X, _Y = TermVar("p"), TermVar("q"), var("x"), var("y")
+_A, _B = Pred("Q0"), Pred("Q", (_X,))
+
+# Each node class with the values of its fields, in order.
+NODE_FIELDS = (
+    (TermVar, {"name": "p"}),
+    (TermConst, {"name": "c"}),
+    (Sum, {"left": _P, "right": _Q}),
+    (App, {"left": _P, "right": _Q}),
+    (Bang, {"inner": _P}),
+    (Gen, {"bound": "x", "inner": _P}),
+    (Pred, {"name": "Q", "args": (_X,)}),
+    (Neg, {"body": _A}),
+    (Impl, {"left": _A, "right": _B}),
+    (Forall, {"bound": "x", "body": _B}),
+    (Exists, {"bound": "x", "body": _B}),
+    (Assert, {"term": _P, "window": (_X, _Y), "body": _B}),
+)
+
+
+class TestNodes:
+    def test_every_node_class_is_pinned(self):
+        classes = {cls for cls, _ in NODE_FIELDS}
+        assert classes == {*Term.__subclasses__(), *Formula.__subclasses__()}
+
+    @pytest.mark.parametrize("cls, fields", NODE_FIELDS, ids=[cls.__name__ for cls, _ in NODE_FIELDS])
+    def test_construction_hash_and_slots(self, cls, fields):
+        node = cls(*fields.values())
+        assert node == cls(**fields)
+        assert [getattr(node, name) for name in fields] == list(fields.values())
+        # The hash is that of the class name and the fields, each child
+        # replaced by its own hash, so set and dict orders never drift.
+        key = [v._hash if isinstance(v, (Term, Formula)) else v for v in fields.values()]
+        assert hash(node) == node._hash == hash((cls.__name__, *key))
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+
+    def test_normalizers_run_before_hashing(self):
+        pred = Pred("Q", [_X])
+        assert pred.args == (_X,) and type(pred.args) is tuple
+        assert hash(pred) == hash(("Pred", "Q", (_X,)))
+        a = Assert(_P, [_Y, _X, _Y], _B)
+        assert a.window == (_X, _Y) and hash(a) == hash(Assert(_P, (_X, _Y), _B))
+
+    def test_pred_args_default_to_empty(self):
+        assert Pred("Q0").args == () and Pred(name="Q0") == Pred("Q0", ())
+        assert hash(Pred("Q0")) == hash(("Pred", "Q0", ()))
