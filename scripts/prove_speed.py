@@ -5,7 +5,9 @@ countermodel search on the non-theorems.
 
     python3 scripts/prove_speed.py [--repeat N] [--src DIR]
 
-First it prints, for ``import folp``, for the benchmark's set-up path
+First it prints the line count of each module of ``folp`` and their
+total, the budget ROADMAP's code-size item tracks.  Next it prints, for
+``import folp``, for the benchmark's set-up path
 (``import folp``, then ``folp.fileio``, reading ``tests/data/corpus.cs``
 and the model files of ``tests/data/models``) and for ``import
 folp.cli``, the median time over N fresh interpreters (interpreter
@@ -39,8 +41,10 @@ it then prints the best times of ``write_proof_file`` and
 ``read_proof_file`` over N runs, the best times of the reader's three
 parts (reading and decoding the JSON in ``fileio._read_json``, the
 nodes in ``fileio._parse_tree``, and the rest: the roots and their
-lookup table), the file's size, and the best ``check_proof`` time of
-the proof read back.  Last it prints the best time of
+lookup table), the file's size, the best ``check_proof`` time of
+the proof read back, and how many times ``check_proof`` calls
+``apply_rule`` on the proof read back and on the prover's own tree.
+Last it prints the best time of
 ``find_countermodel``
 (``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
 and how many models it checked, and fails if a count differs from the
@@ -185,6 +189,32 @@ def timed_parts(module, names, run):
     return total, spent, out
 
 
+def calls_of(module, name: str, run) -> int:
+    """How many times ``run()`` calls the function ``name`` of ``module``."""
+    calls = 0
+    saved = getattr(module, name)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return saved(*args)
+
+    setattr(module, name, counted)
+    try:
+        run()
+    finally:
+        setattr(module, name, saved)
+    return calls
+
+
+def code_size(src: str) -> None:
+    """Print the lines of each module of the package under ``src``."""
+    sizes = {path.stem: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((Path(src) / "folp").glob("*.py"))}
+    print("src/folp lines: " + ", ".join(f"{name} {n:,}" for name, n in sizes.items())
+          + f"; total {sum(sizes.values()):,}")
+
+
 def startup(src: str, runs: int) -> None:
     """Print each ``STARTUP_CODE`` entry's median time over ``runs``
     fresh interpreters, without and with bytecode, and the folp modules
@@ -220,9 +250,10 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
+    code_size(args.src)
     startup(args.src, args.repeat)
     sys.path.insert(0, args.src)
-    from folp import cli
+    from folp import checker, cli
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
@@ -315,10 +346,13 @@ def main() -> None:
         roots = min(total - sum(spent.values()) for total, spent, _ in runs)
         check, verdict = best_time(args.repeat, lambda: check_proof(tree, cs, goal))
         assert verdict.accepted, verdict
+        derived = [calls_of(checker, "apply_rule", lambda: check_proof(t, cs, goal))
+                   for t in (tree, outcome.tree)]
         print(f"{name} proof file: write {write * 1e3:.2f} ms, read {read * 1e3:.2f} ms "
               f"(JSON {decode * 1e3:.2f}, roots and table {roots * 1e3:.2f}, "
               f"nodes {nodes * 1e3:.2f}), {size:,} bytes, "
-              f"check read back {check * 1e3:.1f} ms")
+              f"check read back {check * 1e3:.1f} ms; checker apply_rule calls "
+              f"{derived[0]:,} read back, {derived[1]:,} on the prover's tree")
 
     for text, pinned in non_theorems():
         goal = parse_formula(text, cs.constants)

@@ -5,12 +5,12 @@ instance and the ancestor premises; it never trusts a serialized
 conclusion.  Closure marks must name their witnesses and are
 re-verified locally.
 
-An instance's conclusions are derived once: the second child of a
-branching rule, and the next conclusion node of a non-branching one,
-reuse them when they cite an equal instance on the same premise object.
-Only the premise decides a rule's result, except for the freshness test
-of TExists and FForall, which reads the whole branch; those two are
-derived again at every node.
+Each rule object's conclusions are derived once per check, in a table
+keyed by the object's identity, and reused at every node that cites it
+while its premise is on the branch.  Node ids are unique in the tree,
+so a premise id names one formula, and only the premise decides a
+rule's result, except for the freshness test of TExists and FForall,
+which reads the whole branch; those two are derived at every node.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .tableau import (
     CsClosure,
     ProofNode,
     ProofTree,
-    RuleApp,
     RuleError,
     apply_rule,
     cs_closing_constant,
@@ -86,27 +85,11 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
     mark = leaf.closure
     if mark is None:
         _reject(leaf.id, "open-leaf", "leaf carries no closure mark")
-    if isinstance(mark, Contradiction):
-        if mark.node_id != leaf.id:
-            _reject(leaf.id, "closure-witness", "contradiction mark must cite the leaf")
-        other = branch.get(mark.with_id)
-        if other is None:
-            _reject(
-                leaf.id,
-                "closure-witness",
-                f"cited node {mark.with_id} is not on the branch",
-            )
-        f = leaf.formula
-        if not (
-            isinstance(f, Neg) and f.body == other
-            or isinstance(other, Neg) and other.body == f
-        ):
-            _reject(
-                leaf.id,
-                "closure-contradiction",
-                f"{f} and {other} are not contradictory",
-            )
-    elif isinstance(mark, CsClosure):
+    if not isinstance(mark, (Contradiction, CsClosure)):
+        _reject(leaf.id, "closure-kind", f"unknown closure mark {mark!r}")
+    if mark.node_id != leaf.id:
+        _reject(leaf.id, "closure-witness", "closure mark must cite the leaf")
+    if isinstance(mark, CsClosure):
         if cs_closing_constant(leaf.formula, cs) != mark.constant:
             _reject(
                 leaf.id,
@@ -114,12 +97,24 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
                 f"{leaf.formula} is not ~{mark.constant} : A with "
                 f"{mark.constant} : A in the constant specification",
             )
-    else:
-        _reject(leaf.id, "closure-kind", f"unknown closure mark {mark!r}")
-
-
-# An instance's derivation: the rule, its premise and its extensions.
-_Derived = tuple[RuleApp, Formula, list[list[Formula]]]
+        return
+    other = branch.get(mark.with_id)
+    if other is None:
+        _reject(
+            leaf.id,
+            "closure-witness",
+            f"cited node {mark.with_id} is not on the branch",
+        )
+    f = leaf.formula
+    if not (
+        isinstance(f, Neg) and f.body == other
+        or isinstance(other, Neg) and other.body == f
+    ):
+        _reject(
+            leaf.id,
+            "closure-contradiction",
+            f"{f} and {other} are not contradictory",
+        )
 
 
 def _check_rule_node(
@@ -127,26 +122,21 @@ def _check_rule_node(
     sibling_index: int,
     siblings: list[ProofNode],
     branch: Branch,
-    last: Optional[_Derived],
-) -> _Derived:
-    """Verify that ``node``'s label is re-derivable from its rule, and
-    return the derivation.  ``last`` is one made earlier on this branch,
-    reused if ``node`` cites an equal instance on the same premise."""
+    derived: dict[int, list[list[Formula]]],
+) -> None:
+    """Verify that ``node``'s label is re-derivable from its rule.
+    ``derived`` maps the identity of each rule object derived so far to
+    its extensions."""
     rule = node.rule
     assert rule is not None
-    if (
-        last is not None
-        and (last[0] is rule or last[0] == rule)
-        and rule.name not in FRESH_PARAM_RULES
-        and branch.get(rule.premises[0]) is last[1]
-    ):
-        extensions = last[2]
-    else:
+    extensions = derived.get(id(rule))
+    if extensions is None or rule.premises[0] not in branch:
         try:
             extensions = apply_rule(branch, rule)
         except RuleError as exc:
             _reject(node.id, exc.condition, exc.message)
-        last = (rule, branch[rule.premises[0]], extensions)
+        if rule.name not in FRESH_PARAM_RULES:
+            derived[id(rule)] = extensions
     if rule.name in BRANCHING_RULES:
         if len(siblings) != 2:
             _reject(
@@ -181,7 +171,6 @@ def _check_rule_node(
                 "conclusion-mismatch",
                 f"{node.formula} is not a conclusion of this {rule.name} instance",
             )
-    return last
 
 
 def check_proof(
@@ -248,17 +237,16 @@ def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
     """Check every node below the root chain, depth first, children in order.
 
     ``branch`` maps the current node and its ancestors.  An explicit
-    stack of ``(node, index of the next child to visit, derivation)``
-    replaces recursion, so proof depth is not bounded by the
-    interpreter's stack.  The derivation is the one the next child may
-    reuse: the node's own, then its first child's for the second.
+    stack of ``(node, index of the next child to visit)`` replaces
+    recursion, so proof depth is not bounded by the interpreter's stack.
     """
     for node in chain:
         _check_label(node)
     branch = {n.id: n.formula for n in chain}
-    stack: list[tuple[ProofNode, int, Optional[_Derived]]] = [(chain[-1], 0, None)]
+    derived: dict[int, list[list[Formula]]] = {}
+    stack = [(chain[-1], 0)]
     while stack:
-        node, i, last = stack.pop()
+        node, i = stack.pop()
         if i:
             del branch[node.children[i - 1].id]
         elif not node.children:
@@ -270,7 +258,7 @@ def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
         if child.rule is None:
             _reject(child.id, "structural:roots", "non-root node carries no rule")
         _check_label(child)
-        derived = _check_rule_node(child, i, node.children, branch, last)
-        stack.append((node, i + 1, derived))
+        _check_rule_node(child, i, node.children, branch, derived)
+        stack.append((node, i + 1))
         branch[child.id] = child.formula
-        stack.append((child, 0, derived))
+        stack.append((child, 0))

@@ -407,12 +407,12 @@ def _add_subformulas(table: dict[str, Formula], root: Formula) -> None:
     only).  Only ``root`` is printed: a summand assertion's text is the
     summand's text, then the rest of the text of ``t :[X] A``.
 
-    Most rules conclude a subformula of a premise, or its negation (see
-    ``_negation``), and ``FPlus`` concludes ``~(u :[X] A)`` from
-    ``~(t :[X] A)``.  Each entry is what ``parse_formula`` returns for
-    its text: the text reparses to the formula, no deeper than ``root``
-    (a summand nests no deeper than its sum), and the arity of every
-    predicate in it is already recorded.
+    Most rules conclude a subformula of a premise, or its negation
+    (``parse_proof`` enters those), and ``FPlus`` concludes
+    ``~(u :[X] A)`` from ``~(t :[X] A)``.  Each entry is what
+    ``parse_formula`` returns for its text: the text reparses to the
+    formula, no deeper than ``root`` (a summand nests no deeper than its
+    sum), and the arity of every predicate in it is already recorded.
     """
     memo: Memo = {}
     print_formula(root, memo)
@@ -428,26 +428,12 @@ def _add_subformulas(table: dict[str, Formula], root: Formula) -> None:
     table.update((s, g) for g, s in memo.items() if isinstance(g, Formula))
 
 
-def _negation(table: dict[str, Formula], text: str) -> Optional[Formula]:
-    """``~g`` if ``text``, which starts with ``~``, is the printed
-    negation of an entry ``g`` of ``table``: ``~`` and the text of ``g``,
-    which is in parentheses if ``g`` is an implication."""
-    g = table.get(text[1:])
-    if g is None or type(g) is Impl:
-        g = table.get(text[2:-1])
-        if type(g) is not Impl or text[1] + text[-1] != "()":
-            return None
-    return Neg(g)
-
-
 def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
-                table: dict[str, Formula], negate: bool) -> ProofNode:
+                table: dict[str, Formula]) -> ProofNode:
     """The tree ``data`` writes, read depth first, children in order, off
-    an explicit stack.  A node text that is an entry of ``table``, or,
-    if ``negate``, the negation of one, is looked up instead of parsed;
-    each negation is built once, and none on top of another."""
+    an explicit stack.  A node text that is an entry of ``table`` is
+    looked up instead of parsed."""
     rules: dict[tuple, RuleApp] = {}
-    negations: dict[str, Formula] = {}
     top: list[ProofNode] = []
     stack = [(top, data)]  # (the parent's list of children, node data)
     while stack:
@@ -455,12 +441,9 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
         try:
             nid = _typed(data["id"], int, "node id")
             text = data["formula"]
-            formula = table.get(text) or negations.get(text)
-            if formula is None and negate and text[:1] == "~":
-                formula = negations[text] = _negation(table, text)
             node = ProofNode(
                 id=nid,
-                formula=formula or parse_formula(text, decls, arities),
+                formula=table.get(text) or parse_formula(text, decls, arities),
                 rule=_parse_rule(data.get("rule"), decls, rules),
                 closure=_parse_closure(data.get("closure"), nid),
             )
@@ -495,8 +478,9 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     ``premises`` is a list, and a CS closure's ``constant`` is a JSON
     string.  A node text that is a subformula of a root, an ``FPlus``
     conclusion from one, or the negation of either is looked up instead
-    of parsed (see ``_add_subformulas`` and ``_negation``); others, such
-    as quantifier instances, are parsed.  Only the roots are printed.
+    of parsed, in a table of those texts made from the roots (see
+    ``_add_subformulas``); others, such as quantifier instances, are
+    parsed.  Only the roots are printed.
     Nodes whose rule objects have equal fields share one ``RuleApp``,
     built, cut parsed, once.
     """
@@ -516,8 +500,12 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
             _add_subformulas(table, roots[-1])
     except _MALFORMED as exc:
         raise FileFormatError(f"bad proof root: {exc!r}") from exc
-    # A negation nests at most two levels deeper than its formula.
-    root = _parse_tree(data["tree"], decls, arities, table, peak + 2 <= MAX_DEPTH)
+    # A negation nests at most two levels deeper than its formula.  None
+    # is built on top of another, and a subformula's entry wins.
+    if peak + 2 <= MAX_DEPTH:
+        for text, g in list(table.items()):
+            table.setdefault(f"~({text})" if type(g) is Impl else "~" + text, Neg(g))
+    root = _parse_tree(data["tree"], decls, arities, table)
     return ProofTree(roots=roots, root=root)
 
 

@@ -13,14 +13,15 @@ rule, then delta (fresh parameter), TImp and gamma (generative).  A
 premise that has fired, or can never fire usefully again, is marked
 spent.  The same pass indexes the node's subformulas and the antecedents
 of its asserted implications, the sources of FDot's cut candidates.
-Each FDot premise keeps its candidate list, and a later examination
-reads only the sources added since.  The agenda also maps each ``g``
-whose negation is on the branch to the first node of ``~g``: the
-closure test and TImp's redundancy test (is ``~left`` on the branch?)
-read it, so neither builds a negation.  Formulas cache their hash and
-atom sets.  All branches share one agenda: each change is logged on a
-trail, which is unwound to the branch point before each child of a
-branching rule grows.
+Each FDot premise keeps its candidate list; a later examination adds
+the subformulas indexed since, or makes the list afresh if an
+antecedent is new.  The agenda also maps each ``g`` whose negation is
+on the branch to the first node of ``~g``: the closure test and TImp's
+redundancy test (is ``~left`` on the branch?) read it, so neither
+builds a negation.  Formulas cache their hash and atom sets.  All
+branches share one agenda: each change is logged on a trail, which is
+unwound to the branch point before each child of a branching rule
+grows.
 """
 
 from __future__ import annotations
@@ -113,13 +114,6 @@ class _ExhaustedError(Exception):
         self.dimension = dimension
 
 
-class _OpenBranch(Exception):
-    def __init__(self, branch: list[Formula], diagnostics: str):
-        super().__init__(diagnostics)
-        self.branch = branch
-        self.diagnostics = diagnostics
-
-
 def _agenda_entries(nid: int, pos: int, f: Formula):
     """``(queue, entry)`` for each rule ``f`` is a premise of.  Every
     entry starts with the node id; a deterministic entry carries its rule
@@ -167,10 +161,9 @@ class _Agenda:
         self.subformulas: dict[Formula, None] = {}
         self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
         # Each FDot premise's admissible cut candidates so far, as
-        # ``(candidates, front, ants, subs)``: the first ``front`` come
-        # from the hints and antecedents, and ``ants`` antecedents and
-        # ``subs`` subformulas have been read.
-        self.cuts: dict[int, tuple[tuple[Formula, ...], int, int, int]] = {}
+        # ``(candidates, ants, subs)``: ``ants`` antecedents and ``subs``
+        # subformulas have been read.
+        self.cuts: dict[int, tuple[tuple[Formula, ...], int, int]] = {}
         self.fresh_params = 0
         self.limit_hit: Optional[str] = None
         self.trail: list[tuple[Any, ...]] = []
@@ -415,64 +408,44 @@ class _Search:
         antecedents of concrete CS entries, then the branch's
         subformulas.
 
-        The list read for premise ``nid`` is kept on the agenda.  A later
-        read takes in only the antecedents and subformulas added since:
-        a new antecedent joins after the others, moving up from where it
-        stood, and new subformulas join at the end."""
+        The list read for premise ``nid`` is kept on the agenda with the
+        numbers of antecedents and subformulas read.  While no antecedent
+        is new, a later read adds to a list with room only the
+        subformulas added since; a new antecedent makes the list afresh."""
         limit = self.budget.max_cut_candidates
         ants = agenda.antecedents.get(a.body, ())
         subs = agenda.subformulas
-        cuts = agenda.cuts.get(nid)
-        if cuts is not None:
-            known, front, ants_read, subs_read = cuts
-            if ants_read == len(ants) and (subs_read == len(subs) or len(known) == limit):
-                return known
-        window_pars = {w.name for w in a.window}
-        out: list[Formula] = []
-        seen: set[Formula] = set()
-
-        def admissible(f: Formula) -> bool:
-            return par_set(f) <= window_pars and not elem_set(f)
-
-        def extend(source) -> None:
-            for f in source:
-                if len(out) == limit:
-                    return
-                if f not in seen and admissible(f):
-                    seen.add(f)
-                    out.append(f)
-
-        if cuts is None:
-            extend(chain(self.hints, ants))
-            front = len(out)
-            extend(chain(self.cs_antecedents, subs))
+        known, ants_read, subs_read = agenda.cuts.get(nid, ((), -1, 0))
+        if ants_read != len(ants):
+            known, source = (), chain(self.hints, ants, self.cs_antecedents, subs)
+        elif subs_read == len(subs) or len(known) == limit:
+            return known
         else:
-            # A new admissible antecedent not among the first ``front``
-            # moves up to join them; the list stays capped at ``limit``.
-            out += known
-            for f in ants[ants_read:]:
-                if front < limit and f not in out[:front] and admissible(f):
-                    if f in out:
-                        out.remove(f)
-                    out.insert(front, f)
-                    front += 1
-                    del out[limit:]
-            seen.update(out)
-            extend(islice(subs, subs_read, None))
+            source = islice(subs, subs_read, None)
+        window_pars = {w.name for w in a.window}
+        out = list(known)
+        seen = set(out)
+        for f in source:
+            if len(out) == limit:
+                break
+            if f not in seen and par_set(f) <= window_pars and not elem_set(f):
+                seen.add(f)
+                out.append(f)
         known = tuple(out)
-        agenda.setitem(agenda.cuts, nid, (known, front, len(ants), len(subs)))
+        agenda.setitem(agenda.cuts, nid, (known, len(ants), len(subs)))
         return known
 
     # -- main loop ---------------------------------------------------------
 
-    def close_tableau(self, root: ProofNode) -> None:
-        """Grow the tableau below ``root`` until every branch closes.
+    def close_tableau(self, root: ProofNode) -> Optional[Open]:
+        """Grow the tableau below ``root`` until every branch closes, or
+        return the first branch that saturates open.
 
         Branches grow depth first, children in order, off a stack of
         ``(node, branch point)`` pairs: the agenda is unwound to the branch
         point before the node joins the branch, so proof depth is not
-        bounded by the interpreter's stack.  Raises _OpenBranch on
-        saturation and _ExhaustedError on budget exhaustion.
+        bounded by the interpreter's stack.  Raises _ExhaustedError on
+        budget exhaustion.
         """
         agenda = _Agenda()
         stack = [(root, 0)]
@@ -486,8 +459,8 @@ class _Search:
                 if choice is None:
                     if agenda.limit_hit is not None:
                         raise _ExhaustedError(agenda.limit_hit)
-                    raise _OpenBranch(
-                        list(agenda.branch.values()),
+                    return Open(
+                        tuple(agenda.branch.values()),
                         "branch saturated without closing; the goal may not be "
                         "provable with the current strategy",
                     )
@@ -508,6 +481,7 @@ class _Search:
                     leaf.closure = self._note_and_close(agenda, leaf)
                     if leaf.closure is not None:
                         break
+        return None
 
     def _mark_applied(self, agenda: _Agenda, rule: RuleApp) -> None:
         nid = rule.premises[0]
@@ -536,12 +510,10 @@ class _Search:
         root_formula = Neg(self.goal)
         root = self.make_node(root_formula, None)
         try:
-            self.close_tableau(root)
-        except _OpenBranch as ob:
-            return Open(tuple(ob.branch), ob.diagnostics)
+            opened = self.close_tableau(root)
         except _ExhaustedError as ex:
             return Exhausted(ex.dimension)
-        return Proved(ProofTree(roots=[root_formula], root=root))
+        return opened or Proved(ProofTree(roots=[root_formula], root=root))
 
 
 def prove(

@@ -16,6 +16,7 @@ from folp import (
     prove,
 )
 from folp.fileio import parse_proof, proof_to_dict
+from folp.tableau import ProofNode, ProofTree
 from conftest import CORPUS_GOALS, DATA, run_fresh
 
 
@@ -120,6 +121,17 @@ class TestAcceptance:
         leaf["closure"]["with"] = 999
         assert reject(data, corpus_cs).condition == "closure-witness"
 
+    @pytest.mark.parametrize("goal", ["Q0 -> Q0", "c : (Q0 -> Q1 -> Q0)"])
+    def test_closure_mark_names_another_node(self, goal, corpus_cs):
+        # A contradiction mark and a CS closure mark alike must name the
+        # leaf they close.  The reader always names it, so the tree is
+        # edited in memory.
+        tree = prove(parse_formula(goal, corpus_cs.constants), corpus_cs).tree
+        leaf = [n for n in tree.nodes() if n.closure][0]
+        leaf.closure = replace(leaf.closure, node_id=999)
+        verdict = check_proof(tree, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (leaf.id, "closure-witness")
+
     def test_bad_cs_closure(self, corpus_cs):
         goal, data = proof_dict("Q0 -> Q0", corpus_cs)
         leaf = [n for n in nodes_of(data) if n["closure"]][0]
@@ -157,6 +169,69 @@ class TestInstanceReuse:
                 node.rule = replace(node.rule)
         assert len({id(n.rule) for n in nodes}) == len(nodes)
         assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
+
+
+    def test_instance_cited_on_another_branch(self, corpus_cs):
+        # Node 8, ~Q0, is FNeg of node 6 on TImp's left branch.  A copy of
+        # it below the right branch's Q1 cites the same instance, whose
+        # premise is not on that branch.
+        _, data = proof_dict("(~~Q0 -> Q1) -> Q0 -> Q1", corpus_cs)
+        nodes = {n["id"]: n for n in nodes_of(data)}
+        assert (nodes[8]["formula"], nodes[8]["rule"]) == (
+            "~Q0", {"name": "FNeg", "premises": [6]})
+        assert nodes[7]["formula"] == "Q1" and nodes[4]["formula"] == "Q0"
+        copy = {**nodes[8], "id": 9, "closure": {"kind": "contradiction", "with": 4}}
+        nodes[7]["children"], nodes[7]["closure"] = [copy], None
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition, verdict.message) == (
+            9, "premise-missing", "node 6 is not on the branch")
+
+
+class TestStructure:
+    """Conditions on the tree's shape and labels, each pinned to the node
+    it is reported at.  Nodes 1 to 8 are those of the proof of
+    ``(~~Q0 -> Q1) -> Q0 -> Q1``: node 5 branches into 6, with child 8,
+    and 7; 8 and 7 are the leaves."""
+
+    GOAL = "(~~Q0 -> Q1) -> Q0 -> Q1"
+
+    def node(self, data, nid):
+        return [n for n in nodes_of(data) if n["id"] == nid][0]
+
+    def test_duplicate_id_on_two_branches(self, corpus_cs):
+        _, data = proof_dict(self.GOAL, corpus_cs)
+        self.node(data, 8)["id"] = 7  # ~Q0 on the left, Q1 on the right
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (7, "structural:duplicate-id")
+
+    def test_arity(self, corpus_cs):
+        tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
+        node = [n for n in tree.nodes() if n.id == 5][0]
+        node.children.append(ProofNode(id=9, formula=node.formula, rule=None))
+        verdict = check_proof(tree, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (5, "structural:arity")
+
+    def test_no_roots(self, corpus_cs):
+        tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
+        verdict = check_proof(ProofTree(roots=[], root=tree.root), corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (None, "structural:no-roots")
+
+    @pytest.mark.parametrize("text, condition", [
+        ("Q(x)", "structural:open-formula"),
+        ("Q($a)", "structural:domain-element"),
+    ])
+    def test_label(self, text, condition, corpus_cs):
+        _, data = proof_dict(self.GOAL, corpus_cs)
+        self.node(data, 8)["formula"] = text
+        verdict = reject(data, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (8, condition)
+
+    def test_closure_kind(self, corpus_cs):
+        tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
+        leaf = [n for n in tree.nodes() if n.id == 8][0]
+        leaf.closure = "contradiction"
+        verdict = check_proof(tree, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (8, "closure-kind")
 
 
 class TestRuleFields:

@@ -134,10 +134,11 @@ class TestHints:
 
 
 class TestCutCandidates:
-    """Each FDot premise keeps its cut candidates on the agenda and reads
-    only the antecedents and subformulas added since its last read, and
-    the trail restores the kept list at each branch point.  Every read
-    must give the list made afresh from the current branch."""
+    """Each FDot premise keeps its cut candidates on the agenda.  A read
+    with no new antecedent adds only the subformulas indexed since, a new
+    antecedent makes the list afresh, and the trail restores the kept
+    list at each branch point.  Every read must give the list made
+    afresh from the current branch."""
 
     @staticmethod
     def fresh(s, a, agenda):
