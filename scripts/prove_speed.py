@@ -11,11 +11,13 @@ total, the budget ROADMAP's code-size item tracks.  Next it prints, for
 (``import folp``, then ``folp.fileio``, reading ``tests/data/corpus.cs``
 and the model files of ``tests/data/models``) and for ``import
 folp.cli``, the median time over N fresh interpreters (interpreter
-start-up not included) and the ``folp`` modules each one loaded, both
+start-up not included), the ``folp`` modules each one loaded and
+whether it loaded the stdlib's ``dataclasses`` and ``inspect``, both
 without bytecode (``PYTHONDONTWRITEBYTECODE=1``) and with bytecode
 cached in a warmed ``PYTHONPYCACHEPREFIX``.  The interpreters import a
 copy of the package in a temporary directory, so none reads or writes
-a ``__pycache__`` under ``--src``.
+a ``__pycache__`` under ``--src``.  Then it prints the best time of
+``Atom("var", "x")`` over N runs of 100,000.
 Next it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256 and on the evidence
 terms and formulas of ``tests/data/models``; on the latter also that of
@@ -74,6 +76,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,7 +109,11 @@ models = [read_model_file(p, cs.constants) for p in sorted((DATA / "models").glo
     "import folp.cli": "import folp.cli",
 }
 
-# Runs ``sys.argv[3]`` and prints its time and the folp modules loaded.
+# The stdlib modules whose loading the start-up lines report.
+STARTUP_STDLIB = ("dataclasses", "inspect")
+
+# Runs ``sys.argv[3]`` and prints its time and the folp and
+# ``STARTUP_STDLIB`` modules loaded.
 STARTUP_RUNNER = """import sys, time
 t0 = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
@@ -114,8 +121,9 @@ from pathlib import Path
 DATA = Path(sys.argv[2])
 exec(sys.argv[3])
 elapsed = time.perf_counter() - t0
-print(elapsed, *sorted(m for m in sys.modules if m == "folp" or m.startswith("folp.")))
-"""
+print(elapsed, *sorted(m for m in sys.modules
+                       if m == "folp" or m.startswith("folp.") or m in %r))
+""" % (STARTUP_STDLIB,)
 
 
 def chain(n: int) -> str:
@@ -217,8 +225,9 @@ def code_size(src: str) -> None:
 
 def startup(src: str, runs: int) -> None:
     """Print each ``STARTUP_CODE`` entry's median time over ``runs``
-    fresh interpreters, without and with bytecode, and the folp modules
-    it loaded."""
+    fresh interpreters, without and with bytecode, the folp modules it
+    loaded and whether it loaded each ``STARTUP_STDLIB`` module; then the
+    best time of ``Atom("var", "x")``."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
         shutil.copytree(Path(src) / "folp", copy / "folp",
@@ -240,9 +249,19 @@ def startup(src: str, runs: int) -> None:
         for name, code in STARTUP_CODE.items():
             results = [[run(code, env) for _ in range(runs)] for env in modes]
             bare, cached = (statistics.median(t for t, _ in rs) for rs in results)
+            modules = results[-1][-1][1]
+            stdlib = ", ".join(f"{m} {'yes' if m in modules else 'no'}" for m in STARTUP_STDLIB)
             print(f"start-up, {name}: {bare * 1e3:.1f} ms without bytecode, "
                   f"{cached * 1e3:.1f} ms with, median of {runs}; "
-                  f"loads {' '.join(results[-1][-1][1])}")
+                  f"loads {' '.join(m for m in modules if m.startswith('folp'))}; {stdlib}")
+    sys.path.insert(0, src)
+    from folp.syntax import Atom
+
+    number = 100_000
+    best = min(timeit.repeat('Atom("var", "x")', number=number, repeat=runs,
+                             globals={"Atom": Atom})) / number
+    print(f'start-up, Atom("var", "x"): {best * 1e9:.0f} ns/call, '
+          f"best of {runs} runs of {number:,}")
 
 
 def main() -> None:
@@ -251,8 +270,7 @@ def main() -> None:
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
     code_size(args.src)
-    startup(args.src, args.repeat)
-    sys.path.insert(0, args.src)
+    startup(args.src, args.repeat)  # puts ``args.src`` on ``sys.path``
     from folp import checker, cli
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,

@@ -23,8 +23,6 @@ form); ``x`` is not free in ``A`` (Q3) or in ``B`` (Q4's second form); window ``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .parser import parse_formula
 from .syntax import (
     App,
@@ -41,6 +39,7 @@ from .syntax import (
     Pred,
     Sum,
     TermVar,
+    _node,
     atoms_of,
     free_vars,
     occurs,
@@ -161,8 +160,7 @@ class CsError(Exception):
     """A constant specification entry is malformed."""
 
 
-@dataclass(frozen=True)
-class ConstantSpecification:
+class ConstantSpecification(metaclass=_node, frozen=True):
     """Declares which constants justify which axiom instances.
 
     ``concrete`` pairs constants with specific axiom instances,

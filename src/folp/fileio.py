@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .axioms import SCHEMES, ConstantSpecification, CsError
 from .parser import (
@@ -50,13 +50,9 @@ from .syntax import (
     par_set,
     param,
 )
-from .tableau import (
-    Contradiction,
-    CsClosure,
-    ProofNode,
-    ProofTree,
-    RuleApp,
-)
+
+if TYPE_CHECKING:  # the proof functions import it on first use
+    from .tableau import ProofNode, ProofTree, RuleApp
 
 
 class FileFormatError(Exception):
@@ -175,11 +171,19 @@ def _read_json(path: Union[str, Path]):
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ParseError)
 
 
+def _typed(value, cls: type, what: str):
+    """``value`` if its type is ``cls``: a JSON integer is no boolean."""
+    if type(value) is not cls:
+        raise FileFormatError(f"{what} must be a JSON {cls.__name__}, not {value!r}")
+    return value
+
+
 def parse_model(data: dict, decls: Iterable[str] = ()):
     """Build a model from its JSON dict; returns ``models.MkrtychevModel``.
     Malformed input raises :class:`FileFormatError`, and so does a domain
     that repeats an element or names one that ``$name`` cannot write (an
-    element is an identifier, ``[A-Za-z_][A-Za-z0-9_]*``).
+    element is an identifier, ``[A-Za-z_][A-Za-z0-9_]*``).  Rows and
+    ``formulas`` are JSON lists, and elements, terms and formulas strings.
 
     Schema::
 
@@ -198,7 +202,7 @@ def _parse_model(data: dict, decls: Iterable[str]):
 
     if not isinstance(data.get("domain"), list) or not data["domain"]:
         raise FileFormatError("model domain must be a non-empty list")
-    domain = tuple(str(d) for d in data["domain"])
+    domain = tuple(_typed(d, str, "domain element") for d in data["domain"])
     for i, d in enumerate(domain):
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", d) or d in domain[:i]:
             raise FileFormatError(f"domain element {d!r} is not a unique identifier")
@@ -206,9 +210,8 @@ def _parse_model(data: dict, decls: Iterable[str]):
     for pred, tuples in data.get("predicates", {}).items():
         rows = set()
         for row in tuples:
-            if not isinstance(row, list):
-                raise FileFormatError(f"predicate {pred}: row {row!r} is not a list")
-            row = tuple(str(x) for x in row)
+            row = tuple(_typed(x, str, f"predicate {pred}: row entry")
+                        for x in _typed(row, list, f"predicate {pred}: row"))
             for x in row:
                 if x not in domain:
                     raise FileFormatError(
@@ -219,9 +222,10 @@ def _parse_model(data: dict, decls: Iterable[str]):
     evidence: Evidence = {}
     for entry in data.get("evidence", []):
         try:
-            t = parse_term(entry["term"], decls)
+            t = parse_term(_typed(entry["term"], str, "evidence term"), decls)
             formulas = tuple(
-                parse_formula(text, decls) for text in entry.get("formulas", [])
+                parse_formula(_typed(text, str, "evidence formula"), decls)
+                for text in _typed(entry.get("formulas", []), list, "evidence formulas")
             )
         except _MALFORMED as exc:
             raise FileFormatError(f"bad evidence entry {entry!r}: {exc!r}") from exc
@@ -280,12 +284,12 @@ def _rule_to_dict(rule: RuleApp) -> dict:
     return out
 
 
-def _closure_to_dict(mark) -> Optional[dict]:
+def _closure_to_dict(mark, tableau) -> Optional[dict]:
     if mark is None:
         return None
-    if isinstance(mark, Contradiction):
+    if isinstance(mark, tableau.Contradiction):
         return {"kind": "contradiction", "with": mark.with_id}
-    if isinstance(mark, CsClosure):
+    if isinstance(mark, tableau.CsClosure):
         return {"kind": "cs", "constant": mark.constant}
     raise FileFormatError(f"unknown closure mark {mark!r}")
 
@@ -294,6 +298,8 @@ def proof_to_dict(tree: ProofTree) -> dict:
     """The JSON dict of a proof (see ``parse_proof``), built depth first
     off an explicit stack.  Nodes that cite one ``RuleApp`` object share
     one rule dict: copy it before editing it for one node only."""
+    from . import tableau
+
     # Node formulas share most of their subformulas and subterms; each is
     # printed once.
     memo: Memo = {}
@@ -311,7 +317,7 @@ def proof_to_dict(tree: ProofTree) -> dict:
             "formula": print_formula(node.formula, memo),
             "rule": None if rule is None else rules[id(rule)],
             "children": [],
-            "closure": _closure_to_dict(node.closure),
+            "closure": _closure_to_dict(node.closure, tableau),
         }
         siblings.append(out)
         for c in reversed(node.children):
@@ -337,18 +343,11 @@ def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
     Path(path).write_text(proof_to_json(tree), encoding="utf-8")
 
 
-def _typed(value, cls: type, what: str):
-    """``value`` if its type is ``cls``: a JSON integer is no boolean."""
-    if type(value) is not cls:
-        raise FileFormatError(f"{what} must be a JSON {cls.__name__}, not {value!r}")
-    return value
-
-
 _RULE_FIELDS = ("name", "premises", "param", "cut", "var")
 
 
 def _parse_rule(
-    data: Optional[dict], decls: Iterable[str], rules: dict[tuple, RuleApp]
+    data: Optional[dict], decls: Iterable[str], rules: dict[tuple, RuleApp], tableau
 ) -> Optional[RuleApp]:
     """The rule instance ``data`` writes.  ``rules`` maps the fields of
     each instance read so far to its ``RuleApp``, so the nodes citing an
@@ -377,7 +376,7 @@ def _parse_rule(
     if v is not None and not isinstance(v, str):
         raise FileFormatError(f"rule variable {v!r} must be a string")
     # Reached only if every field is well typed, so ``key`` is set and hashable.
-    rule = rules[key] = RuleApp(
+    rule = rules[key] = tableau.RuleApp(
         name=data["name"],
         premises=tuple(
             _typed(i, int, "rule premise") for i in _typed(data["premises"], list, "premises")
@@ -389,14 +388,14 @@ def _parse_rule(
     return rule
 
 
-def _parse_closure(data: Optional[dict], nid: int):
+def _parse_closure(data: Optional[dict], nid: int, tableau):
     if data is None:
         return None
     kind = data.get("kind")
     if kind == "contradiction":
-        return Contradiction(node_id=nid, with_id=_typed(data["with"], int, "closure 'with'"))
+        return tableau.Contradiction(nid, _typed(data["with"], int, "closure 'with'"))
     if kind == "cs":
-        return CsClosure(node_id=nid, constant=_typed(data["constant"], str, "closure 'constant'"))
+        return tableau.CsClosure(nid, _typed(data["constant"], str, "closure 'constant'"))
     raise FileFormatError(f"unknown closure kind {kind!r}")
 
 
@@ -429,7 +428,7 @@ def _add_subformulas(table: dict[str, Formula], root: Formula) -> None:
 
 
 def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
-                table: dict[str, Formula]) -> ProofNode:
+                table: dict[str, Formula], tableau) -> ProofNode:
     """The tree ``data`` writes, read depth first, children in order, off
     an explicit stack.  A node text that is an entry of ``table`` is
     looked up instead of parsed."""
@@ -441,11 +440,11 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
         try:
             nid = _typed(data["id"], int, "node id")
             text = data["formula"]
-            node = ProofNode(
+            node = tableau.ProofNode(
                 id=nid,
                 formula=table.get(text) or parse_formula(text, decls, arities),
-                rule=_parse_rule(data.get("rule"), decls, rules),
-                closure=_parse_closure(data.get("closure"), nid),
+                rule=_parse_rule(data.get("rule"), decls, rules, tableau),
+                closure=_parse_closure(data.get("closure"), nid, tableau),
             )
             children = list(data.get("children", []))
         except _MALFORMED as exc:
@@ -505,8 +504,10 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     if peak + 2 <= MAX_DEPTH:
         for text, g in list(table.items()):
             table.setdefault(f"~({text})" if type(g) is Impl else "~" + text, Neg(g))
-    root = _parse_tree(data["tree"], decls, arities, table)
-    return ProofTree(roots=roots, root=root)
+    from . import tableau
+
+    root = _parse_tree(data["tree"], decls, arities, table, tableau)
+    return tableau.ProofTree(roots=roots, root=root)
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:

@@ -23,7 +23,6 @@ of a search, and its truth evaluation, reuses them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .axioms import ConstantSpecification
@@ -42,6 +41,7 @@ from .syntax import (
     Term,
     TermConst,
     Window,
+    _node,
     canonical,
     elem,
     elem_set,
@@ -65,15 +65,13 @@ class ModelError(Exception):
 Evidence = dict[Term, dict[Formula, Formula]]
 
 
-@dataclass
-class MkrtychevModel:
+class MkrtychevModel(metaclass=_node):
     domain: tuple[str, ...]
     interp: dict[str, frozenset[tuple[str, ...]]]
     evidence: Evidence
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(metaclass=_node, frozen=True):
     condition: str  # one of E1..E6
     message: str
 
@@ -325,8 +323,7 @@ def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:
 # Bounded countermodel search
 
 
-@dataclass
-class CountermodelSearch:
+class CountermodelSearch(metaclass=_node):
     model: Optional[MkrtychevModel]
     status: str  # "found", "absent", or "exhausted"
     models_checked: int = 0

@@ -7,8 +7,8 @@ namespaces exist: individual variables (bare lowercase), parameters
 (``@u``), and domain elements (``$a``).  Parameters and domain elements
 are never bound by quantifiers.
 
-Values are never changed after construction.  Each term and formula
-class is a slotted class that ``_node`` makes from its annotated fields.
+Values are never changed after construction.  ``Atom`` and each term and
+formula class are slotted classes that ``_node`` makes from their fields.
 Each node hashes itself when built, from its children's cached hashes;
 formulas also cache their atom facts and canonical form.  Windows are
 sorted duplicate-free tuples, so structural equality of formulas is
@@ -17,7 +17,6 @@ plain ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -29,72 +28,62 @@ _KIND_ORDER = {VAR: 0, PARAM: 1, ELEM: 2}
 _KIND_SIGIL = {VAR: "", PARAM: "@", ELEM: "$"}
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """An individual variable, a parameter, or a domain element."""
-
-    kind: str
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown atom kind: {self.kind!r}")
-
-    def __str__(self) -> str:
-        return _KIND_SIGIL[self.kind] + self.name
-
-    def sort_key(self) -> tuple[int, str]:
-        return (_KIND_ORDER[self.kind], self.name)
-
-
-def var(name: str) -> Atom:
-    return Atom(VAR, name)
-
-
-def param(name: str) -> Atom:
-    return Atom(PARAM, name)
-
-
-def elem(name: str) -> Atom:
-    return Atom(ELEM, name)
-
-
 # ---------------------------------------------------------------------------
-# Terms and formulas cache their hash, and formulas their atom name sets.
+# The class maker.  Terms and formulas cache their hash, formulas their atoms.
 
 
-def _node(name: str, bases: tuple, ns: dict) -> type:
-    """Metaclass of the term and formula classes: makes the slotted class
-    once.  Its annotations are its fields, and its ``__init__`` takes
-    them by position or keyword, runs the class's own ``__post_init__``
-    normaliser, if any, and stores the node's hash in ``_hash``, read off
+def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
+    """Metaclass of the term and formula classes, and of records such as
+    ``Atom``, made as slotted ``dataclasses`` would make them, without
+    importing it.  A class's annotations are its fields, each a slot.
+    Its ``__init__`` takes them by position or keyword, with the
+    defaults its body gives, and runs its ``__post_init__``, if any; its
+    ``repr`` is the dataclass form (see ``_repr``).
+
+    A term or formula, a class with a base, starts the base's other
+    slots (caches) as None and stores its hash in ``_hash``, read off
     its children's, so hashing never recurses; nor does equality (see
-    ``_equal``) or ``repr`` (see ``_repr``).  The base's other slots
-    (caches) start as None."""
+    ``_equal``).
+
+    A record, a class without a base, compares the tuple of its fields
+    with that of another of its class.  A ``frozen`` record refuses
+    assignment and hashes that tuple; any other is unhashable."""
     fields = _FIELDS[name] = tuple(
         (field, kind in ("Term", "Formula")) for field, kind in ns["__annotations__"].items()
     )
     names = [field for field, _ in fields]
     defaults = tuple(ns.pop(field) for field in names if field in ns)
-    normalize = "__post_init__" in ns
-    read = "self." if normalize else ""
-    key = [repr(name), *(f"{read}{field}._hash" if child else read + field
-                         for field, child in fields)]
-    source = "\n ".join([
-        f"def __init__(self, {', '.join(names)}):",
-        *(f"self.{field} = {field}" for field in names),
-        *(f"self.{slot} = None" for slot in bases[0].__slots__ if slot != "_hash"),
-        *(["self.__post_init__()"] if normalize else []),
-        f"self._hash = hash(({', '.join(key)}))",
-    ])
-    scope: dict = {}
-    exec(source, scope)
-    init = scope["__init__"]
-    init.__defaults__ = defaults
-    init.__qualname__ = f"{name}.__init__"
-    ns.update(__slots__=tuple(names), __init__=init, __hash__=_cached_hash,
-              __eq__=_equal, __repr__=_repr)
+    post = [" self.__post_init__()"] if "__post_init__" in ns else []
+    source = [f"def __init__(self, {', '.join(names)}):",
+              *(f" _set(self, {f!r}, {f})" if frozen else f" self.{f} = {f}" for f in names)]
+    if bases:
+        read = "self." if post else ""
+        key = [repr(name), *(f"{read}{field}._hash" if child else read + field
+                             for field, child in fields)]
+        source += [*(f" self.{slot} = None" for slot in bases[0].__slots__ if slot != "_hash"),
+                   *post, f" self._hash = hash(({', '.join(key)}))"]
+        ns.update(__hash__=_cached_hash, __eq__=_equal)
+    else:
+        own = "".join(f"self.{field}, " for field in names)
+        source += [*post, "def __eq__(self, other):",
+                   " if other.__class__ is not self.__class__: return NotImplemented",
+                   f" return ({own}) == ({own.replace('self.', 'other.')})"]
+        if frozen:
+            source.append(f"def __hash__(self): return hash(({own}))")
+            ns.update(__setattr__=_refuse, __delattr__=_refuse)
+        else:
+            ns["__hash__"] = None
+    methods: dict = {}
+    exec("\n".join(source), {"_set": object.__setattr__}, methods)
+    methods["__init__"].__defaults__ = defaults
+    for method, function in methods.items():
+        function.__qualname__ = f"{name}.{method}"
+    ns.update(methods, __slots__=tuple(names), __repr__=_repr)
     return type(name, bases, ns)
+
+
+def _refuse(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set field {name!r}")
 
 
 def _cached_hash(self) -> int:
@@ -107,8 +96,8 @@ _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {}
 
 
 def _repr(x) -> str:
-    """The repr of a term or formula in the form a dataclass prints,
-    ``Neg(body=...)``, built off a stack of nodes and finished text
+    """The repr of a ``_node`` class's instance in the form a dataclass
+    prints, ``Neg(body=...)``, built off a stack of nodes and finished text
     pieces, so no depth of nesting exhausts the interpreter's stack."""
     todo: list = [x]
     out: list[str] = []
@@ -178,6 +167,39 @@ def _equal(a, b):
         if not stack:
             return True
         a, b = stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# Atoms
+
+
+class Atom(metaclass=_node, frozen=True):
+    """An individual variable, a parameter, or a domain element."""
+
+    kind: str
+    name: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KIND_ORDER:
+            raise ValueError(f"unknown atom kind: {self.kind!r}")
+
+    def __str__(self) -> str:
+        return _KIND_SIGIL[self.kind] + self.name
+
+    def sort_key(self) -> tuple[int, str]:
+        return (_KIND_ORDER[self.kind], self.name)
+
+
+def var(name: str) -> Atom:
+    return Atom(VAR, name)
+
+
+def param(name: str) -> Atom:
+    return Atom(PARAM, name)
+
+
+def elem(name: str) -> Atom:
+    return Atom(ELEM, name)
 
 
 # ---------------------------------------------------------------------------

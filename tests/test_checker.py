@@ -1,6 +1,7 @@
 """Independent proof verification: accepts search output, rejects
 single-edit corruptions with the precise violated condition."""
 
+import json
 import textwrap
 from dataclasses import replace
 
@@ -186,6 +187,35 @@ class TestInstanceReuse:
         assert (verdict.node_id, verdict.condition, verdict.message) == (
             9, "premise-missing", "node 6 is not on the branch")
 
+    def test_conclusion_copied_to_the_sibling_branch(self, corpus_cs):
+        # At each branching node of the corpus proofs, each conclusion
+        # whose premise lies below one child, copied with a fresh id below
+        # the last leaf of the other child, cites a premise that is not on
+        # its branch.  The copy cites the conclusion's rule instance, which
+        # the checker has already derived when the conclusion is on the left.
+        cases = 0
+        for text in CORPUS_GOALS:
+            _, data = proof_dict(text, corpus_cs)
+            fresh = max(n["id"] for n in nodes_of(data)) + 1
+            for node in nodes_of(data):
+                if len(node["children"]) != 2:
+                    continue
+                for side, other in (node["children"], node["children"][::-1]):
+                    below = nodes_of({"tree": side})
+                    ids = {n["id"] for n in below}
+                    leaf_id = nodes_of({"tree": other})[-1]["id"]
+                    for conclusion in below:
+                        if not (conclusion["rule"] and conclusion["rule"]["premises"][0] in ids):
+                            continue
+                        copied = json.loads(json.dumps(data))
+                        leaf = {n["id"]: n for n in nodes_of(copied)}[leaf_id]
+                        copy = {**conclusion, "id": fresh, "children": [],
+                                "closure": leaf["closure"]}
+                        leaf["children"], leaf["closure"] = [copy], None
+                        verdict = reject(copied, corpus_cs)
+                        assert (verdict.node_id, verdict.condition) == (fresh, "premise-missing")
+                        cases += 1
+        assert cases == 7  # in 3 of the 55 proofs
 
 class TestStructure:
     """Conditions on the tree's shape and labels, each pinned to the node

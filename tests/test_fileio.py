@@ -228,6 +228,29 @@ class TestModelFiles:
         with pytest.raises(FileFormatError):
             parse_model(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # A string of formulas is not read a character at a time, nor
+            # one formula as a list of one.
+            {"domain": ["a"], "evidence": [{"term": "p", "formulas": "QR"}]},
+            {"domain": ["a"], "evidence": [{"term": "p", "formulas": "Q"}]},
+            # true and null are not the elements "True" and "None".
+            {"domain": [True]},
+            {"domain": [None]},
+            {"domain": ["True"], "predicates": {"Q": [[True]]}},
+            {"domain": ["None"], "predicates": {"Q": [[None]]}},
+            {"domain": ["a"], "predicates": {"Q": [("a",)]}},
+            {"domain": ["a"], "evidence": [{"term": None, "formulas": []}]},
+            {"domain": ["a"], "evidence": [{"term": "p", "formulas": [None]}]},
+        ],
+    )
+    def test_json_types(self, data):
+        # Rows and "formulas" are JSON lists; elements, row entries,
+        # terms and formulas are JSON strings.
+        with pytest.raises(FileFormatError, match="must be a JSON"):
+            parse_model(data)
+
 
 class TestProofFiles:
     def test_round_trip(self, corpus_cs, tmp_path):

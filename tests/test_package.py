@@ -3,6 +3,8 @@ importing it, and reading the benchmark's set-up inputs, load."""
 
 import json
 
+from folp import parse_formula, prove
+from folp.fileio import write_proof_file
 from conftest import DATA, run_fresh
 
 # Each exported name, by the module that defines it; the module names
@@ -27,9 +29,10 @@ EXPORTS = {
 HOME = {name: module for module, names in EXPORTS.items()
         for name in (module, *names.split())}
 
-# Run in a fresh interpreter, after ``home`` (``HOME``) and ``data``
-# (``DATA`` as text) are set: what each step loads, then what the
-# exported names are.
+# Run in a fresh interpreter, after ``home`` (``HOME``), ``data``
+# (``DATA`` as text) and ``proof`` (a proof file's path) are set: what
+# each step loads, whether the proof file then reads back as written,
+# and what the exported names are.
 SCRIPT = """
 import importlib, json, sys
 from pathlib import Path
@@ -46,6 +49,9 @@ from folp.fileio import read_cs_file, read_model_file
 cs = read_cs_file(Path(data, "corpus.cs"))
 models = [read_model_file(p, cs.constants) for p in sorted(Path(data, "models").glob("*.json"))]
 out["set-up"] = loaded()
+out["set-up dataclasses"] = "dataclasses" in sys.modules
+tree = folp.read_proof_file(proof, cs.constants)
+out["proof read"] = folp.fileio.proof_to_json(tree) == Path(proof).read_text()
 try:
     folp.no_such_name
 except AttributeError as exc:
@@ -64,12 +70,19 @@ print(json.dumps(out))
 """
 
 
-def test_package_loads_modules_on_first_use():
-    done = run_fresh(f"home, data = {HOME!r}, {str(DATA)!r}" + SCRIPT)
+def test_package_loads_modules_on_first_use(tmp_path, corpus_cs):
+    proof = tmp_path / "proof.json"
+    write_proof_file(proof, prove(parse_formula("p : Q0 -> Q0"), corpus_cs).tree)
+    done = run_fresh(f"home, data, proof = {HOME!r}, {str(DATA)!r}, {str(proof)!r}" + SCRIPT)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["import"] == []
-    assert not {"folp.search", "folp.checker", "folp.cli"} & set(out["set-up"])
+    # The set-up path reads a CS file and model files; proofs are not
+    # read, so neither the tableau nor dataclasses is loaded.
+    assert out["set-up"] == ["folp.axioms", "folp.fileio", "folp.models", "folp.parser",
+                             "folp.syntax"]
+    assert not out["set-up dataclasses"]
+    assert out["proof read"]
     assert out["dir_missing"] == []
     assert out["unknown"] == "module 'folp' has no attribute 'no_such_name'"
     assert sorted(out["all"]) == sorted(HOME) and len(HOME) == 83

@@ -5,19 +5,25 @@ import pytest
 from folp import (
     App,
     Assert,
+    Atom,
     Bang,
     CaptureError,
+    ConstantSpecification,
+    CountermodelSearch,
+    CsError,
     Exists,
     Forall,
     Formula,
     Gen,
     Impl,
+    MkrtychevModel,
     Neg,
     Pred,
     Sum,
     Term,
     TermConst,
     TermVar,
+    Violation,
     alpha_eq,
     canonical,
     elem,
@@ -226,3 +232,71 @@ class TestNodes:
     def test_pred_args_default_to_empty(self):
         assert Pred("Q0").args == () and Pred(name="Q0") == Pred("Q0", ())
         assert hash(Pred("Q0")) == hash(("Pred", "Q0", ()))
+
+
+_ENTRY = ("c", f("Q0 -> Q1 -> Q0"))
+
+# Each record class that reading a CS file and model files makes: the
+# values of its fields, in order, its defaults, and whether it is frozen
+# (refuses assignment and hashes its fields).
+RECORDS = (
+    (Atom, {"kind": "var", "name": "x"}, {}, True),
+    (ConstantSpecification,
+     {"constants": frozenset("c"), "concrete": (_ENTRY,), "schematic": (("c", "JT"),),
+      "total": True, "variant_closed": True},
+     {"constants": frozenset(), "concrete": (), "schematic": (), "total": False,
+      "variant_closed": False}, True),
+    (MkrtychevModel, {"domain": ("a",), "interp": {"Q": frozenset({("a",)})}, "evidence": {}},
+     {}, False),
+    (Violation, {"condition": "E1", "message": "missing"}, {}, True),
+    (CountermodelSearch, {"model": None, "status": "absent", "models_checked": 3},
+     {"models_checked": 0}, False),
+)
+
+
+class TestRecords:
+    """The records behave as the dataclasses they once were, each made
+    with slots."""
+
+    @pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS,
+                             ids=[cls.__name__ for cls, *_ in RECORDS])
+    def test_contract(self, cls, fields, defaults, frozen):
+        record = cls(*fields.values())
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+        assert repr(record) == (
+            f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")")
+        bare = cls(**{k: v for k, v in fields.items() if k not in defaults})
+        assert [getattr(bare, name) for name in defaults] == list(defaults.values())
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+        # Equality is field-wise, and only with a record of the class.
+        assert record == cls(**fields)
+        for name in fields:
+            other = cls(**fields)
+            object.__setattr__(other, name, object())
+            assert record != other
+        assert record != tuple(fields.values())
+        first = next(iter(fields))
+        if frozen:
+            assert hash(record) == hash(tuple(fields.values()))
+            with pytest.raises(AttributeError):
+                setattr(record, first, fields[first])
+            with pytest.raises(AttributeError):
+                delattr(record, first)
+        else:
+            assert cls.__hash__ is None
+            setattr(record, first, fields[first])
+        # Each field is a slot, and there is no other.
+        assert cls.__slots__ == tuple(fields) and not hasattr(record, "__dict__")
+
+    def test_post_init_checks(self):
+        with pytest.raises(ValueError, match="unknown atom kind"):
+            Atom("vra", "x")
+        with pytest.raises(CsError, match="undeclared constant"):
+            ConstantSpecification(concrete=(_ENTRY,))
+        with pytest.raises(CsError, match="undeclared constant"):
+            ConstantSpecification(schematic=(("c", "JT"),))
+        with pytest.raises(CsError, match="not an axiom instance"):
+            ConstantSpecification(frozenset("c"), (("c", f("Q0")),))
+        with pytest.raises(CsError, match="unknown scheme"):
+            ConstantSpecification(frozenset("c"), schematic=(("c", "JX"),))
