@@ -15,13 +15,13 @@ which reads the whole branch; those two are derived at every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .axioms import ConstantSpecification
 from .syntax import (
     Formula,
     Neg,
+    _node,
     elem_set,
     free_vars,
 )
@@ -39,8 +39,7 @@ from .tableau import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(metaclass=_node, frozen=True):
     accepted: bool
     node_id: Optional[int] = None
     condition: Optional[str] = None

@@ -60,6 +60,7 @@ from .syntax import (
     Term,
     TermConst,
     TermVar,
+    _node,
     elem,
     param,
     var,
@@ -83,17 +84,14 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token:
+class Token(metaclass=_node):
     """A token and its offset in ``source``; ``line`` and ``col`` are
     worked out only when asked for, as when an error is raised."""
 
-    __slots__ = ("kind", "text", "offset", "source")
-
-    def __init__(self, kind: str, text: str, offset: int, source: str):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self.source = source
+    kind: str
+    text: str
+    offset: int
+    source: str
 
     @property
     def line(self) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Any, Optional, Sequence, Union
 
@@ -41,6 +40,7 @@ from .syntax import (
     Formula,
     Impl,
     Neg,
+    _node,
     atoms_of,
     elem_set,
     free_vars,
@@ -60,8 +60,7 @@ from .tableau import (
 )
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(metaclass=_node, frozen=True):
     max_nodes: int = 10_000
     max_depth: int = 200
     max_params: int = 8
@@ -76,19 +75,16 @@ class SearchBudget:
             raise ValueError("time_limit must be positive")
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(metaclass=_node, frozen=True):
     tree: ProofTree
 
 
-@dataclass(frozen=True)
-class Open:
+class Open(metaclass=_node, frozen=True):
     branch: tuple[Formula, ...]
     diagnostics: str
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(metaclass=_node, frozen=True):
     dimension: str
 
 
@@ -329,7 +325,7 @@ class _Search:
             for nid, rule in agenda.pending(name):
                 if name == "Ins":
                     # A fresh variable per examination, applicable or not.
-                    rule = replace(rule, var=self.fresh_name("v"))
+                    rule = RuleApp(name, rule.premises, rule.param, var=self.fresh_name("v"))
                 choice = self._try_rule(agenda, rule)
                 if choice is not None:
                     return choice

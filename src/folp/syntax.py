@@ -7,12 +7,12 @@ namespaces exist: individual variables (bare lowercase), parameters
 (``@u``), and domain elements (``$a``).  Parameters and domain elements
 are never bound by quantifiers.
 
-Values are never changed after construction.  ``Atom`` and each term and
-formula class are slotted classes that ``_node`` makes from their fields.
-Each node hashes itself when built, from its children's cached hashes;
-formulas also cache their atom facts and canonical form.  Windows are
-sorted duplicate-free tuples, so structural equality of formulas is
-plain ``==``.
+Values are never changed after construction.  ``Atom``, each term and
+formula class and folp's other records are slotted classes that ``_node``
+makes from their fields.  Each node hashes itself when built, copied or
+unpickled, from its children's cached hashes; formulas also cache their
+atom facts and canonical form.  Windows are sorted duplicate-free tuples,
+so structural equality of formulas is plain ``==``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ _KIND_SIGIL = {VAR: "", PARAM: "@", ELEM: "$"}
 
 
 def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
-    """Metaclass of the term and formula classes, and of records such as
-    ``Atom``, made as slotted ``dataclasses`` would make them, without
-    importing it.  A class's annotations are its fields, each a slot.
-    Its ``__init__`` takes them by position or keyword, with the
-    defaults its body gives, and runs its ``__post_init__``, if any; its
-    ``repr`` is the dataclass form (see ``_repr``).
+    """Metaclass of the term and formula classes and of every record,
+    such as ``Atom`` or ``tableau.ProofNode``, made as slotted
+    ``dataclasses`` would make them, without importing it.  A class's
+    annotations are its fields, each a slot.  Its ``__init__`` takes them
+    by position or keyword, with the defaults its body gives, and runs
+    its ``__post_init__``, if any; its ``repr`` is the dataclass form
+    (see ``_repr``).  A copy or an unpickled instance is made by that
+    ``__init__`` (see ``_reduce``), so it computes its own hash.
 
     A term or formula, a class with a base, starts the base's other
     slots (caches) as None and stores its hash in ``_hash``, read off
@@ -48,7 +50,7 @@ def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
     A record, a class without a base, compares the tuple of its fields
     with that of another of its class.  A ``frozen`` record refuses
     assignment and hashes that tuple; any other is unhashable."""
-    fields = _FIELDS[name] = tuple(
+    fields = tuple(
         (field, kind in ("Term", "Formula")) for field, kind in ns["__annotations__"].items()
     )
     names = [field for field, _ in fields]
@@ -78,7 +80,7 @@ def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
     methods["__init__"].__defaults__ = defaults
     for method, function in methods.items():
         function.__qualname__ = f"{name}.{method}"
-    ns.update(methods, __slots__=tuple(names), __repr__=_repr)
+    ns.update(methods, __slots__=tuple(names), __repr__=_repr, __reduce__=_reduce)
     return type(name, bases, ns)
 
 
@@ -90,9 +92,9 @@ def _cached_hash(self) -> int:
     return self._hash
 
 
-# Each node class's fields by name, in order, each with whether it holds
-# a term or formula.
-_FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {}
+def _reduce(self) -> tuple:
+    """``copy`` and ``pickle`` rebuild ``self`` by calling its class on its fields."""
+    return type(self), tuple([getattr(self, field) for field in type(self).__slots__])
 
 
 def _repr(x) -> str:
@@ -106,11 +108,11 @@ def _repr(x) -> str:
         if isinstance(x, str):
             out.append(x)
             continue
-        name = type(x).__name__
-        parts = [name + "("]
-        for i, (field_name, child) in enumerate(_FIELDS[name]):
-            value = getattr(x, field_name)
-            parts += (", " * (i > 0) + field_name + "=", value if child else repr(value))
+        parts = [type(x).__name__ + "("]
+        for i, field in enumerate(type(x).__slots__):
+            value = getattr(x, field)
+            child = isinstance(value, (Term, Formula))
+            parts += (", " * (i > 0) + field + "=", value if child else repr(value))
         parts.append(")")
         todo += reversed(parts)
     return "".join(out)

@@ -8,7 +8,6 @@ new formulas per created child branch) and never mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .axioms import ConstantSpecification, cs_contains
@@ -27,6 +26,7 @@ from .syntax import (
     PARAM,
     Sum,
     TermConst,
+    _node,
     elem_set,
     mkwindow,
     par_set,
@@ -68,8 +68,7 @@ class RuleError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(metaclass=_node, frozen=True):
     name: str
     premises: tuple[int, ...]
     param: Optional[Atom] = None
@@ -89,16 +88,14 @@ _FIELD_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(metaclass=_node, frozen=True):
     """Closure by ``A`` and ``~A`` both on the branch."""
 
     node_id: int
     with_id: int
 
 
-@dataclass(frozen=True)
-class CsClosure:
+class CsClosure(metaclass=_node, frozen=True):
     """Closure by ``~c:A`` on the branch with ``c:A`` in the CS."""
 
     node_id: int
@@ -313,17 +310,20 @@ def closure_against(
 # Proof trees
 
 
-@dataclass
-class ProofNode:
+class ProofNode(metaclass=_node):
     id: int
     formula: Formula
     rule: Optional[RuleApp]
-    children: list["ProofNode"] = field(default_factory=list)
+    # None gives each node a list of its own.
+    children: list[ProofNode] = None  # type: ignore[assignment]
     closure: Optional[Closure] = None
 
+    def __post_init__(self) -> None:
+        if self.children is None:
+            self.children = []
 
-@dataclass
-class ProofTree:
+
+class ProofTree(metaclass=_node):
     roots: list[Formula]
     root: ProofNode
 

@@ -77,13 +77,20 @@ def model_paths() -> list[Path]:
     return sorted((DATA / "models").glob("*.json"))
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
+def run_fresh(script: str, **env: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter with the default stack, as
-    the CLI would, importing the folp that the tests import."""
+    the CLI would, importing the folp that the tests import; ``env`` adds
+    to the environment."""
     src = str(Path(folp.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def replace(record, **changes):
+    """A copy of the record ``record``, a ``_node`` class's instance, with
+    the fields named in ``changes`` set to their values."""
+    return type(record)(**{**{f: getattr(record, f) for f in record.__slots__}, **changes})
 
 
 # Goals provable under the corpus CS: three instances per axiom scheme

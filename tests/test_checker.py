@@ -3,7 +3,6 @@ single-edit corruptions with the precise violated condition."""
 
 import json
 import textwrap
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,7 @@ from folp import (
 )
 from folp.fileio import parse_proof, proof_to_dict
 from folp.tableau import ProofNode, ProofTree
-from conftest import CORPUS_GOALS, DATA, run_fresh
+from conftest import CORPUS_GOALS, DATA, replace, run_fresh
 
 
 def proof_dict(goal_text, cs):

@@ -1,5 +1,6 @@
 """The ``folp`` package: its exported names, and the modules that
-importing it, and reading the benchmark's set-up inputs, load."""
+importing it, reading the benchmark's set-up inputs, and running the
+CLI load."""
 
 import json
 
@@ -88,3 +89,36 @@ def test_package_loads_modules_on_first_use(tmp_path, corpus_cs):
     assert sorted(out["all"]) == sorted(HOME) and len(HOME) == 83
     assert out["star_missing"] == []
     assert out["not_own"] == []
+
+
+# Run in a fresh interpreter after ``data`` (``DATA`` as text) and
+# ``proof`` (a path to write) are set: each command's exit code, and
+# which of the stdlib modules ``dataclasses`` and ``inspect`` are loaded
+# after ``import folp.cli`` and after the commands.
+CLI_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import folp.cli
+
+stdlib = lambda: [m for m in ("dataclasses", "inspect") if m in sys.modules]
+out = {"import": stdlib()}
+cs, model = str(Path(data, "corpus.cs")), str(sorted(Path(data, "models").glob("*.json"))[0])
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [
+        folp.cli.main(["prove", "p : Q0 -> Q0", "--cs", cs, "--out", proof]),
+        folp.cli.main(["check", proof, "--cs", cs, "--goal", "p : Q0 -> Q0"]),
+        folp.cli.main(["model-check", model, "--cs", cs, "--formula", "p : Q0 -> Q0"]),
+    ]
+out["commands"] = stdlib()
+print(json.dumps(out))
+"""
+
+
+def test_cli_loads_no_dataclasses(tmp_path):
+    done = run_fresh(f"data, proof = {str(DATA)!r}, {str(tmp_path / 'proof.json')!r}"
+                     + CLI_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["codes"] == [0, 0, 0]
+    assert out["import"] == out["commands"] == []

@@ -1,7 +1,12 @@
 """Core AST semantics: variables, substitution, canonical forms."""
 
+import copy
+import importlib
+import pickle
+
 import pytest
 
+import folp
 from folp import (
     App,
     Assert,
@@ -9,8 +14,11 @@ from folp import (
     Bang,
     CaptureError,
     ConstantSpecification,
+    Contradiction,
     CountermodelSearch,
+    CsClosure,
     CsError,
+    Exhausted,
     Exists,
     Forall,
     Formula,
@@ -18,11 +26,18 @@ from folp import (
     Impl,
     MkrtychevModel,
     Neg,
+    Open,
     Pred,
+    ProofNode,
+    ProofTree,
+    Proved,
+    RuleApp,
+    SearchBudget,
     Sum,
     Term,
     TermConst,
     TermVar,
+    Verdict,
     Violation,
     alpha_eq,
     canonical,
@@ -39,6 +54,9 @@ from folp import (
     var,
     variable_variant,
 )
+from folp.parser import Token
+from folp.syntax import _repr
+from conftest import run_fresh
 
 
 def f(text: str):
@@ -235,10 +253,12 @@ class TestNodes:
 
 
 _ENTRY = ("c", f("Q0 -> Q1 -> Q0"))
+_RULE = RuleApp("FNeg", (0,))
+_LEAF = ProofNode(1, _A, _RULE, closure=Contradiction(1, 0))
+_TREE = ProofTree([Neg(_A)], ProofNode(0, Neg(_A), None, [_LEAF]))
 
-# Each record class that reading a CS file and model files makes: the
-# values of its fields, in order, its defaults, and whether it is frozen
-# (refuses assignment and hashes its fields).
+# Each record class: the values of its fields, in order, its defaults,
+# and whether it is frozen (refuses assignment and hashes its fields).
 RECORDS = (
     (Atom, {"kind": "var", "name": "x"}, {}, True),
     (ConstantSpecification,
@@ -251,6 +271,23 @@ RECORDS = (
     (Violation, {"condition": "E1", "message": "missing"}, {}, True),
     (CountermodelSearch, {"model": None, "status": "absent", "models_checked": 3},
      {"models_checked": 0}, False),
+    (RuleApp, {"name": "Ins", "premises": (0,), "param": param("u"), "cut": _A, "var": "v"},
+     {"param": None, "cut": None, "var": None}, True),
+    (Contradiction, {"node_id": 1, "with_id": 0}, {}, True),
+    (CsClosure, {"node_id": 1, "constant": "c"}, {}, True),
+    (ProofNode, {"id": 0, "formula": _A, "rule": _RULE, "children": [_LEAF],
+                 "closure": CsClosure(0, "c")}, {"children": [], "closure": None}, False),
+    (ProofTree, {"roots": [Neg(_A)], "root": _TREE.root}, {}, False),
+    (SearchBudget, {"max_nodes": 5, "max_depth": 6, "max_params": 7, "max_cut_candidates": 8,
+                    "time_limit": 9.0},
+     {"max_nodes": 10_000, "max_depth": 200, "max_params": 8, "max_cut_candidates": 32,
+      "time_limit": 30.0}, True),
+    (Proved, {"tree": _TREE}, {}, True),
+    (Open, {"branch": (_A, Neg(_B)), "diagnostics": "no rule applies"}, {}, True),
+    (Exhausted, {"dimension": "max_nodes"}, {}, True),
+    (Verdict, {"accepted": False, "node_id": 1, "condition": "closure-cs", "message": "no"},
+     {"node_id": None, "condition": None, "message": ""}, True),
+    (Token, {"kind": "PRED", "text": "Q", "offset": 2, "source": "~ Q"}, {}, False),
 )
 
 
@@ -278,7 +315,15 @@ class TestRecords:
         assert record != tuple(fields.values())
         first = next(iter(fields))
         if frozen:
-            assert hash(record) == hash(tuple(fields.values()))
+            # It hashes its fields when they all hash (``Proved``'s tree
+            # does not).
+            try:
+                key = hash(tuple(fields.values()))
+            except TypeError:
+                with pytest.raises(TypeError):
+                    hash(record)
+            else:
+                assert hash(record) == key
             with pytest.raises(AttributeError):
                 setattr(record, first, fields[first])
             with pytest.raises(AttributeError):
@@ -288,6 +333,19 @@ class TestRecords:
             setattr(record, first, fields[first])
         # Each field is a slot, and there is no other.
         assert cls.__slots__ == tuple(fields) and not hasattr(record, "__dict__")
+
+    def test_every_record_class_is_pinned(self):
+        modules = [importlib.import_module("folp." + name)
+                   for name in {*folp._EXPORTS.values(), "cli"}]
+        made = {cls for module in modules for cls in vars(module).values()
+                if isinstance(cls, type) and cls.__repr__ is _repr and cls.__bases__ == (object,)}
+        assert made == {cls for cls, *_ in RECORDS}
+
+    def test_each_proof_node_has_its_own_children(self):
+        a, b = ProofNode(0, _A, None), ProofNode(id=1, formula=_A, rule=None)
+        assert a.children == b.children == [] and a.children is not b.children
+        a.children.append(b)
+        assert b.children == []
 
     def test_post_init_checks(self):
         with pytest.raises(ValueError, match="unknown atom kind"):
@@ -300,3 +358,48 @@ class TestRecords:
             ConstantSpecification(frozenset("c"), (("c", f("Q0")),))
         with pytest.raises(CsError, match="unknown scheme"):
             ConstantSpecification(frozenset("c"), schematic=(("c", "JX"),))
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+class TestCopies:
+    """A copy or an unpickled value is rebuilt through its class, so it
+    equals the original and computes its own hash and caches."""
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy, _pickled],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("cls, fields", [(cls, fields) for cls, fields, *_ in
+                                             (*NODE_FIELDS, *RECORDS)],
+                             ids=[cls.__name__ for cls, *_ in (*NODE_FIELDS, *RECORDS)])
+    def test_round_trip(self, cls, fields, how):
+        x = cls(**fields)
+        y = how(x)
+        assert type(y) is cls and y is not x and y == x and repr(y) == repr(x)
+        if isinstance(x, (Term, Formula)):
+            assert y._hash == x._hash
+        if how is not copy.copy:
+            assert all(getattr(y, k) is not v for k, v in fields.items()
+                       if isinstance(v, (list, dict)))
+
+    def test_copied_formula_caches_its_own(self):
+        g = f("forall x. (p :[x] Q(x) -> Q(x))")
+        canonical(g)
+        free_vars(g)
+        h = copy.copy(g)
+        assert h._canon is None and h._facts is None and canonical(h) == canonical(g)
+
+    def test_pickle_across_hash_seeds(self):
+        # Pickled where strings hash one way, read where they hash another.
+        text = "forall x. (p :[x, @u, $a] R(x) -> Q($a))"
+        make = f"import pickle, sys, folp; g = folp.parse_formula({text!r}, set()); "
+        done = run_fresh(make + "sys.stdout.write(pickle.dumps((g, g.body)).hex())",
+                         PYTHONHASHSEED="1")
+        assert done.returncode == 0, done.stderr
+        done = run_fresh(make + f"h, body = pickle.loads(bytes.fromhex({done.stdout!r})); "
+                         "print(h == g, {g: 1}.get(h), {h: 1}.get(g), body == g.body, "
+                         "hash(h) == hash(g), {h.body.left.window[0]: 1}.get(folp.var('x')))",
+                         PYTHONHASHSEED="2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "1", "1", "True", "True", "1"]

@@ -1,7 +1,6 @@
 """Rule application and branch closure."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,7 @@ from folp import (
     prove,
 )
 from folp.tableau import FRESH_PARAM_RULES, closure_against, premise_rules
-from conftest import CORPUS_GOALS, random_formula
+from conftest import CORPUS_GOALS, random_formula, replace
 
 
 def f(text: str):
