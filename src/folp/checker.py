@@ -118,14 +118,13 @@ def _check_closure(leaf: ProofNode, branch: Branch, cs: ConstantSpecification) -
 
 def _check_rule_node(
     node: ProofNode,
-    sibling_index: int,
     siblings: list[ProofNode],
     branch: Branch,
     derived: dict[int, list[list[Formula]]],
 ) -> None:
-    """Verify that ``node``'s label is re-derivable from its rule.
-    ``derived`` maps the identity of each rule object derived so far to
-    its extensions."""
+    """Verify that ``node``'s label, one of ``siblings``, is re-derivable
+    from its rule.  ``derived`` maps the identity of each rule object
+    derived so far to its extensions."""
     rule = node.rule
     assert rule is not None
     extensions = derived.get(id(rule))
@@ -143,6 +142,7 @@ def _check_rule_node(
                 "branching-structure",
                 f"{rule.name} must produce two sibling branches",
             )
+        sibling_index = 0 if siblings[0] is node else 1
         other = siblings[1 - sibling_index]
         if other.rule != rule:
             _reject(
@@ -184,8 +184,8 @@ def check_proof(
     instance, and every leaf carries a valid closure mark.
     """
     try:
-        chain = _check_structure(tree, expected_goal)
-        _check_tree(chain, cs)
+        children = _check_structure(tree, expected_goal)
+        _check_tree(tree, children, cs)
     except _Reject as r:
         return r.verdict
     return ACCEPT
@@ -193,8 +193,8 @@ def check_proof(
 
 def _check_structure(
     tree: ProofTree, expected_goal: Optional[Formula]
-) -> list[ProofNode]:
-    """Check ids, arity and the root chain; return the root chain."""
+) -> list[list[ProofNode]]:
+    """Check ids, parents, arity and the root chain; return each node's children."""
     if not tree.roots:
         _reject(None, "structural:no-roots", "proof has no root formulas")
     if expected_goal is not None and tree.roots != [Neg(expected_goal)]:
@@ -203,19 +203,27 @@ def _check_structure(
             "goal-mismatch",
             f"roots {[str(r) for r in tree.roots]} do not match the negated goal",
         )
+    table = tree.table
+    children: list[list[ProofNode]] = [[] for _ in table]
     seen_ids: set[int] = set()
-    for node in tree.nodes():
+    for i, node in enumerate(table):
         if node.id in seen_ids:
             _reject(node.id, "structural:duplicate-id", f"node id {node.id} reused")
         seen_ids.add(node.id)
-        if len(node.children) > 2:
-            _reject(node.id, "structural:arity", "nodes have at most two children")
-    # The root-marked nodes must form the initial chain, matching roots.
-    chain: list[ProofNode] = []
-    node = tree.root
+        # Only the first node has no parent, and parents come first, so
+        # the table encodes no cycle.
+        p = node.parent
+        if (p is not None) if i == 0 else (p is None or not 0 <= p < i):
+            _reject(node.id, "structural:parent", f"parent {p} is not an earlier node")
+        if i:
+            children[p].append(node)
+            if len(children[p]) > 2:
+                _reject(table[p].id, "structural:arity", "nodes have at most two children")
+    # The first nodes must form the root chain, matching roots.
     for i, root_formula in enumerate(tree.roots):
-        if node is None:
+        if i == len(table):
             _reject(None, "structural:roots", "tree shorter than the root list")
+        node = table[i]
         if node.rule is not None:
             _reject(node.id, "structural:roots", "root node carries a rule")
         if node.formula != root_formula:
@@ -224,40 +232,34 @@ def _check_structure(
                 "structural:roots",
                 f"expected root {root_formula}, found {node.formula}",
             )
-        chain.append(node)
-        if i < len(tree.roots) - 1:
-            if len(node.children) != 1:
-                _reject(node.id, "structural:roots", "root chain must not branch")
-            node = node.children[0]
-    return chain
+        if i < len(tree.roots) - 1 and len(children[i]) != 1:
+            _reject(node.id, "structural:roots", "root chain must not branch")
+    return children
 
 
-def _check_tree(chain: list[ProofNode], cs: ConstantSpecification) -> None:
-    """Check every node below the root chain, depth first, children in order.
-
-    ``branch`` maps the current node and its ancestors.  An explicit
-    stack of ``(node, index of the next child to visit)`` replaces
-    recursion, so proof depth is not bounded by the interpreter's stack.
-    """
-    for node in chain:
-        _check_label(node)
-    branch = {n.id: n.formula for n in chain}
+def _check_tree(
+    tree: ProofTree, children: list[list[ProofNode]], cs: ConstantSpecification
+) -> None:
+    """Check every node in table order.  ``path`` holds the indexes of
+    a node and its ancestors, and ``branch`` maps their ids to their
+    labels; a node whose parent is not on the path is out of order."""
+    table, roots = tree.table, len(tree.roots)
+    branch: dict[int, Formula] = {}
+    path: list[int] = []
     derived: dict[int, list[list[Formula]]] = {}
-    stack = [(chain[-1], 0)]
-    while stack:
-        node, i = stack.pop()
-        if i:
-            del branch[node.children[i - 1].id]
-        elif not node.children:
+    for i, node in enumerate(table):
+        if i >= roots:
+            while path[-1] != node.parent:
+                del branch[table[path.pop()].id]
+                if not path:
+                    _reject(node.id, "structural:order",
+                            "the parent is not on the branch: the table is not depth first")
+            if node.rule is None:
+                _reject(node.id, "structural:roots", "non-root node carries no rule")
+        _check_label(node)
+        if i >= roots:
+            _check_rule_node(node, children[node.parent], branch, derived)
+        path.append(i)
+        branch[node.id] = node.formula
+        if not children[i]:
             _check_closure(node, branch, cs)
-            continue
-        if i == len(node.children):
-            continue
-        child = node.children[i]
-        if child.rule is None:
-            _reject(child.id, "structural:roots", "non-root node carries no rule")
-        _check_label(child)
-        _check_rule_node(child, i, node.children, branch, derived)
-        stack.append((node, i + 1))
-        branch[child.id] = child.formula
-        stack.append((child, 0))

@@ -295,9 +295,9 @@ def _closure_to_dict(mark, tableau) -> Optional[dict]:
 
 
 def proof_to_dict(tree: ProofTree) -> dict:
-    """The JSON dict of a proof (see ``parse_proof``), built depth first
-    off an explicit stack.  Nodes that cite one ``RuleApp`` object share
-    one rule dict: copy it before editing it for one node only."""
+    """The JSON dict of a proof (see ``parse_proof``), built in table
+    order.  Nodes that cite one ``RuleApp`` object share one rule dict:
+    copy it before editing it for one node only."""
     from . import tableau
 
     # Node formulas share most of their subformulas and subterms; each is
@@ -305,10 +305,8 @@ def proof_to_dict(tree: ProofTree) -> dict:
     memo: Memo = {}
     rules: dict[int, dict] = {}
     roots = [print_formula(f, memo) for f in tree.roots]
-    top: list[dict] = []
-    stack = [(top, tree.root)]  # (the parent's list of children, node)
-    while stack:
-        siblings, node = stack.pop()
+    outs: list[dict] = []
+    for node in tree.table:
         rule = node.rule
         if rule is not None and id(rule) not in rules:
             rules[id(rule)] = _rule_to_dict(rule)
@@ -319,10 +317,10 @@ def proof_to_dict(tree: ProofTree) -> dict:
             "children": [],
             "closure": _closure_to_dict(node.closure, tableau),
         }
-        siblings.append(out)
-        for c in reversed(node.children):
-            stack.append((out["children"], c))
-    return {"roots": roots, "tree": top[0]}
+        if node.parent is not None:
+            outs[node.parent]["children"].append(out)
+        outs.append(out)
+    return {"roots": roots, "tree": outs[0]}
 
 
 def proof_to_json(tree: ProofTree) -> str:
@@ -428,15 +426,15 @@ def _add_subformulas(table: dict[str, Formula], root: Formula) -> None:
 
 
 def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
-                table: dict[str, Formula], tableau) -> ProofNode:
-    """The tree ``data`` writes, read depth first, children in order, off
-    an explicit stack.  A node text that is an entry of ``table`` is
-    looked up instead of parsed."""
+                table: dict[str, Formula], tableau) -> list[ProofNode]:
+    """The table of the tree ``data`` writes, read depth first, children
+    in order, off an explicit stack.  A node text that is an entry of
+    ``table`` is looked up instead of parsed."""
     rules: dict[tuple, RuleApp] = {}
-    top: list[ProofNode] = []
-    stack = [(top, data)]  # (the parent's list of children, node data)
+    nodes: list[ProofNode] = []
+    stack = [(None, data)]  # (the parent's index, node data)
     while stack:
-        siblings, data = stack.pop()
+        parent, data = stack.pop()
         try:
             nid = _typed(data["id"], int, "node id")
             text = data["formula"]
@@ -444,6 +442,7 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
                 id=nid,
                 formula=table.get(text) or parse_formula(text, decls, arities),
                 rule=_parse_rule(data.get("rule"), decls, rules, tableau),
+                parent=parent,
                 closure=_parse_closure(data.get("closure"), nid, tableau),
             )
             children = list(data.get("children", []))
@@ -452,10 +451,11 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
             raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
         if len(children) > 2:
             raise FileFormatError(f"node {nid} has more than two children")
-        siblings.append(node)
+        index = len(nodes)
+        nodes.append(node)
         for c in reversed(children):
-            stack.append((node.children, c))
-    return top[0]
+            stack.append((index, c))
+    return nodes
 
 
 def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
@@ -506,8 +506,7 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
             table.setdefault(f"~({text})" if type(g) is Impl else "~" + text, Neg(g))
     from . import tableau
 
-    root = _parse_tree(data["tree"], decls, arities, table, tableau)
-    return tableau.ProofTree(roots=roots, root=root)
+    return tableau.ProofTree(roots, _parse_tree(data["tree"], decls, arities, table, tableau))
 
 
 def read_proof_file(path: Union[str, Path], decls: Iterable[str] = ()) -> ProofTree:

@@ -266,6 +266,8 @@ class _Search:
         ]
         self.next_id = 1
         self.nodes_created = 0
+        # The nodes as they join the branch, depth first: the last is the next one's parent.
+        self.table: list[ProofNode] = []
         self.fresh_counters = {"u": 0, "v": 0}  # parameters, variables
         self.deadline = time.monotonic() + budget.time_limit
         # Free variables occur as atoms, so atoms_of covers them.
@@ -292,7 +294,7 @@ class _Search:
         self.nodes_created += 1
         if self.nodes_created > self.budget.max_nodes:
             raise _ExhaustedError("max_nodes")
-        node = ProofNode(id=self.next_id, formula=f, rule=rule)
+        node = ProofNode(self.next_id, f, rule, len(self.table) - 1 if self.table else None)
         self.next_id += 1
         return node
 
@@ -466,14 +468,11 @@ class _Search:
                 self._mark_applied(agenda, rule)
                 if len(extensions) > 1:
                     children = [self.make_node(ext[0], rule) for ext in extensions]
-                    leaf.children.extend(children)
                     branch_point = len(agenda.trail)
                     stack.extend((child, branch_point) for child in reversed(children))
                     break
                 for f in extensions[0]:
-                    node = self.make_node(f, rule)
-                    leaf.children.append(node)
-                    leaf = node
+                    leaf = self.make_node(f, rule)
                     leaf.closure = self._note_and_close(agenda, leaf)
                     if leaf.closure is not None:
                         break
@@ -500,6 +499,7 @@ class _Search:
     def _note_and_close(self, agenda: _Agenda, node: ProofNode) -> Optional[Closure]:
         mark = closure_against(node.id, node.formula, agenda.formulas, agenda.negs, self.cs)
         agenda.note(node.id, node.formula)
+        self.table.append(node)
         return mark
 
     def run(self) -> SearchOutcome:
@@ -509,7 +509,7 @@ class _Search:
             opened = self.close_tableau(root)
         except _ExhaustedError as ex:
             return Exhausted(ex.dimension)
-        return opened or Proved(ProofTree(roots=[root_formula], root=root))
+        return opened or Proved(ProofTree([root_formula], self.table))
 
 
 def prove(

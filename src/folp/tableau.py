@@ -311,27 +311,25 @@ def closure_against(
 
 
 class ProofNode(metaclass=_node):
+    """A node of a proof tree: its label, the rule instance that derived
+    it (``None`` on a root), the index of its parent in the tree's table
+    (``None`` on the first root) and its closure mark if it is a leaf."""
+
     id: int
     formula: Formula
     rule: Optional[RuleApp]
-    # None gives each node a list of its own.
-    children: list[ProofNode] = None  # type: ignore[assignment]
+    parent: Optional[int] = None
     closure: Optional[Closure] = None
-
-    def __post_init__(self) -> None:
-        if self.children is None:
-            self.children = []
 
 
 class ProofTree(metaclass=_node):
+    """The root formulas and one table of the nodes, in depth-first order,
+    children in order: each node follows its parent, and a node's
+    subtree is the run of nodes after it.  Nothing nests, so ``repr``,
+    ``==``, copies and pickling do not recurse through the tree."""
+
     roots: list[Formula]
-    root: ProofNode
+    table: list[ProofNode]
 
     def nodes(self) -> list[ProofNode]:
-        out: list[ProofNode] = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            stack.extend(reversed(n.children))
-        return out
+        return self.table

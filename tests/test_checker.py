@@ -1,7 +1,9 @@
 """Independent proof verification: accepts search output, rejects
 single-edit corruptions with the precise violated condition."""
 
+import copy
 import json
+import pickle
 import textwrap
 
 import pytest
@@ -17,7 +19,7 @@ from folp import (
 )
 from folp.fileio import parse_proof, proof_to_dict
 from folp.tableau import ProofNode, ProofTree
-from conftest import CORPUS_GOALS, DATA, replace, run_fresh
+from conftest import CORPUS_GOALS, DATA, FAMILY_BUDGET, chain, replace, run_fresh
 
 
 def proof_dict(goal_text, cs):
@@ -88,6 +90,16 @@ class TestAcceptance:
         assert isinstance(outcome, Proved)
         assert len(outcome.tree.nodes()) == 1323
         assert check_proof(outcome.tree, corpus_cs, expected_goal=goal).accepted
+
+    def test_chain_256_tree_is_flat(self, corpus_cs):
+        # A proof tree is one table of nodes, so the generic protocols do
+        # not recurse once per level of the tree (1,027 nodes here).
+        goal = parse_formula(chain(256), corpus_cs.constants)
+        tree, again = (prove(goal, corpus_cs, FAMILY_BUDGET).tree for _ in range(2))
+        assert repr(tree).startswith("ProofTree(roots=[")
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+        assert tree == again and tree is not again
 
     def test_chain_600_in_a_fresh_interpreter(self):
         # chain-600 and chain-1000, built directly, nest about 600 and
@@ -235,15 +247,68 @@ class TestStructure:
 
     def test_arity(self, corpus_cs):
         tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
-        node = [n for n in tree.nodes() if n.id == 5][0]
-        node.children.append(ProofNode(id=9, formula=node.formula, rule=None))
+        index = [n.id for n in tree.nodes()].index(5)
+        tree.table.append(ProofNode(9, tree.table[index].formula, None, index))
         verdict = check_proof(tree, corpus_cs)
         assert (verdict.node_id, verdict.condition) == (5, "structural:arity")
 
     def test_no_roots(self, corpus_cs):
         tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
-        verdict = check_proof(ProofTree(roots=[], root=tree.root), corpus_cs)
+        verdict = check_proof(ProofTree(roots=[], table=tree.table), corpus_cs)
         assert (verdict.node_id, verdict.condition) == (None, "structural:no-roots")
+
+    def test_empty_table(self, corpus_cs):
+        verdict = check_proof(ProofTree([parse_formula("~Q0")], []), corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (None, "structural:roots")
+
+    # Table indexes 0 to 7 hold nodes 1 to 6, 8 and 7.
+    @pytest.mark.parametrize("index, parent", [
+        (0, 0),  # the first node has a parent
+        (3, None),  # a later one has none
+        (3, 3),  # its own
+        (3, 5),  # a later node's
+        (3, -1),  # not an index of the table
+    ])
+    def test_parent(self, index, parent, corpus_cs):
+        tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
+        assert [n.id for n in tree.table] == [1, 2, 3, 4, 5, 6, 8, 7]
+        node = tree.table[index] = replace(tree.table[index], parent=parent)
+        verdict = check_proof(tree, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (node.id, "structural:parent")
+
+    def test_not_depth_first(self, corpus_cs):
+        # Node 7 moved between node 6 and its child 8: every parent comes
+        # before its children, but 8's parent has left the branch.
+        tree = prove(parse_formula(self.GOAL, corpus_cs.constants), corpus_cs).tree
+        table = tree.table
+        table[6:] = [table[7], replace(table[6], parent=5)]
+        table[6] = replace(table[6], parent=4)
+        assert [(n.id, n.parent) for n in table[4:]] == [(5, 3), (6, 4), (7, 4), (8, 5)]
+        verdict = check_proof(tree, corpus_cs)
+        assert (verdict.node_id, verdict.condition) == (8, "structural:order")
+
+    # Each edit of the file of the proof of Q0 -> Q0 leaves the tree
+    # well formed, and breaks the root chain at its first node.
+    @pytest.mark.parametrize("edit", ["relabel", "rule", "branch"])
+    def test_root_chain(self, edit, corpus_cs):
+        goal, data = proof_dict("Q0 -> Q0", corpus_cs)
+        root = data["tree"]
+        if edit == "relabel":
+            # A proof of Q0 -> Q0 given as one of Q1.
+            data["roots"] = ["~Q1"]
+            goal = parse_formula("Q1")
+        elif edit == "rule":
+            root["rule"] = {"name": "FNeg", "premises": [1]}
+        else:
+            # Two roots, the first of which has two children.
+            goal = None
+            data["roots"].append("Q0")
+            second = root["children"][0]
+            second["rule"] = None
+            root["children"].append({**second, "id": 4, "rule": {"name": "FImp", "premises": [1]},
+                                     "children": [], "closure": None})
+        verdict = reject(data, corpus_cs, goal)
+        assert (verdict.node_id, verdict.condition) == (1, "structural:roots")
 
     @pytest.mark.parametrize("text, condition", [
         ("Q(x)", "structural:open-formula"),

@@ -166,18 +166,18 @@ class TestCsFiles:
         cs = parse_cs("const c.\ntotal.\n")
         assert cs.total
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "c : Q0 -> Q1 -> Q0.",  # undeclared constant
-            "const c.\nc : Q0 -> Q1.",  # not an axiom instance
-            "const c.\nc : scheme XX.",  # unknown scheme
-            "const c.\nc : Q0 -> Q1 -> Q0",  # missing terminator
-            "bogus.",
-        ],
-    )
-    def test_malformed(self, text):
-        with pytest.raises(FileFormatError):
+    MALFORMED = [
+        ("c : Q0 -> Q1 -> Q0.", "line 1: entry for undeclared constant 'c'"),
+        ("const c.\nc : Q0 -> Q1.", "not an axiom instance"),
+        # The reader names the line; the CS record would not.
+        ("const c.\nc : scheme XX.", "line 2: unknown scheme 'XX'"),
+        ("const c.\nc : Q0 -> Q1 -> Q0", "expected '.'"),  # missing terminator
+        ("bogus.", "undeclared constant 'bogus'"),
+    ]
+
+    @pytest.mark.parametrize("text, match", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_malformed(self, text, match):
+        with pytest.raises(FileFormatError, match=match):
             parse_cs(text)
 
 
@@ -197,35 +197,40 @@ class TestModelFiles:
         model = read_model_file(path, corpus_cs.constants)
         assert json.dumps(write_model(model), indent=2) + "\n" == path.read_text()
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"domain": [], "predicates": {}, "evidence": []},
-            # An element listed twice, or one that $name cannot write.
-            {"domain": ["a", "a"], "predicates": {}, "evidence": []},
-            {"domain": ["a", "1"], "predicates": {}, "evidence": []},
-            {"domain": ["a"], "predicates": {"Q": [["b"]]}, "evidence": []},
-            {"domain": ["a"], "predicates": {},
-             "evidence": [{"term": "p", "formulas": ["Q(@u)"]}]},
-            {"domain": ["a"], "predicates": {},
-             "evidence": [{"term": "p", "formulas": []},
-                          {"term": "p", "formulas": []}]},
-            {"domain": ["a"], "predicates": {"Q": []},
-             "evidence": [{"term": "p",
-                           "formulas": ["forall x. Q(x)", "forall y. Q(y)"]}]},
-            # Wrongly shaped values.
-            [1],
-            {"domain": ["a"], "predicates": ""},
-            {"domain": ["a"], "evidence": 0},
-            {"domain": ["a"], "evidence": [0]},
-            {"domain": ["a"], "evidence": [{"term": "p", "formulas": 0}]},
-            {"domain": ["a"], "predicates": {"Q": [0]}},
-            # A row written as a string is not read a character at a time.
-            {"domain": ["a", "b"], "predicates": {"R": ["ab"]}},
-        ],
-    )
-    def test_malformed(self, data):
-        with pytest.raises(FileFormatError):
+    MALFORMED = [
+        ({"domain": [], "predicates": {}, "evidence": []}, "must be a non-empty list"),
+        # An element listed twice, or one that $name cannot write.
+        ({"domain": ["a", "a"], "predicates": {}, "evidence": []}, "not a unique identifier"),
+        ({"domain": ["a", "1"], "predicates": {}, "evidence": []}, "not a unique identifier"),
+        ({"domain": ["a"], "predicates": {"Q": [["b"]]}, "evidence": []},
+         "element 'b' not in the domain"),
+        ({"domain": ["a"], "predicates": {},
+          "evidence": [{"term": "p", "formulas": ["Q(@u)"]}]}, "contains parameters"),
+        ({"domain": ["a"], "predicates": {},
+          "evidence": [{"term": "p", "formulas": []}, {"term": "p", "formulas": []}]},
+         "duplicate evidence entry for term p"),
+        ({"domain": ["a"], "predicates": {"Q": []},
+          "evidence": [{"term": "p", "formulas": ["forall x. Q(x)", "forall y. Q(y)"]}]},
+         "twice, up to bound-variable renaming"),
+        # Wrongly shaped values.
+        ([1], "bad model"),
+        ({"domain": ["a"], "predicates": ""}, "bad model"),
+        ({"domain": ["a"], "evidence": 0}, "bad model"),
+        ({"domain": ["a"], "evidence": [0]}, "bad evidence entry 0"),
+        ({"domain": ["a"], "evidence": [{"term": "p", "formulas": 0}]},
+         "must be a JSON list"),
+        ({"domain": ["a"], "predicates": {"Q": [0]}}, "must be a JSON list"),
+        # A row written as a string is not read a character at a time.
+        ({"domain": ["a", "b"], "predicates": {"R": ["ab"]}}, "must be a JSON list"),
+        # Evidence that names an element outside the domain.
+        ({"domain": ["a"], "predicates": {},
+          "evidence": [{"term": "p", "formulas": ["Q($b)"]}]}, r"Q\(\$b\).* not in the domain"),
+    ]
+
+    @pytest.mark.parametrize("data, match", MALFORMED,
+                             ids=[f"data{i}" for i in range(len(MALFORMED))])
+    def test_malformed(self, data, match):
+        with pytest.raises(FileFormatError, match=match):
             parse_model(data)
 
     @pytest.mark.parametrize(
@@ -356,7 +361,7 @@ class TestProofFiles:
         with pytest.raises(FileFormatError, match="bad proof node 1: .*nested deeper"):
             parse_proof(_one_node(root, text))
         root, text = _negated_root(shape, MAX_DEPTH)
-        assert parse_proof(_one_node(root, text)).root.formula == parse_formula(text)
+        assert parse_proof(_one_node(root, text)).table[0].formula == parse_formula(text)
 
     def test_lookup_reads_as_the_parser_on_random_formulas(self):
         # Each node formula equals what parse_formula makes of its text,
@@ -423,35 +428,41 @@ class TestProofFiles:
                 }
             )
 
-    @pytest.mark.parametrize(
-        "tree",
-        [
-            {"closure": {"kind": "contradiction"}},  # no "with"
-            {"closure": {"kind": "cs"}},  # no "constant"
-            {"closure": {"kind": "contradiction", "with": "one"}},
-            {"closure": ["cs"]},  # not an object
-            {"closure": "cs"},
-            {"id": "one"},
-            {"formula": 7},
-            {"children": 7},
-            {"children": [7]},
-            {"rule": ["TImp"]},
-            {"rule": {"name": "TImp", "premises": 1}},
-            {"rule": {"name": "Zap", "premises": [1]}},
-            {"rule": {"name": "FDot", "premises": [1], "cut": 7}},  # non-string cut
-            {"rule": {"name": "FDot", "premises": [1], "cut": "Q0 ->"}},
-            {"rule": {"name": "Ins", "premises": [1], "param": "@u", "var": 7}},
-            # A CS closure names its constant with a JSON string.
-            {"closure": {"kind": "cs", "constant": 5}},
-            {"closure": {"kind": "cs", "constant": None}},
-            {"closure": {"kind": "cs", "constant": ["c"]}},
-            {"closure": {"kind": "cs", "constant": {"a": 1}}},
-        ],
-    )
-    def test_malformed_node(self, tree):
+    MALFORMED_NODES = [
+        ({"closure": {"kind": "contradiction"}}, "KeyError"),  # no "with"
+        ({"closure": {"kind": "cs"}}, "KeyError"),  # no "constant"
+        ({"closure": {"kind": "contradiction", "with": "one"}}, "must be a JSON int"),
+        ({"closure": ["cs"]}, "bad proof node 1"),  # not an object
+        ({"closure": "cs"}, "bad proof node 1"),
+        ({"id": "one"}, "must be a JSON int"),
+        ({"formula": 7}, "bad proof node 1"),
+        ({"children": 7}, "bad proof node 1"),
+        ({"children": [7]}, "bad proof node 7"),
+        ({"rule": ["TImp"]}, "bad proof node 1"),
+        ({"rule": {"name": "TImp", "premises": 1}}, "must be a JSON list"),
+        ({"rule": {"name": "Zap", "premises": [1]}}, "unknown rule"),
+        # A non-string cut, and one that does not parse.
+        ({"rule": {"name": "FDot", "premises": [1], "cut": 7}}, "bad proof node 1"),
+        ({"rule": {"name": "FDot", "premises": [1], "cut": "Q0 ->"}}, "ParseError"),
+        ({"rule": {"name": "Ins", "premises": [1], "param": "@u", "var": 7}},
+         "must be a string"),
+        # A CS closure names its constant with a JSON string.
+        ({"closure": {"kind": "cs", "constant": 5}}, "must be a JSON str"),
+        ({"closure": {"kind": "cs", "constant": None}}, "must be a JSON str"),
+        ({"closure": {"kind": "cs", "constant": ["c"]}}, "must be a JSON str"),
+        ({"closure": {"kind": "cs", "constant": {"a": 1}}}, "must be a JSON str"),
+        ({"children": [{}, {}, {}]}, "node 1 has more than two children"),
+        # A parameter written without its @.
+        ({"rule": {"name": "TForall", "premises": [1], "param": "u"}},
+         "must be written @name"),
+    ]
+
+    @pytest.mark.parametrize("tree, match", MALFORMED_NODES,
+                             ids=[f"tree{i}" for i in range(len(MALFORMED_NODES))])
+    def test_malformed_node(self, tree, match):
         node = {"id": 1, "formula": "~Q0", "rule": None, "children": [],
                 "closure": None, **tree}
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=match):
             parse_proof({"roots": ["~Q0"], "tree": node})
 
     # Node ids, premises and closure witnesses are JSON integers; the
@@ -485,6 +496,11 @@ class TestProofFiles:
     def test_malformed_document(self, data):
         with pytest.raises(FileFormatError):
             parse_proof(data)
+
+    def test_roots_must_be_a_list(self):
+        # A string of roots is not read a character at a time.
+        with pytest.raises(FileFormatError, match="'roots' must be a list"):
+            parse_proof({"roots": "~Q0", "tree": {}})
 
 
 class TestUnreadableFiles:

@@ -7,6 +7,7 @@ import pytest
 
 from folp import (
     ConstantSpecification,
+    MkrtychevModel,
     ModelError,
     Proved,
     find_countermodel,
@@ -207,6 +208,12 @@ class TestSatisfaction:
         with pytest.raises(ModelError) as exc:
             validate_model(m, CS)
         assert str(exc.value) == message
+
+    def test_empty_domain(self):
+        # The file reader rejects an empty domain first; a model built in
+        # memory reaches the validator's own guard.
+        with pytest.raises(ModelError, match="domain must be non-empty"):
+            validate_model(MkrtychevModel((), {}, {}), CS)
 
     def test_unfixed_arity_is_free(self):
         # Q has no rows and no evidence in CLEAN, and R is not declared.

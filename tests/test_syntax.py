@@ -254,8 +254,8 @@ class TestNodes:
 
 _ENTRY = ("c", f("Q0 -> Q1 -> Q0"))
 _RULE = RuleApp("FNeg", (0,))
-_LEAF = ProofNode(1, _A, _RULE, closure=Contradiction(1, 0))
-_TREE = ProofTree([Neg(_A)], ProofNode(0, Neg(_A), None, [_LEAF]))
+_TREE = ProofTree([Neg(_A)], [ProofNode(0, Neg(_A), None),
+                              ProofNode(1, _A, _RULE, 0, Contradiction(1, 0))])
 
 # Each record class: the values of its fields, in order, its defaults,
 # and whether it is frozen (refuses assignment and hashes its fields).
@@ -275,9 +275,9 @@ RECORDS = (
      {"param": None, "cut": None, "var": None}, True),
     (Contradiction, {"node_id": 1, "with_id": 0}, {}, True),
     (CsClosure, {"node_id": 1, "constant": "c"}, {}, True),
-    (ProofNode, {"id": 0, "formula": _A, "rule": _RULE, "children": [_LEAF],
-                 "closure": CsClosure(0, "c")}, {"children": [], "closure": None}, False),
-    (ProofTree, {"roots": [Neg(_A)], "root": _TREE.root}, {}, False),
+    (ProofNode, {"id": 1, "formula": _A, "rule": _RULE, "parent": 0,
+                 "closure": CsClosure(1, "c")}, {"parent": None, "closure": None}, False),
+    (ProofTree, {"roots": [Neg(_A)], "table": _TREE.table}, {}, False),
     (SearchBudget, {"max_nodes": 5, "max_depth": 6, "max_params": 7, "max_cut_candidates": 8,
                     "time_limit": 9.0},
      {"max_nodes": 10_000, "max_depth": 200, "max_params": 8, "max_cut_candidates": 32,
@@ -340,12 +340,6 @@ class TestRecords:
         made = {cls for module in modules for cls in vars(module).values()
                 if isinstance(cls, type) and cls.__repr__ is _repr and cls.__bases__ == (object,)}
         assert made == {cls for cls, *_ in RECORDS}
-
-    def test_each_proof_node_has_its_own_children(self):
-        a, b = ProofNode(0, _A, None), ProofNode(id=1, formula=_A, rule=None)
-        assert a.children == b.children == [] and a.children is not b.children
-        a.children.append(b)
-        assert b.children == []
 
     def test_post_init_checks(self):
         with pytest.raises(ValueError, match="unknown atom kind"):
