@@ -278,3 +278,15 @@ def app(n: int) -> str:
     for i in range(n):
         term = f"(p{i} * {term})"
     return " -> ".join([*premises, "q : Q0", f"{term} : Q{n}"])
+
+
+def qchain(n: int) -> str:
+    """chain-n under ``forall x``: each step is a universal implication."""
+    steps = [f"(forall x. (P{i}(x) -> P{i + 1}(x)))" for i in range(n)]
+    return " -> ".join(["(forall x. P0(x))", *steps, f"forall x. P{n}(x)"])
+
+
+def echain(n: int) -> str:
+    """qchain-n with ``exists`` in the first premise and the conclusion."""
+    steps = [f"(forall x. (P{i}(x) -> P{i + 1}(x)))" for i in range(n)]
+    return " -> ".join(["(exists x. P0(x))", *steps, f"exists x. P{n}(x)"])

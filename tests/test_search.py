@@ -20,7 +20,8 @@ from folp import (
     prove,
 )
 from folp import search
-from conftest import CORPUS_GOALS, DATA, SCHEME_GOALS, run_fresh
+from conftest import CORPUS_GOALS, DATA, SCHEME_GOALS, cases, run_fresh
+from conftest import chain as chain_goal
 
 
 class TestGoldenProof:
@@ -93,6 +94,24 @@ class TestNonVerdicts:
         outcome = prove(goal, corpus_cs, budget=SearchBudget(max_nodes=3))
         assert isinstance(outcome, Exhausted)
         assert outcome.dimension == "max_nodes"
+
+    @pytest.mark.parametrize("text, limits, dimension", [
+        # A second delta premise finds the one parameter spent.
+        ("(exists x. Q(x)) -> (exists y. R(y)) -> Q1", {"max_params": 1}, "max_params"),
+        # A gamma premise has used its one parameter.
+        ("(forall x. Q(x)) -> Q1", {"max_params": 1}, "max_params"),
+        # A gamma premise whose branch parameter is redundant finds no
+        # fresh one left.
+        ("(exists x. Q(x)) -> (forall x. Q(x)) -> Q1", {"max_params": 1}, "max_params"),
+        ("p : Q0 -> (q * p) : Q1", {"max_cut_candidates": 2}, "max_cut_candidates"),
+        (chain_goal(16), {"max_depth": 10}, "max_depth"),
+        (chain_goal(16), {"time_limit": 1e-9}, "time_limit"),
+        (cases(3), {"max_nodes": 50}, "max_nodes"),
+    ])
+    def test_exhausted_dimension(self, text, limits, dimension, corpus_cs):
+        goal = parse_formula(text, corpus_cs.constants)
+        outcome = prove(goal, corpus_cs, SearchBudget(**limits))
+        assert outcome == Exhausted(dimension)
 
     def test_goal_must_be_sentence(self, corpus_cs):
         with pytest.raises(ValueError):
