@@ -1,5 +1,6 @@
 """Time folp's start-up, the lexer on chain-256 and the model evidence
-texts, the axiom matcher, the prover on cases-5, chain-256 and app-64,
+texts, the axiom matcher, the prover on cases-5, chain-256, qchain-16,
+qchain-64, qchain-128, app-16 and app-64,
 proof file I/O on cases-4, chain-128, sum-64, sum-128 and app-16, and
 countermodel search on the non-theorems.
 
@@ -34,9 +35,12 @@ parsing the line, over 100 N calls, and the same for the parser with all
 five commands on the ``prove`` line.  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
-proof, the time per node and the best ``check_proof`` time of the
-proof; parsing is not timed.  It fails if a node count differs from the
-one pinned in ``PROOF_NODES``: the counts change only if the proofs do.
+proof, the time per node, how many times ``prove`` calls
+``apply_rule`` per node, and the best ``check_proof`` time of the
+proof; parsing is not timed.  A search that stays linear keeps the
+time and the calls per node flat from qchain-16 to qchain-128 and from
+app-16 to app-64.  It fails if a node count differs from the one pinned
+in ``PROOF_NODES``: the counts change only if the proofs do.
 For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
 formula-heavy), sum-64 and sum-128 (term-heavy) and app-16 (FDot cuts)
 it then prints the best times of ``write_proof_file`` and
@@ -57,6 +61,8 @@ checkout's ``src`` to time that version of folp instead.
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
 choices of the literals ``li`` (``Pi`` or ``~Pi``), all implying ``Q0``;
+qchain-n is chain-n with ``Pi(x)`` for ``Pi`` and each premise and
+the conclusion under ``forall x``;
 sum-n is ``p : Q0 -> (p + q0 + ... + q{n-1}) : Q0``; app-n is
 ``p0 : (Q0 -> Q1) -> ... -> p{n-1} : (Q{n-1} -> Qn) -> q : Q0 ->
 (p{n-1} * (... (p0 * q))) : Qn``, n nested applications, each needing an
@@ -82,7 +88,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The node count of each timed proof.
-PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "app-64": 452}
+PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "qchain-128": 645, "app-64": 452}
 
 # The two shapes of CS entry timed: one whose body starts with a
 # parenthesised assertion, and one without parentheses.
@@ -129,6 +135,11 @@ print(elapsed, *sorted(m for m in sys.modules
 def chain(n: int) -> str:
     steps = [f"(P{i} -> P{i + 1})" for i in range(n)]
     return " -> ".join(["P0", *steps, f"P{n}"])
+
+
+def qchain(n: int) -> str:
+    steps = [f"(forall x. (P{i}(x) -> P{i + 1}(x)))" for i in range(n)]
+    return " -> ".join(["(forall x. P0(x))", *steps, f"forall x. P{n}(x)"])
 
 
 def cases(n: int) -> str:
@@ -271,7 +282,7 @@ def main() -> None:
     args = ap.parse_args()
     code_size(args.src)
     startup(args.src, args.repeat)  # puts ``args.src`` on ``sys.path``
-    from folp import checker, cli
+    from folp import checker, cli, search
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
@@ -334,16 +345,21 @@ def main() -> None:
     best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
     print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
 
-    for name, text in (("cases-5", cases(5)), ("chain-256", chain(256)), ("app-64", app(64))):
+    goals = [("cases-5", cases(5)), ("chain-256", chain(256)),
+             *((f"qchain-{n}", qchain(n)) for n in (16, 64, 128)),
+             *((f"app-{n}", app(n)) for n in (16, 64))]
+    for name, text in goals:
         goal = parse_formula(text, cs.constants)
         best, outcome = best_time(args.repeat, lambda: prove(goal, cs, budget))
         assert isinstance(outcome, Proved), outcome
         check, verdict = best_time(args.repeat, lambda: check_proof(outcome.tree, cs, goal))
         assert verdict.accepted, verdict
         nodes = len(outcome.tree.nodes())
+        applied = calls_of(search, "apply_rule", lambda: prove(goal, cs, budget))
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
-              f"{best / nodes * 1e6:.1f} us/node, check {check:.3f} s")
-        assert nodes == PROOF_NODES[name], (name, nodes, PROOF_NODES[name])
+              f"{best / nodes * 1e6:.1f} us/node, {applied / nodes:.2f} apply_rule "
+              f"calls/node, check {check:.3f} s")
+        assert nodes == PROOF_NODES.get(name, nodes), (name, nodes, PROOF_NODES[name])
 
     parts = ("_read_json", "_parse_tree")
     for name, text in (("cases-4", cases(4)), ("chain-128", chain(128)),

@@ -211,18 +211,13 @@ def cs_appropriateness_gaps(cs: ConstantSpecification) -> list[str]:
     verifiably axiomatically appropriate)."""
     if cs.total:
         return []
-    covered = {scheme for _, scheme in cs.schematic}
-    gaps = [s for s in SCHEMES if s not in covered]
-    if not gaps and not cs.schematic and not cs.concrete:
-        return list(SCHEMES)
-    if not gaps:
-        return []
     if cs.concrete and not cs.schematic:
         return [
             f"{s} (concrete entries cannot cover infinitely many instances)"
-            for s in gaps
+            for s in SCHEMES
         ]
-    return gaps
+    covered = {scheme for _, scheme in cs.schematic}
+    return [s for s in SCHEMES if s not in covered]
 
 
 def cs_axiomatically_appropriate(cs: ConstantSpecification) -> bool:

@@ -297,7 +297,9 @@ def _closure_to_dict(mark, tableau) -> Optional[dict]:
 def proof_to_dict(tree: ProofTree) -> dict:
     """The JSON dict of a proof (see ``parse_proof``), built in table
     order.  Nodes that cite one ``RuleApp`` object share one rule dict:
-    copy it before editing it for one node only."""
+    copy it before editing it for one node only.  An empty table, and a
+    parent that the checker rejects as ``structural:parent``, are a
+    :class:`FileFormatError`."""
     from . import tableau
 
     # Node formulas share most of their subformulas and subterms; each is
@@ -306,7 +308,10 @@ def proof_to_dict(tree: ProofTree) -> dict:
     rules: dict[int, dict] = {}
     roots = [print_formula(f, memo) for f in tree.roots]
     outs: list[dict] = []
-    for node in tree.table:
+    for i, node in enumerate(tree.table):
+        p = node.parent
+        if (p is not None) if i == 0 else (p is None or not 0 <= p < i):
+            raise FileFormatError(f"node {node.id}: parent {p} is not an earlier node")
         rule = node.rule
         if rule is not None and id(rule) not in rules:
             rules[id(rule)] = _rule_to_dict(rule)
@@ -317,9 +322,11 @@ def proof_to_dict(tree: ProofTree) -> dict:
             "children": [],
             "closure": _closure_to_dict(node.closure, tableau),
         }
-        if node.parent is not None:
-            outs[node.parent]["children"].append(out)
+        if i:
+            outs[p]["children"].append(out)
         outs.append(out)
+    if not outs:
+        raise FileFormatError("proof has no nodes")
     return {"roots": roots, "tree": outs[0]}
 
 

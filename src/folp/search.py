@@ -13,12 +13,13 @@ rule, then delta (fresh parameter), TImp and gamma (generative).  A
 premise that has fired, or can never fire usefully again, is marked
 spent.  The same pass indexes the node's subformulas and the antecedents
 of its asserted implications, the sources of FDot's cut candidates.
-Each FDot premise keeps its candidate list; a later examination adds
-the subformulas indexed since, or makes the list afresh if an
-antecedent is new.  The agenda also maps each ``g`` whose negation is
-on the branch to the first node of ``~g``: the closure test and TImp's
-redundancy test (is ``~left`` on the branch?) read it, so neither
-builds a negation.  Formulas cache their hash and atom sets.  All
+Gamma premises are examined least used first, then in branch order,
+then by rule name, and the first with an instance to apply wins; the
+rest wait for a later step.  An FDot premise lists its cut candidates
+afresh at each examination.  The agenda also maps each ``g`` whose
+negation is on the branch to the first node of ``~g``: the closure test
+and TImp's redundancy test (is ``~left`` on the branch?) read it, so
+neither builds a negation.  Formulas cache their hash and atom sets.  All
 branches share one agenda: each change is logged on a trail, which is
 unwound to the branch point before each child of a branching rule
 grows.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Optional, Sequence, Union
 
 from .axioms import ConstantSpecification
@@ -156,10 +157,6 @@ class _Agenda:
         # and the antecedents of asserted implications by consequent.
         self.subformulas: dict[Formula, None] = {}
         self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
-        # Each FDot premise's admissible cut candidates so far, as
-        # ``(candidates, ants, subs)``: ``ants`` antecedents and ``subs``
-        # subformulas have been read.
-        self.cuts: dict[int, tuple[tuple[Formula, ...], int, int]] = {}
         self.fresh_params = 0
         self.limit_hit: Optional[str] = None
         self.trail: list[tuple[Any, ...]] = []
@@ -344,18 +341,18 @@ class _Search:
                 agenda.add(agenda.spent, ("TImp", nid))
                 continue
             return RuleApp("TImp", (nid,)), None
-        # Every gamma premise is examined, even after an instance is found:
-        # examining may draw a fresh parameter or retire used ones, which
-        # later proofs depend on.  The least used, earliest instance wins.
-        best: Optional[tuple[tuple[int, int, str], _Choice]] = None
-        for nid, pos, name, premise in agenda.queues["gamma"]:
+        # The least used, earliest premise with an instance wins.  Whether
+        # a premise has one does not depend on the others examined, so
+        # the rest wait.
+        uses = agenda.gamma_uses
+        for nid, pos, name, premise in sorted(
+            agenda.queues["gamma"], key=lambda e: (uses.get(e[0], 0), e[1], e[2])
+        ):
             find = self._fdot_rule if name == "FDot" else self._param_rule
             choice = find(name, nid, premise, agenda)
             if choice is not None:
-                key = (agenda.gamma_uses.get(nid, 0), pos, name)
-                if best is None or key < best[0]:
-                    best = (key, choice)
-        return None if best is None else best[1]
+                return choice
+        return None
 
     def _param_rule(
         self, name: str, nid: int, premise: Formula, agenda: _Agenda
@@ -391,7 +388,7 @@ class _Search:
         if len(done) >= self.budget.max_cut_candidates:
             agenda.hit("max_cut_candidates")
             return None
-        for cut in self._cut_candidates(nid, premise.body, agenda):
+        for cut in self._cut_candidates(premise.body, agenda):
             if cut in done:
                 continue
             choice = self._try_rule(agenda, RuleApp("FDot", (nid,), cut=cut))
@@ -400,38 +397,22 @@ class _Search:
             agenda.add(done, cut)
         return None
 
-    def _cut_candidates(self, nid: int, a: Assert, agenda: _Agenda) -> tuple[Formula, ...]:
+    def _cut_candidates(self, a: Assert, agenda: _Agenda) -> tuple[Formula, ...]:
         """The first admissible candidates, in order: hints, antecedents
         of asserted implications whose consequent is the premise's body,
         antecedents of concrete CS entries, then the branch's
-        subformulas.
-
-        The list read for premise ``nid`` is kept on the agenda with the
-        numbers of antecedents and subformulas read.  While no antecedent
-        is new, a later read adds to a list with room only the
-        subformulas added since; a new antecedent makes the list afresh."""
+        subformulas."""
         limit = self.budget.max_cut_candidates
-        ants = agenda.antecedents.get(a.body, ())
-        subs = agenda.subformulas
-        known, ants_read, subs_read = agenda.cuts.get(nid, ((), -1, 0))
-        if ants_read != len(ants):
-            known, source = (), chain(self.hints, ants, self.cs_antecedents, subs)
-        elif subs_read == len(subs) or len(known) == limit:
-            return known
-        else:
-            source = islice(subs, subs_read, None)
         window_pars = {w.name for w in a.window}
-        out = list(known)
-        seen = set(out)
-        for f in source:
+        out: dict[Formula, None] = {}
+        for f in chain(
+            self.hints, agenda.antecedents.get(a.body, ()), self.cs_antecedents, agenda.subformulas
+        ):
             if len(out) == limit:
                 break
-            if f not in seen and par_set(f) <= window_pars and not elem_set(f):
-                seen.add(f)
-                out.append(f)
-        known = tuple(out)
-        agenda.setitem(agenda.cuts, nid, (known, len(ants), len(subs)))
-        return known
+            if f not in out and par_set(f) <= window_pars and not elem_set(f):
+                out[f] = None
+        return tuple(out)
 
     # -- main loop ---------------------------------------------------------
 

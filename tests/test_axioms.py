@@ -140,3 +140,15 @@ class TestConstantSpecification:
             schematic=tuple(("c", s) for s in SCHEMES),
         )
         assert cs_axiomatically_appropriate(full)
+
+    def test_concrete_only_is_never_appropriate(self):
+        concrete = ConstantSpecification(
+            constants=frozenset({"c"}), concrete=(("c", f("Q0 -> Q1 -> Q0")),)
+        )
+        assert not cs_axiomatically_appropriate(concrete)
+        assert cs_appropriateness_gaps(concrete) == [
+            f"{s} (concrete entries cannot cover infinitely many instances)"
+            for s in SCHEMES
+        ]
+        empty = ConstantSpecification(constants=frozenset({"c"}))
+        assert cs_appropriateness_gaps(empty) == list(SCHEMES)

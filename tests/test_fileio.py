@@ -15,6 +15,7 @@ from folp import (
     Formula,
     Neg,
     ParseError,
+    ProofTree,
     Proved,
     Sum,
     check_proof,
@@ -41,6 +42,7 @@ from conftest import (
     model_paths,
     random_formula,
     random_window,
+    replace,
     sum_family,
 )
 
@@ -271,6 +273,26 @@ class TestProofFiles:
         assert proof_to_dict(tree) == proof_to_dict(outcome.tree)
         # The file itself is plain JSON.
         json.loads(path.read_text())
+
+    # Table indexes 0 to 7 hold nodes 1 to 6, 8 and 7; each parent is
+    # one the checker rejects as structural:parent.
+    @pytest.mark.parametrize("index, parent", [
+        (0, 0),  # the first node has a parent
+        (3, None),  # a later one has none, which would drop its subtree
+        (3, 3),  # its own
+        (3, 5),  # a later node's
+        (3, -1),  # not an index, which would file it under the last node
+    ])
+    def test_misplaced_parent(self, index, parent, corpus_cs):
+        _, tree = _proof("(~~Q0 -> Q1) -> Q0 -> Q1", corpus_cs)
+        assert [n.id for n in tree.table] == [1, 2, 3, 4, 5, 6, 8, 7]
+        node = tree.table[index] = replace(tree.table[index], parent=parent)
+        with pytest.raises(FileFormatError, match=f"^node {node.id}: parent {parent} is not"):
+            proof_to_dict(tree)
+
+    def test_empty_table(self):
+        with pytest.raises(FileFormatError, match="no nodes"):
+            proof_to_dict(ProofTree([parse_formula("~Q0")], []))
 
     def test_file_is_one_line(self, corpus_cs, tmp_path):
         _, tree = _proof(cases(3), corpus_cs)

@@ -150,9 +150,9 @@ FAMILIES = {
     "sum-64": (sum_family(64), 130, "fd958288f4cf475b9353f8972b4581280e2a88620f9bd3a48398eabf04f68c80"),
     "fdot-branches": ("p : Q1 -> q : Q0 -> (c * q) : (Q1 -> Q0)", 517,
                       "9890c23563e23f23e56d7fed592911456c116ae5f5a73cc9e44796efc45e0b8b"),
-    # Recorded while every gamma premise was examined at every step; the
-    # gamma rules fire once per step in each, so these pin which premise
-    # wins and the numbering of fresh parameters.
+    # Recorded while every gamma premise was examined at every step:
+    # these pin which gamma premise wins each step and how fresh
+    # parameters are numbered.
     "qchain-32": (qchain(32), 165, "2b0e336b15d0b7b9cfc25f988811ec9e0ec83d5f2f08f9ced035c5e83f30438b"),
     "echain-32": (echain(32), 165, "aa56333c54a4118064e329411e818f6c5bc15078ec53600395557a2c650036dd"),
     "app-64": (app(64), 452, "db0798f0a37722cfae5890e5f39489c0f94030d5c5d5a698b400b3d5b4b6c7c7"),
