@@ -1,6 +1,6 @@
 """Time folp's start-up, the lexer on chain-256 and the model evidence
-texts, the axiom matcher, the prover on cases-5, chain-256, qchain-16,
-qchain-64, qchain-128, app-16 and app-64,
+texts, the axiom matcher, the prover on cases-4, cases-5, chain-256,
+qchain-16, qchain-64, qchain-128, app-16 and app-64,
 proof file I/O on cases-4, chain-128, sum-64, sum-128 and app-16, and
 countermodel search on the non-theorems.
 
@@ -36,11 +36,14 @@ five commands on the ``prove`` line.  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node, how many times ``prove`` calls
-``apply_rule`` per node, and the best ``check_proof`` time of the
-proof; parsing is not timed.  A search that stays linear keeps the
-time and the calls per node flat from qchain-16 to qchain-128 and from
-app-16 to app-64.  It fails if a node count differs from the one pinned
-in ``PROOF_NODES``: the counts change only if the proofs do.
+``apply_rule`` and the agenda's ``note`` per node, and the best
+``check_proof`` time of the proof; parsing is not timed.  A search that
+stays linear keeps the time and the calls per node flat from qchain-16
+to qchain-128 and from app-16 to app-64.  Only a node that leaves its
+branch open is noted, so the notes per node are the share of such
+nodes: about half on cases-n, whose proofs are mostly closed leaves.
+It fails if a node count differs from the one pinned in
+``PROOF_NODES``: the counts change only if the proofs do.
 For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
 formula-heavy), sum-64 and sum-128 (term-heavy) and app-16 (FDot cuts)
 it then prints the best times of ``write_proof_file`` and
@@ -88,7 +91,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The node count of each timed proof.
-PROOF_NODES = {"cases-5": 22_979, "chain-256": 1_027, "qchain-128": 645, "app-64": 452}
+PROOF_NODES = {"cases-4": 1_363, "cases-5": 22_979, "chain-256": 1_027, "qchain-128": 645,
+               "app-64": 452}
 
 # The two shapes of CS entry timed: one whose body starts with a
 # parenthesised assertion, and one without parentheses.
@@ -208,21 +212,22 @@ def timed_parts(module, names, run):
     return total, spent, out
 
 
-def calls_of(module, name: str, run) -> int:
-    """How many times ``run()`` calls the function ``name`` of ``module``."""
+def calls_of(owner, name: str, run) -> int:
+    """How many times ``run()`` calls the function ``name`` of ``owner``,
+    a module or a class."""
     calls = 0
-    saved = getattr(module, name)
+    saved = getattr(owner, name)
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return saved(*args)
 
-    setattr(module, name, counted)
+    setattr(owner, name, counted)
     try:
         run()
     finally:
-        setattr(module, name, saved)
+        setattr(owner, name, saved)
     return calls
 
 
@@ -345,7 +350,7 @@ def main() -> None:
     best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
     print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
 
-    goals = [("cases-5", cases(5)), ("chain-256", chain(256)),
+    goals = [("cases-4", cases(4)), ("cases-5", cases(5)), ("chain-256", chain(256)),
              *((f"qchain-{n}", qchain(n)) for n in (16, 64, 128)),
              *((f"app-{n}", app(n)) for n in (16, 64))]
     for name, text in goals:
@@ -356,9 +361,10 @@ def main() -> None:
         assert verdict.accepted, verdict
         nodes = len(outcome.tree.nodes())
         applied = calls_of(search, "apply_rule", lambda: prove(goal, cs, budget))
+        noted = calls_of(search._Agenda, "note", lambda: prove(goal, cs, budget))
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node, {applied / nodes:.2f} apply_rule "
-              f"calls/node, check {check:.3f} s")
+              f"calls/node, {noted / nodes:.2f} agenda notes/node, check {check:.3f} s")
         assert nodes == PROOF_NODES.get(name, nodes), (name, nodes, PROOF_NODES[name])
 
     parts = ("_read_json", "_parse_tree")

@@ -297,9 +297,12 @@ def _closure_to_dict(mark, tableau) -> Optional[dict]:
 def proof_to_dict(tree: ProofTree) -> dict:
     """The JSON dict of a proof (see ``parse_proof``), built in table
     order.  Nodes that cite one ``RuleApp`` object share one rule dict:
-    copy it before editing it for one node only.  An empty table, and a
-    parent that the checker rejects as ``structural:parent``, are a
-    :class:`FileFormatError`."""
+    copy it before editing it for one node only.  An empty table, a
+    first node with a parent, and a later node whose parent is not on the
+    path from the first node to the node before it (the checker's
+    ``structural:parent`` and ``structural:order``) are a
+    :class:`FileFormatError`: the nested file would encode another
+    table."""
     from . import tableau
 
     # Node formulas share most of their subformulas and subterms; each is
@@ -308,10 +311,16 @@ def proof_to_dict(tree: ProofTree) -> dict:
     rules: dict[int, dict] = {}
     roots = [print_formula(f, memo) for f in tree.roots]
     outs: list[dict] = []
+    path: list[int] = []  # the last node written and its ancestors
     for i, node in enumerate(tree.table):
         p = node.parent
-        if (p is not None) if i == 0 else (p is None or not 0 <= p < i):
-            raise FileFormatError(f"node {node.id}: parent {p} is not an earlier node")
+        while path and path[-1] != p:
+            path.pop()
+        if (p is not None) if i == 0 else not path:
+            raise FileFormatError(
+                f"node {node.id}: parent {p} is not on the branch in depth-first order"
+            )
+        path.append(i)
         rule = node.rule
         if rule is not None and id(rule) not in rules:
             rules[id(rule)] = _rule_to_dict(rule)

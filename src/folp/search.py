@@ -8,11 +8,13 @@ then the branching implication rule, and finally the generative rules
 are rationed round-robin per premise.
 
 The search runs off an agenda.  A node is classified once, when it joins
-the branch, into per-rule queues in branch order: one per deterministic
-rule, then delta (fresh parameter), TImp and gamma (generative).  A
-premise that has fired, or can never fire usefully again, is marked
-spent.  The same pass indexes the node's subformulas and the antecedents
-of its asserted implications, the sources of FDot's cut candidates.
+the branch and leaves it open, into per-rule queues in branch order: one
+per deterministic rule, then delta (fresh parameter), TImp and gamma
+(generative).  A premise that has fired, or can never fire usefully
+again, is marked spent.  The same pass indexes the node's subformulas
+and the antecedents of its asserted implications, the sources of FDot's
+cut candidates.  A node that closes its branch is never classified or
+indexed: no rule is applied on a closed branch.
 Gamma premises are examined least used first, then in branch order,
 then by rule name, and the first with an instance to apply wins; the
 rest wait for a later step.  An FDot premise lists its cut candidates
@@ -159,34 +161,34 @@ class _Agenda:
         self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
         self.fresh_params = 0
         self.limit_hit: Optional[str] = None
-        self.trail: list[tuple[Any, ...]] = []
+        self.trail: list[tuple[Any, tuple]] = []  # (undo function, its arguments)
 
     # -- logged changes ----------------------------------------------------
 
     def put(self, d: dict, key: Any, value: Any) -> None:
         """``d[key] = value`` for a new ``key``."""
         d[key] = value
-        self.trail.append((d.pop, key))
+        self.trail.append((d.pop, (key,)))
 
     def append(self, items: list, x: Any) -> None:
         items.append(x)
-        self.trail.append((items.pop,))
+        self.trail.append((items.pop, ()))
 
     def add(self, s: set, x: Any) -> None:
         if x not in s:
             s.add(x)
-            self.trail.append((s.discard, x))
+            self.trail.append((s.discard, (x,)))
 
     def setitem(self, d: dict, key: Any, value: Any) -> None:
         """``d[key] = value``; undone to the earlier entry, if any."""
         if key in d:
-            self.trail.append((d.__setitem__, key, d[key]))
+            self.trail.append((d.__setitem__, (key, d[key])))
         else:
-            self.trail.append((d.pop, key))
+            self.trail.append((d.pop, (key,)))
         d[key] = value
 
     def assign(self, attr: str, value: Any) -> None:
-        self.trail.append((setattr, self, attr, getattr(self, attr)))
+        self.trail.append((setattr, (self, attr, getattr(self, attr))))
         setattr(self, attr, value)
 
     def hit(self, dimension: str) -> None:
@@ -198,7 +200,7 @@ class _Agenda:
     def undo(self, mark: int) -> None:
         trail = self.trail
         while len(trail) > mark:
-            fn, *args = trail.pop()
+            fn, args = trail.pop()
             fn(*args)
 
     # -- the branch ----------------------------------------------------------
@@ -211,9 +213,11 @@ class _Agenda:
             self.put(self.formulas, f, nid)
             if isinstance(f, Neg):
                 self.put(self.negs, f.body, nid)
-        for u in sorted(par_set(f)):
-            if u not in self.param_order:
-                self.append(self.param_order, u)
+        pars = par_set(f)
+        if pars:
+            for u in sorted(pars):
+                if u not in self.param_order:
+                    self.append(self.param_order, u)
         for queue, entry in _agenda_entries(nid, pos, f):
             self.append(self.queues[queue], entry)
         # Index the subformulas not seen yet; a seen one had all of its
@@ -331,22 +335,27 @@ class _Search:
                 if name != "Ins":
                     # Inapplicable or redundant, and stays so on this branch.
                     agenda.add(agenda.spent, (name, nid))
-        for nid, name in agenda.pending("delta"):
-            if agenda.fresh_params >= self.budget.max_params:
-                agenda.hit("max_params")
-                continue
-            return RuleApp(name, (nid,), param=self.fresh_param()), None
-        for nid, f in agenda.pending("TImp"):
-            if f.left in agenda.negs or f.right in agenda.formulas:
-                agenda.add(agenda.spent, ("TImp", nid))
-                continue
-            return RuleApp("TImp", (nid,)), None
+        if agenda.heads["delta"] != len(agenda.queues["delta"]):
+            for nid, name in agenda.pending("delta"):
+                if agenda.fresh_params >= self.budget.max_params:
+                    agenda.hit("max_params")
+                    continue
+                return RuleApp(name, (nid,), param=self.fresh_param()), None
+        if agenda.heads["TImp"] != len(agenda.queues["TImp"]):
+            for nid, f in agenda.pending("TImp"):
+                if f.left in agenda.negs or f.right in agenda.formulas:
+                    agenda.add(agenda.spent, ("TImp", nid))
+                    continue
+                return RuleApp("TImp", (nid,)), None
+        gamma = agenda.queues["gamma"]
+        if not gamma:
+            return None
         # The least used, earliest premise with an instance wins.  Whether
         # a premise has one does not depend on the others examined, so
         # the rest wait.
         uses = agenda.gamma_uses
         for nid, pos, name, premise in sorted(
-            agenda.queues["gamma"], key=lambda e: (uses.get(e[0], 0), e[1], e[2])
+            gamma, key=lambda e: (uses.get(e[0], 0), e[1], e[2])
         ):
             find = self._fdot_rule if name == "FDot" else self._param_rule
             choice = find(name, nid, premise, agenda)
@@ -478,8 +487,12 @@ class _Search:
         agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)
 
     def _note_and_close(self, agenda: _Agenda, node: ProofNode) -> Optional[Closure]:
+        """Add ``node`` to the table and return its closure mark.  A closing
+        node is never classified or indexed: no rule is applied on a closed
+        branch, and the agenda is unwound before it is read again."""
         mark = closure_against(node.id, node.formula, agenda.formulas, agenda.negs, self.cs)
-        agenda.note(node.id, node.formula)
+        if mark is None:
+            agenda.note(node.id, node.formula)
         self.table.append(node)
         return mark
 

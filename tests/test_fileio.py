@@ -290,6 +290,19 @@ class TestProofFiles:
         with pytest.raises(FileFormatError, match=f"^node {node.id}: parent {parent} is not"):
             proof_to_dict(tree)
 
+    def test_not_depth_first(self, corpus_cs):
+        # Node 7 moved between node 6 and its child 8: every parent comes
+        # before its children, but the file would nest 8 under 6 again,
+        # and the checker would accept the depth-first tree read back.
+        _, tree = _proof("(~~Q0 -> Q1) -> Q0 -> Q1", corpus_cs)
+        table = tree.table
+        table[6:] = [table[7], replace(table[6], parent=5)]
+        table[6] = replace(table[6], parent=4)
+        assert [(n.id, n.parent) for n in table[4:]] == [(5, 3), (6, 4), (7, 4), (8, 5)]
+        assert check_proof(tree, corpus_cs).condition == "structural:order"
+        with pytest.raises(FileFormatError, match="^node 8: parent 5 is not on the branch"):
+            proof_to_dict(tree)
+
     def test_empty_table(self):
         with pytest.raises(FileFormatError, match="no nodes"):
             proof_to_dict(ProofTree([parse_formula("~Q0")], []))

@@ -20,7 +20,7 @@ from folp import (
     prove,
 )
 from folp import search
-from conftest import CORPUS_GOALS, DATA, SCHEME_GOALS, cases, run_fresh
+from conftest import CORPUS_GOALS, DATA, FAMILY_BUDGET, SCHEME_GOALS, app, cases, run_fresh
 from conftest import chain as chain_goal
 
 
@@ -190,3 +190,29 @@ class TestCutCandidates:
         goal = parse_formula(text, corpus_cs.constants)
         prove(goal, corpus_cs, SearchBudget(max_nodes=3_000, max_cut_candidates=limit),
               [parse_formula(h, corpus_cs.constants) for h in hints])
+
+
+class TestAgenda:
+    GOALS = {
+        "cases-3": cases(3),
+        "app-8": app(8),
+        "chain-16": chain_goal(16),
+        **{f"corpus-{i}": text for i, text in enumerate(CORPUS_GOALS)},
+    }
+
+    @pytest.mark.parametrize("name", GOALS)
+    def test_closing_nodes_are_not_noted(self, name, corpus_cs, monkeypatch):
+        # No rule is applied on a closed branch, so a node that closes its
+        # branch never joins the agenda: one note per open node, in order.
+        noted = []
+        note = search._Agenda.note
+
+        def counted(agenda, nid, f):
+            noted.append(nid)
+            note(agenda, nid, f)
+
+        monkeypatch.setattr(search._Agenda, "note", counted)
+        goal = parse_formula(self.GOALS[name], corpus_cs.constants)
+        outcome = prove(goal, corpus_cs, FAMILY_BUDGET)
+        assert isinstance(outcome, Proved)
+        assert noted == [n.id for n in outcome.tree.table if n.closure is None]
