@@ -1,5 +1,6 @@
 """Command-line interface: verdict-to-exit-code mapping."""
 
+import argparse
 import json
 
 import pytest
@@ -253,6 +254,33 @@ class TestArguments:
         argv = ["prove", "Q0 -> Q0", "--cs", "corpus.cs", "extra"]
         _, _, err = _argparse_exit(main, argv, capsys)
         assert "{parse,axiom-match,prove,check,model-check}" in err.splitlines()[0]
+
+    @pytest.mark.parametrize("columns", ["50", "132"])
+    @pytest.mark.parametrize("command", [*_COMMANDS, None],
+                             ids=lambda c: c or "all-commands")
+    def test_help_as_default_formatter(self, command, columns, monkeypatch, capsys):
+        """Each parser ``main`` builds writes help and usage errors as the
+        same parser does with argparse's default formatter, which
+        measures the terminal each time it formats."""
+        monkeypatch.setenv("COLUMNS", columns)
+
+        def parsers():
+            """The parser and its command subparsers, if any."""
+            if command is not None:
+                return [cli._command_parser(command)]
+            parser = cli.build_parser()
+            [sub] = parser._subparsers._group_actions
+            return [parser, *sub.choices.values()]
+
+        def texts(parsers):
+            return [(p.format_help(), _argparse_exit(p.parse_args, [], capsys),
+                     _argparse_exit(p.parse_args, ["--bogus"], capsys)) for p in parsers]
+
+        reference = parsers()
+        for p in reference:
+            p.formatter_class = argparse.HelpFormatter
+        got = texts(parsers())
+        assert got == texts(reference)
 
 
 # Valid command lines; the files are never read, since every command is

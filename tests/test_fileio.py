@@ -183,6 +183,49 @@ class TestCsFiles:
             parse_cs(text)
 
 
+class TestCsMemo:
+    """``parse_cs`` returns its last record again for the same text."""
+
+    def test_rewritten_file_reads_as_the_new_text(self, tmp_path):
+        path = tmp_path / "cs.cs"
+        path.write_text("const c.\nc : Q0 -> Q1 -> Q0.\n", encoding="utf-8")
+        first = read_cs_file(path)
+        path.write_text("const c, d.\nd : scheme JT.\ntotal.\n", encoding="utf-8")
+        second = read_cs_file(path)
+        assert first.constants == {"c"} and not first.total
+        assert second == parse_cs("const c, d.\nd : scheme JT.\ntotal.\n")
+        assert second.constants == {"c", "d"} and second.total
+
+    @pytest.mark.parametrize("text, match", TestCsFiles.MALFORMED,
+                             ids=[text for text, _ in TestCsFiles.MALFORMED])
+    def test_malformed_text_fails_every_time(self, text, match):
+        parse_cs("const c.\nc : Q0 -> Q1 -> Q0.\n")
+        for _ in range(2):
+            with pytest.raises(FileFormatError, match=match):
+                parse_cs(text)
+        valid = parse_cs("const c.\ntotal.\n")
+        with pytest.raises(FileFormatError, match=match):
+            parse_cs(text)
+        assert parse_cs("const c.\ntotal.\n") == valid
+
+    def test_unchanged_file_is_validated_once(self, monkeypatch):
+        from folp import axioms
+
+        parse_cs("const c.\ntotal.\n")  # another text, so corpus.cs is not the last
+        calls = []
+        match_axiom = axioms.match_axiom
+
+        def counted(f):
+            calls.append(f)
+            return match_axiom(f)
+
+        monkeypatch.setattr(axioms, "match_axiom", counted)
+        first = read_cs_file(DATA / "corpus.cs")
+        second = read_cs_file(DATA / "corpus.cs")
+        assert len(calls) == 1
+        assert second == first and len(first.concrete) == 1
+
+
 class TestModelFiles:
     def test_round_trip(self):
         data = {
