@@ -32,7 +32,11 @@ pytest).  Next, for one command
 line of each CLI command, it prints the best time of building the
 parser ``folp.cli.main`` builds for it (the command's own parser) and
 parsing the line, over 100 N calls, and the same for the parser with all
-five commands on the ``prove`` line.  Then, for each goal,
+five commands on the ``prove`` line; then the best time, over 100 N
+calls, of reading ``tests/data/corpus.cs`` through ``read_cs_file``
+first (another CS text parsed just before, untimed) and again (the same
+text as the read before, which ``parse_cs`` need not parse again: the
+second CLI call of an item in the benchmark).  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node, how many times ``prove`` calls
@@ -59,7 +63,11 @@ Last it prints the best time of
 and how many models it checked, and fails if a count differs from the
 one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
 enumerates the most, 4,098 models.  ``--src`` points at another
-checkout's ``src`` to time that version of folp instead.
+checkout's ``src`` to time that version of folp instead.  Two separate
+runs, one per version, cannot resolve a difference below about 2x on a
+shared host: the same code read cases-5 ``prove`` from 0.21 to 0.34 s
+across four runs on a shared 2-CPU VM.  A comparison needs both
+versions interleaved in one process, alternating item by item.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
@@ -285,6 +293,10 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
+    if Path(args.src).resolve() != ROOT / "src":
+        print(f"timing folp from {args.src}: a separate run per version cannot resolve "
+              "a difference below about 2x on a shared host; compare versions "
+              "interleaved in one process")
     code_size(args.src)
     startup(args.src, args.repeat)  # puts ``args.src`` on ``sys.path``
     from folp import checker, cli, search
@@ -349,6 +361,18 @@ def main() -> None:
     prove_argv = CLI_ARGVS[2]
     best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
     print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
+    cs_path = ROOT / "tests" / "data" / "corpus.cs"
+
+    def first_read():
+        parse_cs("const c.\n")  # corpus.cs is not the last text parsed
+        start = time.perf_counter()
+        read_cs_file(cs_path)
+        return time.perf_counter() - start
+
+    first = min(first_read() for _ in range(calls))
+    again, _ = best_time(calls, lambda: read_cs_file(cs_path))
+    print(f"cli CS file, corpus.cs: read_cs_file first {first * 1e3:.3f} ms/call, "
+          f"again {again * 1e3:.3f} ms/call")
 
     goals = [("cases-4", cases(4)), ("cases-5", cases(5)), ("chain-256", chain(256)),
              *((f"qchain-{n}", qchain(n)) for n in (16, 64, 128)),

@@ -8,12 +8,18 @@ error:`` with its traceback on stderr, never as a negative verdict.
 
 A command line that names a command is read by that command's own
 parser; ``build_parser``'s five-command parser answers the rest.  No
-parser is kept between calls.
+parser is kept between calls.  Each parser measures the terminal once,
+when it is built (``_formatter``; the five-command parser once for all
+its subparsers): argparse's default help formatter measures it every
+time one is made, and ``add_argument`` makes one per argument.  Help
+and usage texts are the same as the default's.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 import traceback
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -175,6 +181,13 @@ _COMMANDS = (
 )
 
 
+def _formatter():
+    """argparse's default help formatter, fixed to the width it would
+    measure now, so that a parser measures the terminal once."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def _fill(p: argparse.ArgumentParser, c: _Command) -> argparse.ArgumentParser:
     c.add_arguments(p)
     p.set_defaults(command=c.name, func=globals()[c.handler])
@@ -187,7 +200,8 @@ def _command_parser(name: str) -> Optional[argparse.ArgumentParser]:
     name."""
     for c in _COMMANDS:
         if c.name == name:
-            return _fill(argparse.ArgumentParser(prog=f"folp {name}"), c)
+            return _fill(argparse.ArgumentParser(prog=f"folp {name}",
+                                                 formatter_class=_formatter()), c)
     return None
 
 
@@ -197,14 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     ``main`` uses it for what no single command's parser can answer:
     help before a command, no command, an unknown command and leftover
     arguments, whose error's usage line lists every command."""
+    formatter = _formatter()
     ap = argparse.ArgumentParser(
         prog="folp",
         description="Parse, prove, check, and model-check formulas of the "
         "first-order logic of proofs.",
+        formatter_class=formatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for c in _COMMANDS:
-        _fill(sub.add_parser(c.name, help=c.help), c)
+        _fill(sub.add_parser(c.name, help=c.help, formatter_class=formatter), c)
     return ap
 
 

@@ -19,6 +19,14 @@ is unchanged, so indented proof files still read.  To read one::
 
 A file that is not UTF-8, or JSON nested past the decoder's limit, is a
 :class:`FileFormatError`, and so is a proof too deep for the writer.
+
+``parse_cs`` keeps one entry: the last text it parsed, with its
+``ConstantSpecification``, which it returns again when the same text
+comes again.  So in a process that makes several CLI calls under one CS
+file, only the first parses and validates it.  The key is the whole
+text, and ``read_cs_file`` reads the file on every call, so an edited
+file is parsed afresh.  A text that fails to parse is never kept.  The
+record is frozen, so callers can share it.
 """
 
 from __future__ import annotations
@@ -63,11 +71,23 @@ class FileFormatError(Exception):
 # Constant specification files
 
 
+# The last CS text ``parse_cs`` parsed, and its record.
+_last_cs: Optional[tuple[str, ConstantSpecification]] = None
+
+
 def parse_cs(text: str) -> ConstantSpecification:
+    """The constant specification ``text`` writes: the kept record if
+    ``text`` is the last text parsed (see the module docstring)."""
+    global _last_cs
+    last = _last_cs  # one read, so another thread's entry cannot come between
+    if last is not None and last[0] == text:
+        return last[1]
     try:
-        return _parse_cs(text)
+        cs = _parse_cs(text)
     except ParseError as exc:
         raise FileFormatError(str(exc)) from exc
+    _last_cs = (text, cs)
+    return cs
 
 
 def _parse_cs(text: str) -> ConstantSpecification:
@@ -145,6 +165,7 @@ def _parse_cs(text: str) -> ConstantSpecification:
 
 
 def read_cs_file(path: Union[str, Path]) -> ConstantSpecification:
+    """``parse_cs`` of the file's text, read afresh on every call."""
     return parse_cs(_read_text(path))
 
 
