@@ -581,6 +581,86 @@ class TestProofFiles:
             parse_proof({"roots": "~Q0", "tree": {}})
 
 
+def _rule_chain(rules):
+    """A proof document of ``~(Q0 -> Q0)`` whose nodes 2, 3, ..., one
+    below the other, each cite the next of ``rules``."""
+    node = None
+    for i, rule in reversed(list(enumerate(rules, 2))):
+        node = {"id": i, "formula": "Q0", "rule": rule, "closure": None,
+                "children": [node] if node else []}
+    return {"roots": ["~(Q0 -> Q0)"], "tree": {"id": 1, "formula": "~(Q0 -> Q0)", "rule": None,
+                                               "closure": None, "children": [node]}}
+
+
+class TestRuleReading:
+    """Nodes citing equal rule dicts share one ``RuleApp``, and a
+    malformed rule dict fails with the same message alone and right after
+    a well-formed rule that equals it or differs only in the bad field."""
+
+    # A malformed rule dict, its well-formed near miss, and the message,
+    # in which {node} is the id of the node citing the malformed rule.
+    MALFORMED_RULES = [
+        ({"name": "FImp", "premises": [True]}, {"name": "FImp", "premises": [1]},
+         "rule premise must be a JSON int, not True"),
+        ({"name": "FImp", "premises": [1.0]}, {"name": "FImp", "premises": [1]},
+         "rule premise must be a JSON int, not 1.0"),
+        ({"name": "FImp", "premises": ["1"]}, {"name": "FImp", "premises": [1]},
+         "rule premise must be a JSON int, not '1'"),
+        ({"name": "FImp", "premises": 1}, {"name": "FImp", "premises": [1]},
+         "premises must be a JSON list, not 1"),
+        ({"name": "FImp", "premises": "1"}, {"name": "FImp", "premises": [1]},
+         "premises must be a JSON list, not '1'"),
+        ({"name": "FImp", "premises": {"1": 0}}, {"name": "FImp", "premises": [1]},
+         "premises must be a JSON list, not {'1': 0}"),
+        ({"name": "FImp"}, {"name": "FImp", "premises": [1]},
+         "bad proof node {node}: KeyError('premises')"),
+        ({"name": "FDot", "premises": [1], "cut": ["Q0"]},
+         {"name": "FDot", "premises": [1], "cut": "Q0"},
+         "bad proof node {node}: TypeError(\"expected string or bytes-like object, "
+         "got 'list'\")"),
+        ({"name": "FDot", "premises": [1], "cut": {"Q0": 1}},
+         {"name": "FDot", "premises": [1], "cut": "Q0"},
+         "bad proof node {node}: TypeError(\"expected string or bytes-like object, "
+         "got 'dict'\")"),
+        ({"name": "TForall", "premises": [1], "param": "u"},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter 'u' must be written @name"),
+        ({"name": "TForall", "premises": [1], "param": 7},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter 7 must be written @name"),
+        ({"name": "TForall", "premises": [1], "param": ["@u"]},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter ['@u'] must be written @name"),
+        ({"name": ["FImp"], "premises": [1]}, {"name": "FImp", "premises": [1]},
+         "bad proof node {node}: ValueError(\"unknown rule ['FImp']\")"),
+        ({"name": "Ins", "premises": [1], "param": "@u", "var": ["x"]},
+         {"name": "Ins", "premises": [1], "param": "@u", "var": "x"},
+         "rule variable ['x'] must be a string"),
+    ]
+
+    @pytest.mark.parametrize("after", [False, True], ids=["alone", "after-good"])
+    @pytest.mark.parametrize("bad, good, message", MALFORMED_RULES,
+                             ids=[f"rule{i}" for i in range(len(MALFORMED_RULES))])
+    def test_malformed_rule(self, bad, good, message, after):
+        parse_proof(_rule_chain([good]))
+        with pytest.raises(FileFormatError) as caught:
+            parse_proof(_rule_chain([good, bad] if after else [bad]))
+        assert str(caught.value) == message.replace("{node}", "3" if after else "2")
+
+    def test_equal_rule_dicts_share_one_rule(self, corpus_cs):
+        data = json.loads(json.dumps(_rule_chain([
+            {"name": "FImp", "premises": [1]}, {"name": "FImp", "premises": [1]},
+            {"name": "FImp", "premises": [1], "param": None}, {"name": "FNeg", "premises": [1]},
+        ])))
+        a, b, c, d = [n.rule for n in parse_proof(data).nodes()[1:]]
+        assert a is b is c and d is not a
+        goal, tree = _proof(cases(3), corpus_cs)
+        back = parse_proof(json.loads(fileio.proof_to_json(tree)), corpus_cs.constants)
+        rules = [n.rule for n in back.nodes() if n.rule is not None]
+        assert len({id(r) for r in rules}) == len(set(rules)) < len(rules)
+        assert check_proof(back, corpus_cs, goal).accepted
+
+
 class TestUnreadableFiles:
     """Bytes that are not UTF-8 and JSON nested past the decoder's limit
     are malformed files, not crashes."""

@@ -21,7 +21,8 @@ from folp import (
 from folp import parser
 from folp.fileio import parse_cs
 from folp.parser import MAX_DEPTH
-from conftest import random_formula, run_fresh
+from folp.syntax import neg, subformulas, subterms
+from conftest import cases, random_formula, run_fresh
 
 
 def f(text: str):
@@ -176,6 +177,57 @@ class TestRoundTrip:
         for text in ["p :[x, y] Q0", "p :[@u] Q(@u)", "p :[$a, x] Q(x)"]:
             g = f(text)
             assert parse_formula(print_formula(g), {"c"}) == g
+
+
+def _premises(g):
+    """The antecedents of the implication chain ``g``."""
+    out = []
+    while isinstance(g, Impl):
+        out.append(g.left)
+        g = g.right
+    return out
+
+
+class TestSharing:
+    """One parse returns each repeated subformula and subterm as one
+    object, and ``~A`` as ``neg(A)``."""
+
+    def test_repeated_tails_are_one_object(self):
+        # cases-3: premises l0 -> l1 -> l2 -> Q0, one per sign choice.
+        premises = _premises(f(cases(3)))
+        assert len(premises) == 8
+        # Premises 0 and 4 differ only in the sign of P0, so their tails
+        # P1 -> P2 -> Q0 are one object; so are the tails P2 -> Q0 of 0, 2, 4, 6.
+        assert premises[0].right is premises[4].right
+        assert len({id(p.right.right) for p in premises[::2]}) == 1
+        assert premises[0].right is not premises[1].right
+        # No two occurrences of equal subformulas are distinct objects.
+        occurrences = list(subformulas(f(cases(3))))
+        assert len({id(g) for g in occurrences}) == len(set(occurrences))
+
+    def test_repeated_terms_are_one_object(self):
+        g = f("(p * c) :[x] Q(x) -> (p * c) + !(p * c) : Q(x)")
+        left, right = g.left.term, g.right.term
+        assert left is right.left is right.right.inner
+        assert g.left.body is g.right.body
+        terms = [t for h in subformulas(g) if isinstance(h, Assert) for t in subterms(h.term)]
+        assert len({id(t) for t in terms}) == len(set(terms))
+
+    def test_cs_entries_share(self):
+        cs = parse_cs("const c, d. c : Q0 -> Q1 -> Q0. "
+                      "d : (Q0 -> Q1 -> Q0) -> Q2 -> Q0 -> Q1 -> Q0.")
+        (_, first), (_, second) = cs.concrete
+        assert first is second.left is second.right.right
+
+    def test_negation_is_neg(self):
+        g = f("~Q0 -> ~Q0 -> Q0 -> ~~Q0")
+        a, b, c, d = _premises(g) + [g.right.right.right]
+        assert a is b is neg(c) and d is neg(a) and d.body is a
+
+    def test_parses_do_not_share(self):
+        # Sharing is per parse: no table outlives it.
+        first, second = f("Q0 -> Q1"), f("Q0 -> Q1")
+        assert first == second and first is not second and first.left is not second.left
 
 
 class TestNesting:

@@ -55,7 +55,7 @@ from folp import (
     variable_variant,
 )
 from folp.parser import Token
-from folp.syntax import _repr
+from folp.syntax import _repr, neg
 from conftest import run_fresh
 
 
@@ -397,3 +397,40 @@ class TestCopies:
                          PYTHONHASHSEED="2")
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["True", "1", "1", "True", "True", "1"]
+
+
+_FORMULA_FIELDS = [(cls, fields) for cls, fields in NODE_FIELDS if issubclass(cls, Formula)]
+
+
+class TestNeg:
+    """``neg(f)`` is one object per ``f``, and making it changes nothing
+    that ``f`` or its copies equal, hash to, print as or pickle to."""
+
+    @pytest.mark.parametrize("cls, fields", _FORMULA_FIELDS,
+                             ids=[cls.__name__ for cls, _ in _FORMULA_FIELDS])
+    def test_one_negation_per_formula(self, cls, fields):
+        g = cls(**fields)
+        assert g._neg is None
+        n = neg(g)
+        assert neg(g) is n is g._neg and n.body is g
+        assert n == Neg(g) and hash(n) == hash(Neg(g)) and type(n) is Neg
+        assert neg(n) is neg(n) and neg(n).body is n
+        assert neg(cls(**fields)) is not n and neg(cls(**fields)) == n
+
+    @pytest.mark.parametrize("cls, fields", _FORMULA_FIELDS,
+                             ids=[cls.__name__ for cls, _ in _FORMULA_FIELDS])
+    def test_negation_is_never_copied_or_pickled(self, cls, fields):
+        plain, negated = cls(**fields), cls(**fields)
+        neg(negated)
+        assert negated == plain and hash(negated) == hash(plain)
+        assert repr(negated) == repr(plain) and str(negated) == str(plain)
+        assert pickle.dumps(negated) == pickle.dumps(plain)
+        assert pickle.dumps(neg(negated)) == pickle.dumps(Neg(plain))
+        for how in (copy.copy, copy.deepcopy, _pickled):
+            a, b = how(plain), how(negated)
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert b._neg is None
+            c = how(neg(negated))
+            assert c == Neg(plain) and c._neg is None
+            # A shallow copy keeps the body itself; a deep one rebuilds it.
+            assert c.body is negated if how is copy.copy else c.body._neg is None
