@@ -40,12 +40,15 @@ second CLI call of an item in the benchmark).  Then, for each goal,
 under ``tests/data/corpus.cs`` and a budget that never binds, it prints
 the best ``prove`` time over N runs (default 5), the node count of the
 proof, the time per node, how many times ``prove`` calls
-``apply_rule`` and the agenda's ``note`` per node, and the best
-``check_proof`` time of the proof; parsing is not timed.  A search that
-stays linear keeps the time and the calls per node flat from qchain-16
-to qchain-128 and from app-16 to app-64.  Only a node that leaves its
-branch open is noted, so the notes per node are the share of such
-nodes: about half on cases-n, whose proofs are mostly closed leaves.
+``apply_rule`` and the agenda's ``note`` per node, how many formula
+``==`` calls per node compare two distinct objects (a call on one object
+on both sides, or a dictionary lookup that finds the object itself,
+walks nothing), and the best ``check_proof`` time of the proof; parsing
+is not timed.  A search that stays linear keeps the time and the calls
+per node flat from qchain-16 to qchain-128 and from app-16 to app-64.
+Only a node that leaves its branch open is noted, so the notes per node
+are the share of such nodes: about half on cases-n, whose proofs are
+mostly closed leaves.
 It fails if a node count differs from the one pinned in
 ``PROOF_NODES``: the counts change only if the proofs do.
 For the proofs of cases-4 (wide, many rule instances), chain-128 (deep,
@@ -67,7 +70,8 @@ checkout's ``src`` to time that version of folp instead.  Two separate
 runs, one per version, cannot resolve a difference below about 2x on a
 shared host: the same code read cases-5 ``prove`` from 0.21 to 0.34 s
 across four runs on a shared 2-CPU VM.  A comparison needs both
-versions interleaved in one process, alternating item by item.
+versions interleaved in one process, alternating item by item, as
+``scripts/ab.py`` does.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
@@ -239,6 +243,29 @@ def calls_of(owner, name: str, run) -> int:
     return calls
 
 
+def distinct_eqs(classes, run) -> int:
+    """How many times ``run()`` calls the ``__eq__`` of one of
+    ``classes`` on two distinct objects."""
+    calls = 0
+    saved = {cls: cls.__eq__ for cls in classes}
+
+    def counted(eq):
+        def call(a, b):
+            nonlocal calls
+            calls += a is not b
+            return eq(a, b)
+        return call
+
+    for cls, eq in saved.items():
+        cls.__eq__ = counted(eq)
+    try:
+        run()
+    finally:
+        for cls, eq in saved.items():
+            cls.__eq__ = eq
+    return calls
+
+
 def code_size(src: str) -> None:
     """Print the lines of each module of the package under ``src``."""
     sizes = {path.stem: len(path.read_text(encoding="utf-8").splitlines())
@@ -304,7 +331,7 @@ def main() -> None:
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
     )
-    from folp import fileio
+    from folp import Formula, fileio
     from folp.fileio import parse_cs, read_cs_file, read_proof_file, write_proof_file
     from folp.parser import Parser, tokenize
 
@@ -386,9 +413,11 @@ def main() -> None:
         nodes = len(outcome.tree.nodes())
         applied = calls_of(search, "apply_rule", lambda: prove(goal, cs, budget))
         noted = calls_of(search._Agenda, "note", lambda: prove(goal, cs, budget))
+        walks = distinct_eqs(Formula.__subclasses__(), lambda: prove(goal, cs, budget))
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node, {applied / nodes:.2f} apply_rule "
-              f"calls/node, {noted / nodes:.2f} agenda notes/node, check {check:.3f} s")
+              f"calls/node, {noted / nodes:.2f} agenda notes/node, {walks / nodes:.2f} "
+              f"formula == calls/node on distinct objects, check {check:.3f} s")
         assert nodes == PROOF_NODES.get(name, nodes), (name, nodes, PROOF_NODES[name])
 
     parts = ("_read_json", "_parse_tree")

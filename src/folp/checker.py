@@ -21,9 +21,9 @@ from .axioms import ConstantSpecification
 from .syntax import (
     Formula,
     Neg,
+    _facts,
     _node,
-    elem_set,
-    free_vars,
+    neg,
 )
 from .tableau import (
     BRANCHING_RULES,
@@ -66,13 +66,14 @@ def _reject(node_id: Optional[int], condition: str, message: str) -> NoReturn:
 
 
 def _check_label(node: ProofNode) -> None:
-    if free_vars(node.formula):
+    free, _, elems = _facts(node.formula)
+    if free:
         _reject(
             node.id,
             "structural:open-formula",
             f"label has free individual variables: {node.formula}",
         )
-    if elem_set(node.formula):
+    if elems:
         _reject(
             node.id,
             "structural:domain-element",
@@ -144,14 +145,14 @@ def _check_rule_node(
             )
         sibling_index = 0 if siblings[0] is node else 1
         other = siblings[1 - sibling_index]
-        if other.rule != rule:
+        if other.rule is not rule and other.rule != rule:
             _reject(
                 node.id,
                 "branching-structure",
                 "sibling does not cite the same rule instance",
             )
         expected = extensions[sibling_index][0]
-        if node.formula != expected:
+        if node.formula is not expected and node.formula != expected:
             _reject(
                 node.id,
                 "conclusion-mismatch",
@@ -197,7 +198,7 @@ def _check_structure(
     """Check ids, parents, arity and the root chain; return each node's children."""
     if not tree.roots:
         _reject(None, "structural:no-roots", "proof has no root formulas")
-    if expected_goal is not None and tree.roots != [Neg(expected_goal)]:
+    if expected_goal is not None and tree.roots != [neg(expected_goal)]:
         _reject(
             None,
             "goal-mismatch",

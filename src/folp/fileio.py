@@ -51,10 +51,10 @@ from .syntax import (
     Atom,
     Formula,
     Impl,
-    Neg,
     Sum,
     canonical,
     elem_set,
+    neg,
     par_set,
     param,
 )
@@ -378,22 +378,21 @@ def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
     Path(path).write_text(proof_to_json(tree), encoding="utf-8")
 
 
-_RULE_FIELDS = ("name", "premises", "param", "cut", "var")
-
-
 def _parse_rule(
     data: Optional[dict], decls: Iterable[str], rules: dict[tuple, RuleApp], tableau
 ) -> Optional[RuleApp]:
     """The rule instance ``data`` writes.  ``rules`` maps the fields of
     each instance read so far to its ``RuleApp``, so the nodes citing an
-    instance share one, and its cut is parsed once."""
+    instance share one, and its cut is parsed once.  Only an instance
+    with one premise, as every rule takes, is kept."""
     if data is None:
         return None
-    fields = tuple(map(data.get, _RULE_FIELDS))
+    get = data.get
+    premises = get("premises")
     key = None
-    # Only integer premises: 1, 1.0 and true are equal keys.
-    if type(fields[1]) is list and {int}.issuperset(map(type, fields[1])):
-        key = (fields[0], tuple(fields[1]), *fields[2:])
+    # Only an integer premise: 1, 1.0 and true are equal keys.
+    if type(premises) is list and len(premises) == 1 and type(premises[0]) is int:
+        key = (get("name"), premises[0], get("param"), get("cut"), get("var"))
         try:
             rule = rules.get(key)
         except TypeError:  # a malformed, unhashable field
@@ -410,16 +409,15 @@ def _parse_rule(
     v = data.get("var")
     if v is not None and not isinstance(v, str):
         raise FileFormatError(f"rule variable {v!r} must be a string")
-    # Reached only if every field is well typed, so ``key`` is set and hashable.
-    rule = rules[key] = tableau.RuleApp(
-        name=data["name"],
-        premises=tuple(
-            _typed(i, int, "rule premise") for i in _typed(data["premises"], list, "premises")
-        ),
-        param=p,
-        cut=cut,
-        var=v,
+    rule = tableau.RuleApp(
+        data["name"],
+        tuple(_typed(i, int, "rule premise") for i in _typed(data["premises"], list, "premises")),
+        p,
+        cut,
+        v,
     )
+    if key is not None:  # reached only if every field is well typed, so hashable
+        rules[key] = rule
     return rule
 
 
@@ -476,13 +474,15 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
             nid = _typed(data["id"], int, "node id")
             text = data["formula"]
             node = tableau.ProofNode(
-                id=nid,
-                formula=table.get(text) or parse_formula(text, decls, arities),
-                rule=_parse_rule(data.get("rule"), decls, rules, tableau),
-                parent=parent,
-                closure=_parse_closure(data.get("closure"), nid, tableau),
+                nid,
+                table.get(text) or parse_formula(text, decls, arities),
+                _parse_rule(data.get("rule"), decls, rules, tableau),
+                parent,
+                _parse_closure(data.get("closure"), nid, tableau),
             )
-            children = list(data.get("children", []))
+            children = data.get("children", [])
+            if type(children) is not list:
+                children = list(children)
         except _MALFORMED as exc:
             where = data.get("id") if isinstance(data, dict) else data
             raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
@@ -515,8 +515,9 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     string.  A node text that is a subformula of a root, an ``FPlus``
     conclusion from one, or the negation of either is looked up instead
     of parsed, in a table of those texts made from the roots (see
-    ``_add_subformulas``); others, such as quantifier instances, are
-    parsed.  Only the roots are printed.
+    ``_add_subformulas``; a negation's entry is ``neg`` of the formula's,
+    as the calculus concludes it); others, such as quantifier instances,
+    are parsed.  Only the roots are printed.
     Nodes whose rule objects have equal fields share one ``RuleApp``,
     built, cut parsed, once.
     """
@@ -540,7 +541,7 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     # is built on top of another, and a subformula's entry wins.
     if peak + 2 <= MAX_DEPTH:
         for text, g in list(table.items()):
-            table.setdefault(f"~({text})" if type(g) is Impl else "~" + text, Neg(g))
+            table.setdefault(f"~({text})" if type(g) is Impl else "~" + text, neg(g))
     from . import tableau
 
     return tableau.ProofTree(roots, _parse_tree(data["tree"], decls, arities, table, tableau))

@@ -32,6 +32,10 @@ none of these follows a formula; otherwise it opens a formula.  So the
 parser never backtracks.  The parentheses are paired once per text, when
 a ``(`` first needs the decision.
 
+A parser returns each subformula and subterm that repeats in its text
+as one object, the first built (see ``Parser.share``), and the ``~`` of a
+formula as its ``neg``, so a goal, a CS file or a proof root is a DAG.
+
 Chains are read iteratively.  Input nested deeper than ``MAX_DEPTH``
 levels (each prefix operator, parenthesis and chain link is one) is a
 :class:`ParseError`, so no recursive walker over it runs out of stack.
@@ -62,6 +66,7 @@ from .syntax import (
     TermVar,
     _node,
     elem,
+    neg,
     param,
     var,
 )
@@ -160,6 +165,7 @@ class Parser:
         self.arities = arities if arities is not None else {}
         self.depth = 0  # nesting levels entered, at most MAX_DEPTH
         self.peak = 0  # the most levels entered at once, so far
+        self.built: dict = {}  # each formula and term built, by itself
 
     # -- token plumbing ----------------------------------------------------
 
@@ -190,6 +196,10 @@ class Parser:
     def error(self, message: str, i: Optional[int] = None) -> ParseError:
         tok = self.token(i)
         return ParseError(message, tok.line, tok.col)
+
+    def share(self, x):
+        """The first formula or term equal to ``x`` built here, else ``x``."""
+        return self.built.setdefault(x, x)
 
     def deeper(self) -> None:
         """Enter a nesting level; the caller lowers ``depth`` to leave."""
@@ -224,7 +234,7 @@ class Parser:
         self.depth -= len(parts) - 1
         f = parts.pop()
         while parts:
-            f = Impl(parts.pop(), f)
+            f = self.share(Impl(parts.pop(), f))
         return f
 
     def unary(self) -> Formula:
@@ -232,7 +242,7 @@ class Parser:
         kind, text = self.kinds[i], self.texts[i]
         if kind == "~":
             self.pos += 1
-            return Neg(self.nested(self.unary))
+            return neg(self.nested(self.unary))
         if kind == "LID" and text in ("forall", "exists"):
             self.pos += 1
             if self.kinds[self.pos] in ("PARAM", "ELEM"):
@@ -245,7 +255,7 @@ class Parser:
                 raise self.error(f"{name!r} is reserved", self.pos - 1)
             self.expect(".")
             body = self.nested(self.unary)
-            return (Forall if text == "forall" else Exists)(name, body)
+            return self.share((Forall if text == "forall" else Exists)(name, body))
         if kind == "!" or kind == "LID" or (kind == "(" and self.opens_term(i)):
             t = self.term()
             if self.kinds[self.pos] != ":":
@@ -257,7 +267,7 @@ class Parser:
                 if self.kinds[self.pos] != "]":
                     window = tuple(self.atom_list())
                 self.expect("]")
-            return Assert(t, window, self.nested(self.unary))
+            return self.share(Assert(t, window, self.nested(self.unary)))
         if kind == "(":
             self.pos += 1
             f = self.nested(self.formula)
@@ -294,7 +304,7 @@ class Parser:
                     f"predicate {name} used with arity {len(args)}, previously {known}", i
                 )
             self.arities[name] = len(args)
-            return Pred(name, args)
+            return self.share(Pred(name, args))
         raise self.error(f"expected a formula, found {self.texts[i] or 'end of input'!r}")
 
     def atom(self) -> Atom:
@@ -334,19 +344,19 @@ class Parser:
             links += 1
             right = self.tpre()
             if op == "*":
-                product = App(product, right)
+                product = self.share(App(product, right))
             else:
-                total = product if total is None else Sum(total, product)
+                total = product if total is None else self.share(Sum(total, product))
                 product = right
         self.depth -= links
-        return product if total is None else Sum(total, product)
+        return product if total is None else self.share(Sum(total, product))
 
     def tpre(self) -> Term:
         i = self.pos
         kind, text = self.kinds[i], self.texts[i]
         if kind == "!":
             self.pos += 1
-            return Bang(self.nested(self.tpre))
+            return self.share(Bang(self.nested(self.tpre)))
         if kind == "LID" and text == "gen":
             self.pos += 1
             self.expect("<")
@@ -357,14 +367,12 @@ class Parser:
             self.expect("(")
             t = self.nested(self.term)
             self.expect(")")
-            return Gen(name, t)
+            return self.share(Gen(name, t))
         if kind == "LID":
             self.pos += 1
             if text in KEYWORDS:
                 raise self.error(f"{text!r} is reserved", i)
-            if text in self.decls:
-                return TermConst(text)
-            return TermVar(text)
+            return self.share((TermConst if text in self.decls else TermVar)(text))
         if kind == "(":
             self.pos += 1
             t = self.nested(self.term)

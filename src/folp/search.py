@@ -47,6 +47,7 @@ from .syntax import (
     atoms_of,
     elem_set,
     free_vars,
+    neg,
     par_set,
     param as mk_param,
 )
@@ -497,7 +498,7 @@ class _Search:
         return mark
 
     def run(self) -> SearchOutcome:
-        root_formula = Neg(self.goal)
+        root_formula = neg(self.goal)
         root = self.make_node(root_formula, None)
         try:
             opened = self.close_tableau(root)

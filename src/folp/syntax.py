@@ -11,8 +11,15 @@ Values are never changed after construction.  ``Atom``, each term and
 formula class and folp's other records are slotted classes that ``_node``
 makes from their fields.  Each node hashes itself when built, copied or
 unpickled, from its children's cached hashes; formulas also cache their
-atom facts and canonical form.  Windows are sorted duplicate-free tuples,
-so structural equality of formulas is plain ``==``.
+atom facts, canonical form and negation.  Windows are sorted
+duplicate-free tuples, so structural equality of formulas is plain ``==``.
+
+Equal formulas may be one object, and the tableau's labels mostly are:
+the parser shares repeated subformulas within one text, and ``neg(f)``
+makes ``Neg(f)`` once per ``f``, in its ``_neg`` slot.  A dictionary
+lookup or ``==`` that meets the same object on both sides does not walk
+it.  No slot but a field is copied or pickled, so sharing never changes
+what a formula equals, hashes to or prints as.
 """
 
 from __future__ import annotations
@@ -263,8 +270,9 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 class Formula:
-    # The hash, the atom facts (see ``_facts``) and the canonical form.
-    __slots__ = ("_hash", "_facts", "_canon")
+    # The hash, the atom facts (see ``_facts``), the canonical form and
+    # the negation (see ``neg``).
+    __slots__ = ("_hash", "_facts", "_canon", "_neg")
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -290,6 +298,15 @@ class Pred(Formula, metaclass=_node):
 
 class Neg(Formula, metaclass=_node):
     body: Formula
+
+
+def neg(f: Formula) -> Neg:
+    """``Neg(f)``, made on the first call for ``f`` and kept in its
+    ``_neg`` slot, so that every negation of ``f`` made here is one object."""
+    g = f._neg
+    if g is None:
+        g = f._neg = Neg(f)
+    return g
 
 
 class Impl(Formula, metaclass=_node):

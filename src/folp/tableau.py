@@ -29,6 +29,7 @@ from .syntax import (
     _node,
     elem_set,
     mkwindow,
+    neg,
     par_set,
     substitute,
     substitute_param,
@@ -194,9 +195,9 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
     if name == "FNeg":
         return [[p.body.body]]
     if name == "TImp":
-        return [[Neg(p.left)], [p.right]]
+        return [[neg(p.left)], [p.right]]
     if name == "FImp":
-        return [[p.body.left, Neg(p.body.right)]]
+        return [[p.body.left, neg(p.body.right)]]
 
     if name in ("TForall", "FExists", "TExists", "FForall"):
         u = _require_param(rule)
@@ -221,7 +222,7 @@ def apply_rule(branch: Branch, rule: RuleApp) -> list[list[Formula]]:
             Neg(Assert(a.term.right, a.window, a.body)),
         ]]
     if name == "FBang":
-        return [[Neg(a.body)]]
+        return [[neg(a.body)]]
     if name == "GenX":
         return [[Neg(Assert(a.term.inner, a.window, a.body.body))]]
 
