@@ -4,7 +4,7 @@ qchain-16, qchain-64, qchain-128, app-16 and app-64,
 proof file I/O on cases-4, chain-128, sum-64, sum-128 and app-16, and
 countermodel search on the non-theorems.
 
-    python3 scripts/prove_speed.py [--repeat N] [--src DIR]
+    python3 scripts/prove_speed.py [--repeat N]
 
 First it prints the line count of each module of ``folp`` and their
 total, the budget ROADMAP's code-size item tracks.  Next it prints, for
@@ -17,15 +17,17 @@ whether it loaded the stdlib's ``dataclasses`` and ``inspect``, both
 without bytecode (``PYTHONDONTWRITEBYTECODE=1``) and with bytecode
 cached in a warmed ``PYTHONPYCACHEPREFIX``.  The interpreters import a
 copy of the package in a temporary directory, so none reads or writes
-a ``__pycache__`` under ``--src``.  Then it prints the best time of
+a ``__pycache__`` under ``src``.  Then it prints the best time of
 ``Atom("var", "x")`` over N runs of 100,000.
 Next it prints the lexer's throughput, the best time of ``tokenize``
 over N runs per token, on the text of chain-256 and on the evidence
 terms and formulas of ``tests/data/models``; on the latter also that of
-building a ``Parser``, which scans the text itself, where it does so.
-Next it prints the best time per entry of ``parse_cs`` on CS files of
-500 and of 8,000 entries of each shape in ``CS_ENTRIES``; a parser that
-stays linear reads both sizes at about the same cost per entry.
+building a ``Parser``, which scans the text itself.
+Next it prints the best time per entry of parsing CS files of 500 and of
+8,000 entries of each shape in ``CS_ENTRIES`` (``fileio._parse_cs``, the
+parse behind ``parse_cs``'s one kept record, which would answer every
+repeat of a text); a parser that stays linear reads both sizes at about
+the same cost per entry.
 Then it prints the best time per call of ``match_axiom`` over the
 inputs of the matcher digest in ``tests/test_golden.py`` (which needs
 pytest).  Next, for one command
@@ -65,13 +67,16 @@ Last it prints the best time of
 (``max_domain=2``) on each non-theorem of ``tests/data/non_theorems.txt``
 and how many models it checked, and fails if a count differs from the
 one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
-enumerates the most, 4,098 models.  ``--src`` points at another
-checkout's ``src`` to time that version of folp instead.  Two separate
-runs, one per version, cannot resolve a difference below about 2x on a
-shared host: the same code read cases-5 ``prove`` from 0.21 to 0.34 s
-across four runs on a shared 2-CPU VM.  A comparison needs both
-versions interleaved in one process, alternating item by item, as
-``scripts/ab.py`` does.
+enumerates the most, 4,098 models.
+
+Garbage is collected before each timed call, so that no call pays for a
+collection of what the ones before it left: a full collection of the
+cases-5 proofs took 165-230 ms.  The script times this checkout's folp
+only.  Two separate runs, one per version, cannot resolve a difference
+below about 2x on a shared host: the same code read cases-5 ``prove``
+from 0.21 to 0.34 s across four runs on a shared 2-CPU VM.  A
+comparison needs both versions interleaved in one process, alternating
+item by item, as ``scripts/ab.py`` does.
 
 chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
 has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
@@ -87,7 +92,7 @@ FDot cut.
 from __future__ import annotations
 
 import argparse
-import inspect
+import gc
 import itertools
 import json
 import os
@@ -101,6 +106,7 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 # The node count of each timed proof.
 PROOF_NODES = {"cases-4": 1_363, "cases-5": 22_979, "chain-256": 1_027, "qchain-128": 645,
@@ -187,10 +193,15 @@ def non_theorems() -> list[tuple[str, int]]:
     return [(goal, int(count)) for count, goal in rows]
 
 
-def best_time(repeat: int, run):
-    """The least time of ``repeat`` calls of ``run``, and the last result."""
+def best_time(repeat: int, run, collect: bool = True):
+    """The least time of ``repeat`` calls of ``run``, each after a
+    garbage collection if ``collect``, and the last result.  The least of
+    the hundreds of calls of a sub-millisecond ``run`` is one that no
+    collection landed in, so those need none."""
     best = float("inf")
     for _ in range(repeat):
+        if collect:
+            gc.collect()
         start = time.perf_counter()
         out = run()
         best = min(best, time.perf_counter() - start)
@@ -215,6 +226,7 @@ def timed_parts(module, names, run):
     for name, fn in saved.items():
         setattr(module, name, timed(name, fn))
     try:
+        gc.collect()
         start = time.perf_counter()
         out = run()
         total = time.perf_counter() - start
@@ -318,14 +330,9 @@ def startup(src: str, runs: int) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--src", default=str(ROOT / "src"))
     args = ap.parse_args()
-    if Path(args.src).resolve() != ROOT / "src":
-        print(f"timing folp from {args.src}: a separate run per version cannot resolve "
-              "a difference below about 2x on a shared host; compare versions "
-              "interleaved in one process")
-    code_size(args.src)
-    startup(args.src, args.repeat)  # puts ``args.src`` on ``sys.path``
+    code_size(SRC)
+    startup(SRC, args.repeat)  # puts ``SRC`` on ``sys.path``
     from folp import checker, cli, search
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
@@ -346,17 +353,15 @@ def main() -> None:
              for text in (entry["term"], *entry["formulas"])]
     lex, lists = best_time(args.repeat, lambda: [tokenize(text) for text in texts])
     count = sum(map(len, lists))
-    line = (f"model evidence texts: tokenize {lex / count * 1e6:.2f} us/token, "
-            f"{count:,} tokens in {len(texts)} texts")
-    if "text" in inspect.signature(Parser).parameters:  # Parser reads the text itself
-        scan, _ = best_time(args.repeat, lambda: [Parser(text) for text in texts])
-        line += f"; the parser's own scan {scan / count * 1e6:.2f} us/token"
-    print(line)
+    scan, _ = best_time(args.repeat, lambda: [Parser(text) for text in texts])
+    print(f"model evidence texts: tokenize {lex / count * 1e6:.2f} us/token, "
+          f"{count:,} tokens in {len(texts)} texts; the parser's own scan "
+          f"{scan / count * 1e6:.2f} us/token")
 
     for entry in CS_ENTRIES:
         for n in (500, 8_000):
             cs_text = "const c.\n" + (entry + "\n") * n
-            best, spec = best_time(args.repeat, lambda: parse_cs(cs_text))
+            best, spec = best_time(args.repeat, lambda: fileio._parse_cs(cs_text))
             assert len(spec.concrete) == n, (entry, len(spec.concrete))
             print(f"parse_cs, {n:,} entries {entry!r}: {best / n * 1e6:.1f} us/entry")
 
@@ -367,26 +372,19 @@ def main() -> None:
     match, _ = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
     print(f"match_axiom: {match / len(formulas) * 1e6:.2f} us/call, "
           f"{len(formulas):,} formulas")
+    del formulas  # so that the collections before later timed calls are short
 
-    # What main builds and parses per call, in this folp and in older ones:
-    # the command's own parser; the five-command parser with only the
-    # named command's subparser (build_parser takes the command); or the
-    # five-command parser with all five.
-    if hasattr(cli, "_command_parser"):
-        def parse(argv):
-            return cli._command_parser(argv[0]).parse_known_args(argv[1:])
-    elif inspect.signature(cli.build_parser).parameters:
-        def parse(argv):
-            return cli.build_parser(argv[0]).parse_args(argv)
-    else:
-        def parse(argv):
-            return cli.build_parser().parse_args(argv)
+    # What main builds and parses per call: the command's own parser.
+    def parse(argv):
+        return cli._command_parser(argv[0]).parse_known_args(argv[1:])
+
     calls = 100 * args.repeat
     for argv in CLI_ARGVS:
-        best, _ = best_time(calls, lambda: parse(argv))
+        best, _ = best_time(calls, lambda: parse(argv), collect=False)
         print(f"cli arguments, {argv[0]}: build and parse {best * 1e3:.3f} ms/call")
     prove_argv = CLI_ARGVS[2]
-    best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv))
+    best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv),
+                        collect=False)
     print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
     cs_path = ROOT / "tests" / "data" / "corpus.cs"
 
@@ -397,7 +395,7 @@ def main() -> None:
         return time.perf_counter() - start
 
     first = min(first_read() for _ in range(calls))
-    again, _ = best_time(calls, lambda: read_cs_file(cs_path))
+    again, _ = best_time(calls, lambda: read_cs_file(cs_path), collect=False)
     print(f"cli CS file, corpus.cs: read_cs_file first {first * 1e3:.3f} ms/call, "
           f"again {again * 1e3:.3f} ms/call")
 

@@ -10,15 +10,19 @@ CS files are line-oriented UTF-8 with ``.``-terminated statements and
     variant-closed.
 
 Models and proofs are JSON; see ``parse_model`` and ``parse_proof`` for
-the schemas.  A proof file is one line: the stdlib's C encoder writes
-``proof_to_dict`` with no indentation, since indenting each line by its
-depth in the tree made most of a deep proof's bytes spaces.  The schema
-is unchanged, so indented proof files still read.  To read one::
+the schemas.  A proof file is one line, with no indentation, since
+indenting each line by its depth in the tree made most of a deep proof's
+bytes spaces: the bytes ``json.dumps`` writes for ``proof_to_dict``.
+``proof_to_json`` writes them in one walk of the node table, with no
+dict built and no recursion.  The schema is unchanged, so indented proof
+files still read.  To read one::
 
     python -m json.tool proof.json
 
 A file that is not UTF-8, or JSON nested past the decoder's limit, is a
-:class:`FileFormatError`, and so is a proof too deep for the writer.
+:class:`FileFormatError`, and so is a proof more than
+``MAX_WRITE_DEPTH`` nodes deep, which the writer refuses, since the
+decoder could not read it back.
 
 ``parse_cs`` keeps one entry: the last text it parsed, with its
 ``ConstantSpecification``, which it returns again when the same text
@@ -294,6 +298,24 @@ def write_model(model) -> dict:
 # Proof files
 
 
+# The deepest tree ``proof_to_json`` writes, in nodes on a path from the
+# first node to a leaf.  A file nests two JSON levels per such node, and
+# two more, and the stdlib's C decoder recurses once per level; CPython
+# 3.10 and 3.11 count those calls against the default recursion limit of
+# 1,000 together with the Python frames below them, ten in ``folp check``.
+# chain-163's proof, 492 nodes deep, is the deepest chain this admits.
+MAX_WRITE_DEPTH = 492
+
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes a str as
+
+
+def _scalar(x) -> str:
+    """``json.dumps(x)``, quickly for an int or a str."""
+    if type(x) is int:
+        return str(x)
+    return _quote(x) if type(x) is str else json.dumps(x)
+
+
 def _rule_to_dict(rule: RuleApp) -> dict:
     out: dict = {"name": rule.name, "premises": list(rule.premises)}
     if rule.param is not None:
@@ -305,34 +327,37 @@ def _rule_to_dict(rule: RuleApp) -> dict:
     return out
 
 
-def _closure_to_dict(mark, tableau) -> Optional[dict]:
-    if mark is None:
-        return None
+def _rule_to_json(rule: RuleApp, memo: Memo) -> str:
+    """``json.dumps(_rule_to_dict(rule))``, the cut printed with ``memo``."""
+    out = (f'{{"name": {_scalar(rule.name)}, '
+           f'"premises": [{", ".join(map(_scalar, rule.premises))}]')
+    if rule.param is not None:
+        out += f', "param": {_quote(str(rule.param))}'
+    if rule.cut is not None:
+        out += f', "cut": {_quote(print_formula(rule.cut, memo))}'
+    if rule.var is not None:
+        out += f', "var": {_scalar(rule.var)}'
+    return out + "}"
+
+
+def _closure_fields(mark, tableau) -> tuple[str, str, object]:
+    """The kind of a closure mark, and the name and value of its one field."""
     if isinstance(mark, tableau.Contradiction):
-        return {"kind": "contradiction", "with": mark.with_id}
-    if isinstance(mark, tableau.CsClosure):
-        return {"kind": "cs", "constant": mark.constant}
-    raise FileFormatError(f"unknown closure mark {mark!r}")
+        return "contradiction", "with", mark.with_id
+    if not isinstance(mark, tableau.CsClosure):
+        raise FileFormatError(f"unknown closure mark {mark!r}")
+    return "cs", "constant", mark.constant
 
 
-def proof_to_dict(tree: ProofTree) -> dict:
-    """The JSON dict of a proof (see ``parse_proof``), built in table
-    order.  Nodes that cite one ``RuleApp`` object share one rule dict:
-    copy it before editing it for one node only.  An empty table, a
-    first node with a parent, and a later node whose parent is not on the
-    path from the first node to the node before it (the checker's
-    ``structural:parent`` and ``structural:order``) are a
-    :class:`FileFormatError`: the nested file would encode another
-    table."""
-    from . import tableau
-
-    # Node formulas share most of their subformulas and subterms; each is
-    # printed once.
-    memo: Memo = {}
-    rules: dict[int, dict] = {}
-    roots = [print_formula(f, memo) for f in tree.roots]
-    outs: list[dict] = []
-    path: list[int] = []  # the last node written and its ancestors
+def _depths(tree: ProofTree) -> list[int]:
+    """The depth of each node of ``tree.table``, in nodes from the first
+    node to it.  An empty table, a first node with a parent, and a later
+    node whose parent is not on the path from the first node to the node
+    before it (the checker's ``structural:parent`` and
+    ``structural:order``) are a :class:`FileFormatError`: the nested file
+    would encode another table."""
+    depths: list[int] = []
+    path: list[int] = []  # the last node walked and its ancestors
     for i, node in enumerate(tree.table):
         p = node.parent
         while path and path[-1] != p:
@@ -342,88 +367,152 @@ def proof_to_dict(tree: ProofTree) -> dict:
                 f"node {node.id}: parent {p} is not on the branch in depth-first order"
             )
         path.append(i)
-        rule = node.rule
+        depths.append(len(path))
+    if not depths:
+        raise FileFormatError("proof has no nodes")
+    return depths
+
+
+def proof_to_dict(tree: ProofTree) -> dict:
+    """The JSON dict of a proof (see ``parse_proof``), built in table
+    order.  Nodes that cite one ``RuleApp`` object share one rule dict:
+    copy it before editing it for one node only.  A table that
+    ``_depths`` refuses is a :class:`FileFormatError`."""
+    from . import tableau
+
+    _depths(tree)
+    # Node formulas share most of their subformulas and subterms; each is
+    # printed once.
+    memo: Memo = {}
+    rules: dict[int, dict] = {}
+    outs: list[dict] = []
+    for node in tree.table:
+        rule, mark = node.rule, node.closure
         if rule is not None and id(rule) not in rules:
             rules[id(rule)] = _rule_to_dict(rule)
+        if mark is not None:
+            kind, field, value = _closure_fields(mark, tableau)
+            mark = {"kind": kind, field: value}
         out = {
             "id": node.id,
             "formula": print_formula(node.formula, memo),
             "rule": None if rule is None else rules[id(rule)],
             "children": [],
-            "closure": _closure_to_dict(node.closure, tableau),
+            "closure": mark,
         }
-        if i:
-            outs[p]["children"].append(out)
+        if outs:
+            outs[node.parent]["children"].append(out)
         outs.append(out)
-    if not outs:
-        raise FileFormatError("proof has no nodes")
-    return {"roots": roots, "tree": outs[0]}
+    return {"roots": [print_formula(f, memo) for f in tree.roots], "tree": outs[0]}
 
 
 def proof_to_json(tree: ProofTree) -> str:
-    """The text of a proof file: ``proof_to_dict`` as one line of JSON
-    from the stdlib's C encoder (``indent`` would select its pure-Python
-    encoder), and a newline.  The dict holds no cycle, so the encoder
-    does not look for one.
+    """The text of a proof file: the bytes ``json.dumps`` writes for
+    ``proof_to_dict(tree)``, one line with the stdlib's default
+    separators and ASCII escapes, and a newline.
 
-    The encoder recurses once per tree level, so a proof too deep for the
-    stack is a :class:`FileFormatError`, as it is for the decoder."""
-    try:
-        return json.dumps(proof_to_dict(tree), check_circular=False) + "\n"
-    except RecursionError as exc:
-        raise FileFormatError("proof nested too deeply to write as format v1") from exc
+    It is written in one walk of the table, with no dict built and no
+    recursion.  The walk keeps the closing text of each node on the path
+    to the node before (``"], "closure": ...}"``) on a stack, and writes
+    those of the nodes the next one is not below before the next node's
+    opening text.  Each formula object is printed and escaped once, and
+    each ``RuleApp`` object written once.  A table that ``_depths``
+    refuses, and a tree deeper than ``MAX_WRITE_DEPTH`` nodes, which the
+    C decoder could not read back, are a :class:`FileFormatError` before
+    any text is made."""
+    from . import tableau
+
+    depths = _depths(tree)
+    if max(depths) > MAX_WRITE_DEPTH:
+        raise FileFormatError("proof nested too deeply to write as format v1")
+    memo: Memo = {}
+    formulas: dict[int, str] = {}  # the JSON text of each formula, by id
+    rules: dict[int, str] = {}  # the JSON text of each RuleApp, by id
+    roots = ", ".join(_quote(print_formula(f, memo)) for f in tree.roots)
+    out = [f'{{"roots": [{roots}], "tree": ']
+    closing: list[str] = []
+    for node, depth in zip(tree.table, depths):
+        if len(closing) >= depth:  # a later child: close the subtree before it
+            while len(closing) >= depth:
+                out.append(closing.pop())
+            out.append(", ")
+        f = node.formula
+        text = formulas.get(id(f))
+        if text is None:
+            text = formulas[id(f)] = _quote(print_formula(f, memo))
+        rule = node.rule
+        if rule is None:
+            rule_text = "null"
+        else:
+            rule_text = rules.get(id(rule))
+            if rule_text is None:
+                rule_text = rules[id(rule)] = _rule_to_json(rule, memo)
+        nid = node.id
+        out.append(f'{{"id": {nid if type(nid) is int else _scalar(nid)}, '
+                   f'"formula": {text}, "rule": {rule_text}, "children": [')
+        mark = node.closure
+        if mark is None:
+            closing.append('], "closure": null}')
+        else:
+            kind, field, value = _closure_fields(mark, tableau)
+            closing.append(f'], "closure": {{"kind": "{kind}", "{field}": {_scalar(value)}}}}}')
+    out.extend(reversed(closing))
+    out.append("}\n")
+    return "".join(out)
 
 
 def write_proof_file(path: Union[str, Path], tree: ProofTree) -> None:
+    """Write ``proof_to_json(tree)`` to ``path``; a tree it refuses
+    leaves no file."""
     Path(path).write_text(proof_to_json(tree), encoding="utf-8")
 
 
-def _parse_rule(
-    data: Optional[dict], decls: Iterable[str], rules: dict[tuple, RuleApp], tableau
-) -> Optional[RuleApp]:
-    """The rule instance ``data`` writes.  ``rules`` maps the fields of
-    each instance read so far to its ``RuleApp``, so the nodes citing an
-    instance share one, and its cut is parsed once.  Only an instance
-    with one premise, as every rule takes, is kept."""
+def _parse_rule(data: Optional[dict], decls: Iterable[str],
+                rules: dict[int, tuple[dict, RuleApp]],
+                apps: dict[RuleApp, RuleApp], tableau) -> Optional[RuleApp]:
+    """The rule instance ``data`` writes.  ``rules`` maps each premise
+    read in a well-typed one-premise rule dict to the last such dict and
+    its ``RuleApp``: a dict equal to it is that instance, with no field
+    read again.  ``apps`` holds every instance built, so that nodes citing
+    equal instances share one.  The nodes citing one instance of a
+    prover's tree are the conclusions of one expansion, all on one
+    premise, and the expansions on one premise mostly apply one rule."""
     if data is None:
         return None
     get = data.get
     premises = get("premises")
+    # Only an integer premise: 1, 1.0 and true are equal, and so are
+    # lists and dicts holding them.
     key = None
-    # Only an integer premise: 1, 1.0 and true are equal keys.
     if type(premises) is list and len(premises) == 1 and type(premises[0]) is int:
-        key = (get("name"), premises[0], get("param"), get("cut"), get("var"))
-        try:
-            rule = rules.get(key)
-        except TypeError:  # a malformed, unhashable field
-            rule = None
-        if rule is not None:
-            return rule
+        key = premises[0]
+        seen = rules.get(key)
+        if seen is not None and seen[0] == data:
+            return seen[1]
     p: Optional[Atom] = None
-    if data.get("param") is not None:
+    if get("param") is not None:
         text = data["param"]
         if not (isinstance(text, str) and text.startswith("@")):
             raise FileFormatError(f"rule parameter {text!r} must be written @name")
         p = param(text[1:])
-    cut = None if data.get("cut") is None else parse_formula(data["cut"], decls)
-    v = data.get("var")
+    cut = None if get("cut") is None else parse_formula(data["cut"], decls)
+    v = get("var")
     if v is not None and not isinstance(v, str):
         raise FileFormatError(f"rule variable {v!r} must be a string")
-    rule = tableau.RuleApp(
-        data["name"],
-        tuple(_typed(i, int, "rule premise") for i in _typed(data["premises"], list, "premises")),
-        p,
-        cut,
-        v,
-    )
-    if key is not None:  # reached only if every field is well typed, so hashable
-        rules[key] = rule
+    name = data["name"]
+    if key is None:
+        premises = tuple(_typed(i, int, "rule premise")
+                         for i in _typed(data["premises"], list, "premises"))
+    else:
+        premises = (key,)
+    rule = tableau.RuleApp(name, premises, p, cut, v)
+    rule = apps.setdefault(rule, rule)
+    if key is not None:
+        rules[key] = (data, rule)
     return rule
 
 
-def _parse_closure(data: Optional[dict], nid: int, tableau):
-    if data is None:
-        return None
+def _parse_closure(data: dict, nid: int, tableau):
     kind = data.get("kind")
     if kind == "contradiction":
         return tableau.Contradiction(nid, _typed(data["with"], int, "closure 'with'"))
@@ -465,20 +554,25 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
     """The table of the tree ``data`` writes, read depth first, children
     in order, off an explicit stack.  A node text that is an entry of
     ``table`` is looked up instead of parsed."""
-    rules: dict[tuple, RuleApp] = {}
+    rules: dict[int, tuple[dict, RuleApp]] = {}
+    apps: dict[RuleApp, RuleApp] = {}
+    node_class = tableau.ProofNode
     nodes: list[ProofNode] = []
     stack = [(None, data)]  # (the parent's index, node data)
     while stack:
         parent, data = stack.pop()
         try:
-            nid = _typed(data["id"], int, "node id")
+            nid = data["id"]
+            if type(nid) is not int:
+                _typed(nid, int, "node id")
             text = data["formula"]
-            node = tableau.ProofNode(
+            mark = data.get("closure")
+            node = node_class(
                 nid,
                 table.get(text) or parse_formula(text, decls, arities),
-                _parse_rule(data.get("rule"), decls, rules, tableau),
+                _parse_rule(data.get("rule"), decls, rules, apps, tableau),
                 parent,
-                _parse_closure(data.get("closure"), nid, tableau),
+                None if mark is None else _parse_closure(mark, nid, tableau),
             )
             children = data.get("children", [])
             if type(children) is not list:
@@ -486,12 +580,13 @@ def _parse_tree(data: dict, decls: Iterable[str], arities: dict[str, int],
         except _MALFORMED as exc:
             where = data.get("id") if isinstance(data, dict) else data
             raise FileFormatError(f"bad proof node {where!r}: {exc!r}") from exc
-        if len(children) > 2:
-            raise FileFormatError(f"node {nid} has more than two children")
-        index = len(nodes)
         nodes.append(node)
-        for c in reversed(children):
-            stack.append((index, c))
+        if children:
+            if len(children) > 2:
+                raise FileFormatError(f"node {nid} has more than two children")
+            index = len(nodes) - 1
+            for c in reversed(children):
+                stack.append((index, c))
     return nodes
 
 
@@ -518,8 +613,9 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
     ``_add_subformulas``; a negation's entry is ``neg`` of the formula's,
     as the calculus concludes it); others, such as quantifier instances,
     are parsed.  Only the roots are printed.
-    Nodes whose rule objects have equal fields share one ``RuleApp``,
-    built, cut parsed, once.
+    Nodes whose rule objects have equal fields share one ``RuleApp``; a
+    rule object equal to the last one read on its premise is not decoded
+    again (see ``_parse_rule``).
     """
     if not isinstance(data, dict) or "roots" not in data or "tree" not in data:
         raise FileFormatError("proof JSON requires 'roots' and 'tree'")

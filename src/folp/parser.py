@@ -30,7 +30,9 @@ A ``(`` that starts a unary formula opens an assertion's term exactly
 when the token after its matching ``)`` is ``:``, ``+`` or ``*``, since
 none of these follows a formula; otherwise it opens a formula.  So the
 parser never backtracks.  The parentheses are paired once per text, when
-a ``(`` first needs the decision.
+a ``(`` first needs the decision.  One ``)`` too many can mislead that
+pairing, so a text that fails to parse and has a ``)`` that closes no
+``(`` is reported at that ``)``.
 
 A parser returns each subformula and subterm that repeats in its text
 as one object, the first built (see ``Parser.share``), and the ``~`` of a
@@ -210,11 +212,35 @@ class Parser:
             self.peak = self.depth
 
     def whole(self, parse):
-        """``parse()``, which must read all of the input."""
-        out = parse()
-        if not self.at_end():
-            raise self.error(f"trailing input {self.texts[self.pos]!r}")
+        """``parse()``, which must read all of the input.
+
+        An error in a text with a ``)`` that closes no ``(`` is reported
+        at the first such ``)``: ``opens_term`` pairs the parentheses over
+        the whole text, so one ``)`` too many can mislead the parser before
+        it reaches the fault, and no error can lie past that ``)``.  Only
+        a failed parse looks for one."""
+        try:
+            out = parse()
+            if not self.at_end():
+                raise self.error(f"trailing input {self.texts[self.pos]!r}")
+        except ParseError:
+            j = self.unmatched_closer()
+            if j is None:
+                raise
+            raise self.error("unmatched ')'", j) from None
         return out
+
+    def unmatched_closer(self) -> Optional[int]:
+        """The index of the first ``)`` token that closes no ``(``, if any."""
+        depth = 0
+        for j, kind in enumerate(self.kinds):
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                if not depth:
+                    return j
+                depth -= 1
+        return None
 
     def nested(self, parse):
         """``parse()`` one level deeper."""

@@ -46,6 +46,7 @@ from folp import (
     var,
 )
 from folp.fileio import read_cs_file
+from folp.syntax import elem_set, par_set, universal_closure
 
 DATA = Path(__file__).parent / "data"
 
@@ -245,6 +246,32 @@ def random_formula(rng: random.Random, depth: int = 4) -> Formula:
         window = random_window(rng)
         return Assert(random_term(rng, depth - 1), window, random_formula(rng, depth - 1))
     return Impl(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+_P, _Q = TermVar("p"), TermVar("q")
+
+# Shapes of valid sentences, each built of two formulas.
+_VALID_SHAPES = (
+    lambda a, b: Impl(a, a),
+    lambda a, b: Impl(Impl(a, b), Impl(Neg(b), Neg(a))),
+    lambda a, b: Impl(Assert(_P, (), a), a),
+    lambda a, b: Impl(Assert(_Q, (), a), Assert(Sum(_P, _Q), (), a)),
+    lambda a, b: Impl(Assert(_P, (), a), Assert(Bang(_P), (), Assert(_P, (), a))),
+    lambda a, b: Impl(Assert(_P, (), Impl(a, b)), Impl(Assert(_Q, (), a), Assert(App(_P, _Q), (), b))),
+    lambda a, b: Impl(Forall("x", a), Exists("x", a)),
+)
+
+
+def random_sentence(rng: random.Random) -> Formula:
+    """A ``random_formula``, or one of a few valid shapes built of two,
+    closed universally, so that most are provable; a draw that keeps a
+    parameter or a domain element is drawn again."""
+    while True:
+        a, b = (random_formula(rng, rng.randint(1, 4)) for _ in range(2))
+        shape = rng.randrange(len(_VALID_SHAPES) + 1)
+        goal = universal_closure(_VALID_SHAPES[shape - 1](a, b) if shape else a)
+        if not (par_set(goal) or elem_set(goal)):
+            return goal
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folp import (
     Assert,
@@ -17,6 +18,7 @@ from folp import (
     ParseError,
     ProofTree,
     Proved,
+    SearchBudget,
     Sum,
     check_proof,
     parse_cs,
@@ -30,7 +32,7 @@ from folp import (
     write_proof_file,
 )
 from folp import fileio
-from folp.fileio import parse_model, read_cs_file, read_model_file
+from folp.fileio import MAX_WRITE_DEPTH, parse_model, read_cs_file, read_model_file
 from folp.parser import MAX_DEPTH
 from conftest import (
     CORPUS_GOALS,
@@ -39,8 +41,11 @@ from conftest import (
     app,
     cases,
     chain,
+    echain,
     model_paths,
+    qchain,
     random_formula,
+    random_sentence,
     random_window,
     replace,
     sum_family,
@@ -67,9 +72,44 @@ PROOFS = {
 }
 
 
+def _depth(tree) -> int:
+    """The most nodes on a path from the first node of ``tree`` to a leaf."""
+    depths: list[int] = []
+    for node in tree.table:
+        depths.append(1 if node.parent is None else depths[node.parent] + 1)
+    return max(depths)
+
+
+def _dumped(tree) -> str:
+    """The reference text of a proof file: the stdlib's encoder on
+    ``proof_to_dict``, given room on the stack for a deep tree."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5_000))
+    try:
+        return json.dumps(proof_to_dict(tree), check_circular=False) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# Members of each family, on both sides of the writer's depth bound
+# where the parser reads one past it.
+FAMILY_MEMBERS = {
+    f"{name}-{n}": family(n)
+    for name, family, sizes in [
+        ("chain", chain, (1, 2, 3, 8, 32, 64, 128, 163, 164)),
+        ("qchain", qchain, (1, 2, 8, 16, 64, 121, 122)),
+        ("echain", echain, (1, 2, 8, 16, 64, 121, 122)),
+        ("cases", cases, (1, 2, 3, 4)),
+        ("sum", sum_family, (1, 2, 8, 64, 128, 256)),
+        ("app", app, (1, 2, 8, 16, 32, 64)),
+    ]
+    for n in sizes
+}
+
+
 def _folp(*args):
     """Run the CLI in a fresh interpreter, as a user would: the depth the
-    recursive writer can take depends on the stack below it."""
+    JSON decoder can read depends on the stack below it."""
     path_var = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "folp.cli", *args],
                           env={**os.environ, "PYTHONPATH": path_var},
@@ -359,21 +399,31 @@ class TestProofFiles:
         assert json.loads(text) == proof_to_dict(tree)
         assert proof_to_dict(read_proof_file(path, corpus_cs.constants)) == proof_to_dict(tree)
 
-    def test_deepest_chain_round_trips(self, tmp_path):
-        # chain-160's proof is near the deepest the indenting writer of
-        # earlier versions could write and read back; the one-line writer
-        # must not lower that ceiling.
-        goal, path = chain(160), str(tmp_path / "proof.json")
-        proved = _folp("prove", goal, "--cs", str(DATA / "corpus.cs"), "--out", path,
-                       "--max-nodes", "100000", "--max-depth", "5000")
+    def test_deepest_chain_round_trips(self, corpus_cs, tmp_path):
+        # chain-163's proof, 492 nodes deep, is the deepest chain the
+        # writer's bound admits, and folp check reads it back in a fresh
+        # interpreter; chain-164's, 495 deep, is refused.
+        n = (MAX_WRITE_DEPTH - 3) // 3  # chain-n's proof is 3n + 3 nodes deep
+        assert [_depth(_proof(chain(k), corpus_cs)[1]) for k in (n, n + 1)] == [
+            3 * n + 3, 3 * n + 6]
+        assert 3 * n + 3 <= MAX_WRITE_DEPTH < 3 * n + 6
+        cs = str(DATA / "corpus.cs")
+        budget = ("--max-nodes", "100000", "--max-depth", "5000")
+        goal, path = chain(n), tmp_path / "proof.json"
+        proved = _folp("prove", goal, "--cs", cs, "--out", str(path), *budget)
         assert proved.returncode == 0, proved.stderr
-        checked = _folp("check", path, "--cs", str(DATA / "corpus.cs"), "--goal", goal)
+        checked = _folp("check", str(path), "--cs", cs, "--goal", goal)
         assert (checked.returncode, checked.stdout) == (0, "accept\n"), checked.stderr
+        path.unlink()
+        deeper = _folp("prove", chain(n + 1), "--cs", cs, "--out", str(path), *budget)
+        assert (deeper.returncode, deeper.stdout, deeper.stderr) == (
+            2, "", "error: proof nested too deeply to write as format v1\n")
+        assert not path.exists()
 
     @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
     def test_too_deep_to_write_is_an_error(self, out, tmp_path):
-        # chain-256 proves, but its proof is too deep for the recursive
-        # writer: a documented error, with no traceback and no "proved".
+        # chain-256 proves, but its proof is deeper than the writer's
+        # bound: a documented error, with no traceback and no "proved".
         path = tmp_path / "proof.json"
         proved = _folp("prove", chain(256), "--cs", str(DATA / "corpus.cs"),
                        *(["--out", str(path)] if out else []),
@@ -590,6 +640,75 @@ def _rule_chain(rules):
                 "children": [node] if node else []}
     return {"roots": ["~(Q0 -> Q0)"], "tree": {"id": 1, "formula": "~(Q0 -> Q0)", "rule": None,
                                                "closure": None, "children": [node]}}
+
+
+class TestProofWriter:
+    """``proof_to_json`` writes the bytes ``json.dumps`` writes for
+    ``proof_to_dict``, and refuses what the dict view refuses, and trees
+    deeper than its bound, before it prints a formula."""
+
+    @pytest.mark.parametrize("text", [*CORPUS_GOALS, *FAMILY_MEMBERS.values()],
+                             ids=[*(f"corpus-{i}" for i in range(len(CORPUS_GOALS))),
+                                  *FAMILY_MEMBERS])
+    def test_bytes_are_json_dumps_of_the_dict(self, text, corpus_cs):
+        _, tree = _proof(text, corpus_cs)
+        if _depth(tree) <= MAX_WRITE_DEPTH:
+            assert fileio.proof_to_json(tree) == _dumped(tree)
+        else:
+            with pytest.raises(FileFormatError, match="^proof nested too deeply"):
+                fileio.proof_to_json(tree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bytes_on_proved_random_sentences(self, seed, corpus_cs):
+        goal = random_sentence(random.Random(seed))
+        outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=500, max_depth=60))
+        if isinstance(outcome, Proved):
+            assert fileio.proof_to_json(outcome.tree) == _dumped(outcome.tree)
+
+    def test_depth_bound(self, corpus_cs, monkeypatch):
+        # A tree as deep as the bound is written; one a node deeper is
+        # refused before any formula is printed.
+        _, tree = _proof(chain(8), corpus_cs)
+        monkeypatch.setattr(fileio, "MAX_WRITE_DEPTH", _depth(tree))
+        assert fileio.proof_to_json(tree) == _dumped(tree)
+        monkeypatch.setattr(fileio, "MAX_WRITE_DEPTH", _depth(tree) - 1)
+        monkeypatch.setattr(fileio, "print_formula", None)  # not called
+        with pytest.raises(FileFormatError, match="^proof nested too deeply"):
+            fileio.proof_to_json(tree)
+
+    # The two tables of nodes 1 to 8 that once wrote files encoding other
+    # trees: node 6 (index 3) under its later node 8 (index 5), and
+    # entries 6 and 7 (nodes 8 and 7) swapped, so that node 8's parent is
+    # off the branch.
+    @pytest.mark.parametrize("malform, message", [
+        ("forward-parent", "node 4: parent 5 is not on the branch"),
+        ("swapped", "node 8: parent 5 is not on the branch"),
+    ])
+    def test_misordered_table_writes_no_file(self, malform, message, corpus_cs, tmp_path,
+                                             monkeypatch):
+        _, tree = _proof("(~~Q0 -> Q1) -> Q0 -> Q1", corpus_cs)
+        table = tree.table
+        if malform == "forward-parent":
+            table[3] = replace(table[3], parent=5)
+        else:
+            table[6], table[7] = table[7], table[6]
+        assert check_proof(tree, corpus_cs).condition in ("structural:parent",
+                                                         "structural:order")
+        path = tmp_path / "proof.json"
+        monkeypatch.setattr(fileio, "print_formula", None)  # not called
+        with pytest.raises(FileFormatError, match=f"^{message} in depth-first order$"):
+            write_proof_file(path, tree)
+        assert not path.exists()
+
+    def test_unknown_closure_mark(self, corpus_cs, tmp_path):
+        _, tree = _proof("Q0 -> Q0", corpus_cs)
+        tree.table[-1] = replace(tree.table[-1], closure="closed")
+        path = tmp_path / "proof.json"
+        for write in (proof_to_dict, lambda t: write_proof_file(path, t)):
+            with pytest.raises(FileFormatError, match="^unknown closure mark 'closed'$"):
+                write(tree)
+        assert not path.exists()
 
 
 class TestRuleReading:

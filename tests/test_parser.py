@@ -118,6 +118,50 @@ class TestErrors:
             parse_formula(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The first "(" pairs with the ")" before ":", so it was read
+            # as opening a term, and the error landed at 1:14.
+            ("forall y. (q :[y] Q1 -> q) : Q1)", "1:32: unmatched ')'"),
+            ("Q0)", "1:3: unmatched ')'"),
+            ("(Q0 -> Q1)) -> Q2", "1:11: unmatched ')'"),
+            ("Q0 -> ) Q1", "1:7: unmatched ')'"),
+            # An error before the extra ")" is reported at the ")".
+            ("(p  q) : Q0 -> Q1)", "1:18: unmatched ')'"),
+            ("p :\n  (Q0 -> Q1))", "2:13: unmatched ')'"),
+        ],
+    )
+    def test_extra_closer_is_the_error(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
+    def test_extra_closer_in_a_term(self):
+        with pytest.raises(ParseError) as exc:
+            parse_term("(p * q) + r) * s")
+        assert str(exc.value) == "1:12: unmatched ')'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(p : Q0", "1:8: expected ')', found 'end of input'"),
+            ("((Q0 -> Q1)", "1:12: expected ')', found 'end of input'"),
+            ("Q0 -> ->", "1:7: expected a formula, found '->'"),
+        ],
+    )
+    def test_errors_without_an_extra_closer_keep_their_place(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
+
+    def test_valid_text_is_not_scanned_for_closers(self, monkeypatch):
+        def never(self):
+            raise AssertionError("scanned a valid text")
+
+        monkeypatch.setattr(parser.Parser, "unmatched_closer", never)
+        assert f("(p : (Q0 -> Q1)) -> (Q0 -> Q1)") == f("p : (Q0 -> Q1) -> Q0 -> Q1")
+
     def test_positions_found_once_per_text(self, monkeypatch, parse_errors):
         # A parenthesised assertion was once read as a term first, which
         # failed; finding every failure's position by scanning the text
