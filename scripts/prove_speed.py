@@ -78,12 +78,15 @@ from 0.21 to 0.34 s across four runs on a shared 2-CPU VM.  A
 comparison needs both versions interleaved in one process, alternating
 item by item, as ``scripts/ab.py`` does.
 
-chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn) -> Pn``; cases-n
-has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each of the 2^n sign
-choices of the literals ``li`` (``Pi`` or ``~Pi``), all implying ``Q0``;
-qchain-n is chain-n with ``Pi(x)`` for ``Pi`` and each premise and
-the conclusion under ``forall x``;
-sum-n is ``p : Q0 -> (p + q0 + ... + q{n-1}) : Q0``; app-n is
+The goal families and the pinned model counts are those of
+``tests/conftest.py`` (``chain``, ``cases``, ``qchain``, ``sum_family``,
+``app`` and ``NON_THEOREMS``), which, like ``tests/test_golden.py``,
+needs pytest.  chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn)
+-> Pn``; cases-n has one premise ``l0 -> ... -> l{n-1} -> Q0`` for each
+of the 2^n sign choices of the literals ``li`` (``Pi`` or ``~Pi``), all
+implying ``Q0``; qchain-n is chain-n with ``Pi(x)`` for ``Pi`` and each
+premise and the conclusion under ``forall x``; sum-n is ``p : Q0 -> (p
++ q0 + ... + q{n-1}) : Q0``; app-n is
 ``p0 : (Q0 -> Q1) -> ... -> p{n-1} : (Q{n-1} -> Qn) -> q : Q0 ->
 (p{n-1} * (... (p0 * q))) : Qn``, n nested applications, each needing an
 FDot cut.
@@ -93,7 +96,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import os
 import shutil
@@ -152,45 +154,6 @@ elapsed = time.perf_counter() - t0
 print(elapsed, *sorted(m for m in sys.modules
                        if m == "folp" or m.startswith("folp.") or m in %r))
 """ % (STARTUP_STDLIB,)
-
-
-def chain(n: int) -> str:
-    steps = [f"(P{i} -> P{i + 1})" for i in range(n)]
-    return " -> ".join(["P0", *steps, f"P{n}"])
-
-
-def qchain(n: int) -> str:
-    steps = [f"(forall x. (P{i}(x) -> P{i + 1}(x)))" for i in range(n)]
-    return " -> ".join(["(forall x. P0(x))", *steps, f"forall x. P{n}(x)"])
-
-
-def cases(n: int) -> str:
-    premises = []
-    for signs in itertools.product((False, True), repeat=n):
-        lits = [("~" if neg else "") + f"P{i}" for i, neg in enumerate(signs)]
-        premises.append("(" + " -> ".join([*lits, "Q0"]) + ")")
-    return " -> ".join([*premises, "Q0"])
-
-
-def sum_family(n: int) -> str:
-    term = " + ".join(["p", *(f"q{i}" for i in range(n))])
-    return f"p : Q0 -> ({term}) : Q0"
-
-
-def app(n: int) -> str:
-    premises = [f"p{i} : (Q{i} -> Q{i + 1})" for i in range(n)]
-    term = "q"
-    for i in range(n):
-        term = f"(p{i} * {term})"
-    return " -> ".join([*premises, "q : Q0", f"{term} : Q{n}"])
-
-
-def non_theorems() -> list[tuple[str, int]]:
-    """The goals of ``tests/data/non_theorems.txt`` with their pinned
-    model counts."""
-    lines = (ROOT / "tests" / "data" / "non_theorems.txt").read_text().splitlines()
-    rows = [line.split(maxsplit=1) for line in lines if line and not line.startswith("#")]
-    return [(goal, int(count)) for count, goal in rows]
 
 
 def best_time(repeat: int, run, collect: bool = True):
@@ -342,6 +305,10 @@ def main() -> None:
     from folp.fileio import parse_cs, read_cs_file, read_proof_file, write_proof_file
     from folp.parser import Parser, tokenize
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from conftest import NON_THEOREMS, app, cases, chain, qchain, sum_family
+    from test_golden import matcher_inputs
+
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
     budget = SearchBudget(max_nodes=100_000, max_depth=5_000, time_limit=300.0)
     text = chain(256)
@@ -364,9 +331,6 @@ def main() -> None:
             best, spec = best_time(args.repeat, lambda: fileio._parse_cs(cs_text))
             assert len(spec.concrete) == n, (entry, len(spec.concrete))
             print(f"parse_cs, {n:,} entries {entry!r}: {best / n * 1e6:.1f} us/entry")
-
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_golden import matcher_inputs
 
     formulas = matcher_inputs()
     match, _ = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
@@ -445,7 +409,7 @@ def main() -> None:
               f"check read back {check * 1e3:.1f} ms; checker apply_rule calls "
               f"{derived[0]:,} read back, {derived[1]:,} on the prover's tree")
 
-    for text, pinned in non_theorems():
+    for text, pinned in NON_THEOREMS:
         goal = parse_formula(text, cs.constants)
         best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
         assert search.status == "found", (text, search.status)

@@ -51,6 +51,8 @@ from .parser import (
     print_formula,
 )
 from .syntax import (
+    PARAM,
+    VAR,
     Assert,
     Atom,
     Formula,
@@ -60,7 +62,6 @@ from .syntax import (
     elem_set,
     neg,
     par_set,
-    param,
 )
 
 if TYPE_CHECKING:  # the proof functions import it on first use
@@ -106,32 +107,20 @@ def _parse_cs(text: str) -> ConstantSpecification:
 
     while not p.at_end():
         i = p.pos
-        kind, word = p.kinds[i], p.texts[i]
+        kind, word = p.kinds[i], p.next()
         if kind == "VARIANT":
-            p.next()
-            p.expect(".")
             variant_closed = True
-            continue
-        if kind == "LID" and word == "total":
-            p.next()
-            p.expect(".")
+        elif kind == "LID" and word == "total":
             total = True
-            continue
-        if kind == "LID" and word == "const":
-            p.next()
-            while True:
+        elif kind == "LID" and word == "const":
+            constants.add(p.expect("LID"))
+            while p.kinds[p.pos] == ",":
+                p.next()
                 constants.add(p.expect("LID"))
-                if p.kinds[p.pos] == ",":
-                    p.next()
-                    continue
-                break
-            p.expect(".")
-            continue
-        if kind == "LID":
-            cname = p.next()
-            if cname not in constants:
+        elif kind == "LID":
+            if word not in constants:
                 raise FileFormatError(
-                    f"line {p.token(i).line}: entry for undeclared constant {cname!r}"
+                    f"line {p.token(i).line}: entry for undeclared constant {word!r}"
                 )
             p.expect(":")
             j = p.pos
@@ -142,19 +131,23 @@ def _parse_cs(text: str) -> ConstantSpecification:
                     raise FileFormatError(
                         f"line {p.token(j).line}: unknown scheme {scheme!r}"
                     )
-                p.expect(".")
-                schematic.append((cname, scheme))
-                continue
-            try:
-                f = p.formula()
-            except ParseError as exc:
-                raise FileFormatError(f"in entry for {cname}: {exc}") from exc
-            p.expect(".")
-            concrete.append((cname, f))
-            continue
-        raise FileFormatError(
-            f"line {p.token(i).line}: unexpected {word!r} in constant specification"
-        )
+                schematic.append((word, scheme))
+            else:
+                try:
+                    concrete.append((word, p.formula()))
+                except ParseError as exc:
+                    # A ")" that closes no "(" is the error, as in
+                    # ``Parser.whole``, if no "." lies between the fault
+                    # and it: a later entry's ")" moves no error.
+                    p.pair()
+                    if p.stray is not None and "." not in p.kinds[p.pos:p.stray]:
+                        exc = p.error("unmatched ')'", p.stray)
+                    raise FileFormatError(f"in entry for {word}: {exc}") from exc
+        else:
+            raise FileFormatError(
+                f"line {p.token(i).line}: unexpected {word!r} in constant specification"
+            )
+        p.expect(".")
 
     try:
         return ConstantSpecification(
@@ -492,13 +485,13 @@ def _parse_rule(data: Optional[dict], decls: Iterable[str],
     p: Optional[Atom] = None
     if get("param") is not None:
         text = data["param"]
-        if not (isinstance(text, str) and text.startswith("@")):
-            raise FileFormatError(f"rule parameter {text!r} must be written @name")
-        p = param(text[1:])
+        p = _atom(text, PARAM, f"rule parameter {text!r} must be written @name")
     cut = None if get("cut") is None else parse_formula(data["cut"], decls)
     v = get("var")
-    if v is not None and not isinstance(v, str):
-        raise FileFormatError(f"rule variable {v!r} must be a string")
+    if v is not None:
+        if not isinstance(v, str):
+            raise FileFormatError(f"rule variable {v!r} must be a string")
+        v = _atom(v, VAR, f"rule variable {v!r} must be a variable name").name
     name = data["name"]
     if key is None:
         premises = tuple(_typed(i, int, "rule premise")
@@ -510,6 +503,19 @@ def _parse_rule(data: Optional[dict], decls: Iterable[str],
     if key is not None:
         rules[key] = (data, rule)
     return rule
+
+
+def _atom(text, kind: str, message: str) -> Atom:
+    """The atom ``text`` writes, read by the parser's atom rule, if it is
+    of ``kind``; otherwise a :class:`FileFormatError` with ``message``."""
+    try:
+        p = Parser(text)
+        a = p.whole(p.atom)
+    except (ParseError, TypeError):
+        a = None
+    if a is None or a.kind != kind:
+        raise FileFormatError(message)
+    return a
 
 
 def _parse_closure(data: dict, nid: int, tableau):
@@ -604,7 +610,9 @@ def parse_proof(data: dict, decls: Iterable[str] = ()) -> ProofTree:
                   "closure": null or {"kind": "contradiction", "with": 2}
                                   or {"kind": "cs", "constant": "c"}}}
 
-    ``param``, ``cut`` and ``var`` appear only on rules that take them.
+    ``param``, ``cut`` and ``var`` appear only on rules that take them;
+    ``param`` and ``var`` are read as the parser reads a parameter and an
+    individual variable.
     Node ids, premises and ``with`` are JSON integers (not booleans),
     ``premises`` is a list, and a CS closure's ``constant`` is a JSON
     string.  A node text that is a subformula of a root, an ``FPlus``

@@ -29,10 +29,10 @@ scanning again, only for an error message or for ``tokenize``.
 A ``(`` that starts a unary formula opens an assertion's term exactly
 when the token after its matching ``)`` is ``:``, ``+`` or ``*``, since
 none of these follows a formula; otherwise it opens a formula.  So the
-parser never backtracks.  The parentheses are paired once per text, when
-a ``(`` first needs the decision.  One ``)`` too many can mislead that
-pairing, so a text that fails to parse and has a ``)`` that closes no
-``(`` is reported at that ``)``.
+parser never backtracks.  One pass pairs a text's parentheses, when a
+``(`` first needs the decision or a parse fails, and finds the first
+``)`` that closes no ``(``: one ``)`` too many can mislead the decision,
+so a text that fails to parse and has such a ``)`` is reported there.
 
 A parser returns each subformula and subterm that repeats in its text
 as one object, the first built (see ``Parser.share``), and the ``~`` of a
@@ -154,6 +154,7 @@ class Parser:
         self.source = text
         self.offsets: Optional[list[int]] = None
         self.closers: Optional[dict[int, int]] = None  # "(" -> its ")"
+        self.stray: Optional[int] = None  # the first ")" that closes no "("
         self.texts = texts = _TOKEN_RE.findall(text)
         if len(texts) > 1 and not texts[-2]:
             texts.pop()  # a second empty match at the end, after its whitespace
@@ -215,32 +216,35 @@ class Parser:
         """``parse()``, which must read all of the input.
 
         An error in a text with a ``)`` that closes no ``(`` is reported
-        at the first such ``)``: ``opens_term`` pairs the parentheses over
-        the whole text, so one ``)`` too many can mislead the parser before
-        it reaches the fault, and no error can lie past that ``)``.  Only
-        a failed parse looks for one."""
+        at the first such ``)`` (see ``pair``): one ``)`` too many can
+        mislead ``opens_term`` before the parser reaches the fault, and no
+        error can lie past that ``)``, which no parse reads."""
         try:
             out = parse()
             if not self.at_end():
                 raise self.error(f"trailing input {self.texts[self.pos]!r}")
         except ParseError:
-            j = self.unmatched_closer()
-            if j is None:
+            self.pair()
+            if self.stray is None:
                 raise
-            raise self.error("unmatched ')'", j) from None
+            raise self.error("unmatched ')'", self.stray) from None
         return out
 
-    def unmatched_closer(self) -> Optional[int]:
-        """The index of the first ``)`` token that closes no ``(``, if any."""
-        depth = 0
-        for j, kind in enumerate(self.kinds):
-            if kind == "(":
-                depth += 1
-            elif kind == ")":
-                if not depth:
-                    return j
-                depth -= 1
-        return None
+    def pair(self) -> dict[int, int]:
+        """Each ``(`` token's matching ``)``, by index.  The parentheses
+        are paired once per text, when first asked for, and the same pass
+        sets ``stray``, the first ``)`` that closes no ``(``, if any."""
+        if self.closers is None:
+            self.closers, opened = {}, []
+            for j, kind in enumerate(self.kinds):
+                if kind == "(":
+                    opened.append(j)
+                elif kind == ")":
+                    if opened:
+                        self.closers[opened.pop()] = j
+                    elif self.stray is None:
+                        self.stray = j
+        return self.closers
 
     def nested(self, parse):
         """``parse()`` one level deeper."""
@@ -305,14 +309,7 @@ class Parser:
         """Whether the ``(`` at token ``i`` opens a justification term: the
         token after its matching ``)`` is ``:``, ``+`` or ``*``, which
         never follow a formula."""
-        if self.closers is None:  # paired once, when first asked for
-            self.closers, opened = {}, []
-            for j, kind in enumerate(self.kinds):
-                if kind == "(":
-                    opened.append(j)
-                elif kind == ")" and opened:
-                    self.closers[opened.pop()] = j
-        j = self.closers.get(i)
+        j = self.pair().get(i)
         return j is not None and self.kinds[j + 1] in (":", "+", "*")
 
     def primary(self) -> Formula:

@@ -94,9 +94,8 @@ class Exhausted(metaclass=_node, frozen=True):
 
 SearchOutcome = Union[Proved, Open, Exhausted]
 
-# A selected rule instance and its child-branch extensions, or ``None``
-# in their place when selection did not need to compute them.
-_Choice = tuple[RuleApp, Optional[list[list[Formula]]]]
+# A selected rule instance and its child-branch extensions.
+_Choice = tuple[RuleApp, list[list[Formula]]]
 
 _DETERMINISTIC = ("FNeg", "FImp", "FPlus", "FBang", "GenX", "Exp", "TColon", "Ins")
 _QUEUES = (*_DETERMINISTIC, "delta", "TImp", "gamma")
@@ -266,8 +265,7 @@ class _Search:
         self.cs_antecedents = [
             entry.left for _, entry in cs.concrete if isinstance(entry, Impl)
         ]
-        self.next_id = 1
-        self.nodes_created = 0
+        self.nodes_created = 0  # the last node's id
         # The nodes as they join the branch, depth first: the last is the next one's parent.
         self.table: list[ProofNode] = []
         self.fresh_counters = {"u": 0, "v": 0}  # parameters, variables
@@ -296,9 +294,7 @@ class _Search:
         self.nodes_created += 1
         if self.nodes_created > self.budget.max_nodes:
             raise _ExhaustedError("max_nodes")
-        node = ProofNode(self.next_id, f, rule, len(self.table) - 1 if self.table else None)
-        self.next_id += 1
-        return node
+        return ProofNode(self.nodes_created, f, rule, len(self.table) - 1 if self.table else None)
 
     def check_budget(self, agenda: _Agenda) -> None:
         if time.monotonic() > self.deadline:
@@ -321,8 +317,7 @@ class _Search:
         return None
 
     def select(self, agenda: _Agenda) -> Optional[_Choice]:
-        """The next rule instance to apply, with its extensions when
-        they were computed to test it (``None`` when they were not)."""
+        """The next rule instance to apply, with its extensions."""
         for name in _DETERMINISTIC:
             if agenda.heads[name] == len(agenda.queues[name]):
                 continue  # nothing past the head
@@ -341,13 +336,15 @@ class _Search:
                 if agenda.fresh_params >= self.budget.max_params:
                     agenda.hit("max_params")
                     continue
-                return RuleApp(name, (nid,), param=self.fresh_param()), None
+                rule = RuleApp(name, (nid,), param=self.fresh_param())
+                return rule, apply_rule(agenda.branch, rule)
         if agenda.heads["TImp"] != len(agenda.queues["TImp"]):
             for nid, f in agenda.pending("TImp"):
                 if f.left in agenda.negs or f.right in agenda.formulas:
                     agenda.add(agenda.spent, ("TImp", nid))
                     continue
-                return RuleApp("TImp", (nid,)), None
+                rule = RuleApp("TImp", (nid,))
+                return rule, apply_rule(agenda.branch, rule)
         gamma = agenda.queues["gamma"]
         if not gamma:
             return None
@@ -387,7 +384,8 @@ class _Search:
         if agenda.fresh_params >= self.budget.max_params:
             agenda.hit("max_params")
             return None
-        return RuleApp(name, (nid,), param=self.fresh_param()), None
+        rule = RuleApp(name, (nid,), param=self.fresh_param())
+        return rule, apply_rule(agenda.branch, rule)
 
     def _fdot_rule(
         self, name: str, nid: int, premise: Formula, agenda: _Agenda
@@ -454,8 +452,6 @@ class _Search:
                         "provable with the current strategy",
                     )
                 rule, extensions = choice
-                if extensions is None:
-                    extensions = apply_rule(agenda.branch, rule)
                 self._mark_applied(agenda, rule)
                 if len(extensions) > 1:
                     children = [self.make_node(ext[0], rule) for ext in extensions]

@@ -592,22 +592,14 @@ def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
     return _rebuild(f, PARAM, {u: a})
 
 
-def canonical(f: Formula, rename_free: bool = False) -> Formula:
+def canonical(f: Formula) -> Formula:
     """Rename bound variables to a canonical sequence ``0, 1, ...`` by
     preorder position (de Bruijn's nameless dummies).  No parser produces
     such a name, so a bound variable never meets a free one of the same
-    name.  The result is cached on ``f`` and is its own canonical form.
-
-    With ``rename_free`` every remaining individual variable is also
-    renamed, by first occurrence, to ``_f0, _f1, ...``; two formulas are
-    variable variants iff their fully renamed forms coincide.
-    """
-    names = map(var, map(str, count()))
-    if rename_free:
-        return _rebuild(f, VAR, {}, names, _FirstSeen())
+    name.  The result is cached on ``f`` and is its own canonical form."""
     g = f._canon
     if g is None:
-        g = f._canon = _rebuild(f, VAR, {}, names)
+        g = f._canon = _rebuild(f, VAR, {}, map(var, map(str, count())))
         g._canon = g
     return g
 
@@ -619,5 +611,11 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
 
 def variable_variant(f: Formula, g: Formula) -> bool:
     """True iff the formulas differ only by a bijective renaming of free
-    and bound individual variables."""
-    return canonical(f, rename_free=True) == canonical(g, rename_free=True)
+    and bound individual variables: they coincide once their bound ones
+    are renamed as by ``canonical`` and their free ones, by first
+    occurrence, to ``_f0, _f1, ...``."""
+
+    def renamed(h: Formula) -> Formula:
+        return _rebuild(h, VAR, {}, map(var, map(str, count())), _FirstSeen())
+
+    return renamed(f) == renamed(g)

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,11 +216,27 @@ class TestCsFiles:
         ("const c.\nc : scheme XX.", "line 2: unknown scheme 'XX'"),
         ("const c.\nc : Q0 -> Q1 -> Q0", "expected '.'"),  # missing terminator
         ("bogus.", "undeclared constant 'bogus'"),
+        # An entry that fails with a ")" that closes no "(" before the
+        # next "." is reported at that ")"; another entry's ")" moves no
+        # error.  Every statement ends at one expected ".".
+        ("const q.\nq : forall y. (q :[y] Q1 -> q) : Q1).",
+         "in entry for q: 2:36: unmatched ')'"),
+        ("const c.\nc : p : Q0 -> Q1 -> ).", "in entry for c: 2:21: unmatched ')'"),
+        ("const c, d.\nc : A -> A(x).\nd : (Q0 -> Q1 -> Q0)).",
+         "in entry for c: 2:10: predicate A used with arity 1, previously 0"),
+        ("const c.\nc : (p  q) : forall x. Q0).", "in entry for c: 2:9: expected ')', found 'q'"),
+        ("const c.\nc : Q0 -> Q1).", "2:13: expected '.', found ')'"),
+        ("total Q0.", "1:7: expected '.', found 'Q0'"),
+        ("variant-closed", "1:15: expected '.', found 'end of input'"),
+        ("const c d.", "1:9: expected '.', found 'd'"),
+        ("const c,.", "1:9: expected 'LID', found '.'"),
+        ("const c.\nc : scheme JT)", "2:14: expected '.', found ')'"),
+        ("const c.\n:", "line 2: unexpected ':' in constant specification"),
     ]
 
     @pytest.mark.parametrize("text, match", MALFORMED, ids=[text for text, _ in MALFORMED])
     def test_malformed(self, text, match):
-        with pytest.raises(FileFormatError, match=match):
+        with pytest.raises(FileFormatError, match=re.escape(match)):
             parse_cs(text)
 
 
@@ -241,10 +258,10 @@ class TestCsMemo:
     def test_malformed_text_fails_every_time(self, text, match):
         parse_cs("const c.\nc : Q0 -> Q1 -> Q0.\n")
         for _ in range(2):
-            with pytest.raises(FileFormatError, match=match):
+            with pytest.raises(FileFormatError, match=re.escape(match)):
                 parse_cs(text)
         valid = parse_cs("const c.\ntotal.\n")
-        with pytest.raises(FileFormatError, match=match):
+        with pytest.raises(FileFormatError, match=re.escape(match)):
             parse_cs(text)
         assert parse_cs("const c.\ntotal.\n") == valid
 
@@ -755,6 +772,25 @@ class TestRuleReading:
         ({"name": "Ins", "premises": [1], "param": "@u", "var": ["x"]},
          {"name": "Ins", "premises": [1], "param": "@u", "var": "x"},
          "rule variable ['x'] must be a string"),
+        # ``param`` and ``var`` are read by the parser's atom rule.
+        ({"name": "TForall", "premises": [1], "param": "@ not a name!"},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter '@ not a name!' must be written @name"),
+        ({"name": "TForall", "premises": [1], "param": "@u v"},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter '@u v' must be written @name"),
+        ({"name": "TForall", "premises": [1], "param": "$a"},
+         {"name": "TForall", "premises": [1], "param": "@u"},
+         "rule parameter '$a' must be written @name"),
+        ({"name": "Ins", "premises": [1], "param": "@u", "var": "X"},
+         {"name": "Ins", "premises": [1], "param": "@u", "var": "x"},
+         "rule variable 'X' must be a variable name"),
+        ({"name": "Ins", "premises": [1], "param": "@u", "var": "forall"},
+         {"name": "Ins", "premises": [1], "param": "@u", "var": "x"},
+         "rule variable 'forall' must be a variable name"),
+        ({"name": "Ins", "premises": [1], "param": "@u", "var": "@x"},
+         {"name": "Ins", "premises": [1], "param": "@u", "var": "x"},
+         "rule variable '@x' must be a variable name"),
     ]
 
     @pytest.mark.parametrize("after", [False, True], ids=["alone", "after-good"])

@@ -156,11 +156,49 @@ class TestErrors:
         assert str(exc.value) == message
 
     def test_valid_text_is_not_scanned_for_closers(self, monkeypatch):
-        def never(self):
-            raise AssertionError("scanned a valid text")
+        # One pass pairs the parentheses and finds the first unmatched
+        # ")"; a valid text takes it at most once, and only when a "("
+        # that starts a unary formula needs the decision.
+        passes, pair = [], parser.Parser.pair
 
-        monkeypatch.setattr(parser.Parser, "unmatched_closer", never)
-        assert f("(p : (Q0 -> Q1)) -> (Q0 -> Q1)") == f("p : (Q0 -> Q1) -> Q0 -> Q1")
+        def counted(self):
+            if self.closers is None:
+                passes.append(self.source)
+            return pair(self)
+
+        monkeypatch.setattr(parser.Parser, "pair", counted)
+        texts = ["(p : (Q0 -> Q1)) -> (Q0 -> Q1)", "p : (Q0 -> Q1) -> Q0 -> Q1"]
+        assert f(texts[0]) == f(texts[1])
+        assert passes == texts
+        f("p * gen<x>(q + (r)) : S(x, y) -> ~Q(x) -> forall x. Q(x)")
+        parse_term("(p * q) + !(r)")
+        assert passes == texts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["(", ")", ":", "+", "p", "Q0"]), max_size=24))
+    def test_one_pass_pairs_and_finds_the_unmatched_closer(self, tokens):
+        p = parser.Parser(" ".join(tokens))
+        p.pair()
+        step = {"(": 1, ")": -1}
+        depth, stray = 0, None
+        for j, kind in enumerate(p.kinds):
+            if kind == ")" and depth == 0:
+                stray = j
+                break
+            depth += step.get(kind, 0)
+        assert p.stray == stray
+        for i, kind in enumerate(p.kinds):
+            if kind == "(":
+                # The matching ")": where a running count from this "("
+                # first returns to 0.
+                depth, j = 0, None
+                for k in range(i, len(p.kinds)):
+                    depth += step.get(p.kinds[k], 0)
+                    if depth == 0:
+                        j = k
+                        break
+                expected = j is not None and p.kinds[j + 1] in (":", "+", "*")
+                assert p.opens_term(i) == expected
 
     def test_positions_found_once_per_text(self, monkeypatch, parse_errors):
         # A parenthesised assertion was once read as a term first, which
