@@ -2,16 +2,17 @@
 
     python3 scripts/mutants.py [MODULE ...]
 
-A rejecting guard is an ``if`` whose body calls ``_reject`` or raises
-``RuleError``, ``ModelError`` or ``FileFormatError``.  Each guard of the
-named ``folp`` modules (default: checker, tableau, models and fileio)
-gives mutants of two kinds: its test replaced by ``False``, and each
-comparison operator in its test replaced by its complement (``==`` by
-``!=``, ``<`` by ``>=``, ``in`` by ``not in`` and so on).  Each mutant is
-written into a copy of ``src`` in a temporary directory, and the tier-1
-tests run against it with ``-x``, the module's own test file first.  A
-mutant is killed when the tests fail (or run past ``TIMEOUT`` seconds)
-and survives when they pass.
+A rejecting guard is an ``if`` whose body calls ``_reject``, raises
+``RuleError``, ``ModelError`` or ``FileFormatError``, returns
+``Exhausted(...)`` or records a spent budget with ``agenda.hit(...)``.
+Each guard of the named ``folp`` modules (default: checker, tableau,
+models, fileio and search) gives mutants of two kinds: its test replaced
+by ``False``, and each comparison operator in its test replaced by its
+complement (``==`` by ``!=``, ``<`` by ``>=``, ``in`` by ``not in`` and
+so on).  Each mutant is written into a copy of ``src`` in a temporary
+directory, and the tier-1 tests run against it with ``-x``, the
+module's own test file first.  A mutant is killed when the tests fail
+(or run past ``TIMEOUT`` seconds) and survives when they pass.
 
 ``SURVIVORS`` lists the known survivors, each with its reason.  The
 script prints one line per mutant and fails if a mutant survives that
@@ -38,8 +39,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("checker", "tableau", "models", "fileio")
-REJECTING = {"RuleError", "ModelError", "FileFormatError"}
+MODULES = ("checker", "tableau", "models", "fileio", "search")
+# What a rejecting statement calls: as a statement, in a raise or in a return.
+REJECTING = {"_reject", "agenda.hit", "RuleError", "ModelError", "FileFormatError", "Exhausted"}
 TIMEOUT = 300
 
 _COMPLEMENT = {
@@ -53,13 +55,13 @@ SURVIVORS: dict[str, str] = {}
 
 
 def _rejects(stmt: ast.stmt) -> bool:
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        return isinstance(func, ast.Name) and func.id == "_reject"
-    if isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call):
-        func = stmt.exc.func
-        return isinstance(func, ast.Name) and func.id in REJECTING
-    return False
+    if isinstance(stmt, ast.Raise):
+        call = stmt.exc
+    elif isinstance(stmt, (ast.Expr, ast.Return)):
+        call = stmt.value
+    else:
+        return False
+    return isinstance(call, ast.Call) and ast.unparse(call.func) in REJECTING
 
 
 def _sites(tree: ast.Module):

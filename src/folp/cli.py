@@ -140,11 +140,12 @@ def _prove_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cs", required=True)
     p.add_argument("--out", help="write the proof as JSON to this path")
     p.add_argument("--hint", action="append", default=[], help="cut-formula hint (repeatable)")
-    p.add_argument("--max-nodes", type=int, default=10_000)
-    p.add_argument("--max-depth", type=int, default=200)
-    p.add_argument("--max-params", type=int, default=8)
-    p.add_argument("--max-cuts", type=int, default=32)
-    p.add_argument("--timeout", type=float, default=30.0)
+    default = SearchBudget()
+    p.add_argument("--max-nodes", type=int, default=default.max_nodes)
+    p.add_argument("--max-depth", type=int, default=default.max_depth)
+    p.add_argument("--max-params", type=int, default=default.max_params)
+    p.add_argument("--max-cuts", type=int, default=default.max_cut_candidates)
+    p.add_argument("--timeout", type=float, default=default.time_limit)
 
 
 def _check_arguments(p: argparse.ArgumentParser) -> None:

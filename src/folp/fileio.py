@@ -135,6 +135,8 @@ def _parse_cs(text: str) -> ConstantSpecification:
             else:
                 try:
                     concrete.append((word, p.formula()))
+                    if p.kinds[p.pos] == ")":  # every "(" read so far is closed
+                        raise p.error("unmatched ')'")
                 except ParseError as exc:
                     # A ")" that closes no "(" is the error, as in
                     # ``Parser.whole``, if no "." lies between the fault

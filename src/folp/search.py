@@ -10,10 +10,12 @@ are rationed round-robin per premise.
 The search runs off an agenda.  A node is classified once, when it joins
 the branch and leaves it open, into per-rule queues in branch order: one
 per deterministic rule, then delta (fresh parameter), TImp and gamma
-(generative).  A premise that has fired, or can never fire usefully
-again, is marked spent.  The same pass indexes the node's subformulas
-and the antecedents of its asserted implications, the sources of FDot's
-cut candidates.  A node that closes its branch is never classified or
+(generative).  Every entry is ``(node id, branch position, rule name,
+premise)``, and the rule instance is built when the entry is examined.
+A premise that has fired, or can never fire usefully again, is marked
+spent.  The same pass indexes the node's subformulas and the
+antecedents of its asserted implications, the sources of FDot's cut
+candidates.  A node that closes its branch is never classified or
 indexed: no rule is applied on a closed branch.
 Gamma premises are examined least used first, then in branch order,
 then by rule name, and the first with an instance to apply wins; the
@@ -25,6 +27,10 @@ neither builds a negation.  Formulas cache their hash and atom sets.  All
 branches share one agenda: each change is logged on a trail, which is
 unwound to the branch point before each child of a branching rule
 grows.
+
+``_Search.close_tableau`` is the one exit: it tests every budget, and
+returns ``Open`` or ``Exhausted`` where the search stops, on the branch
+it stops on, or None when the tableau closes.
 """
 
 from __future__ import annotations
@@ -107,35 +113,14 @@ _QUEUE_OF = {
 }
 
 
-class _ExhaustedError(Exception):
-    def __init__(self, dimension: str):
-        super().__init__(dimension)
-        self.dimension = dimension
-
-
-def _agenda_entries(nid: int, pos: int, f: Formula):
-    """``(queue, entry)`` for each rule ``f`` is a premise of.  Every
-    entry starts with the node id; a deterministic entry carries its rule
-    instance (Ins gets its variable when examined), and Exp and Ins join
-    only with a parameter to drop or to instantiate."""
-    for name in premise_rules(f):
-        queue = _QUEUE_OF[name]
-        if queue == "gamma":
-            yield queue, (nid, pos, name, f)
-        elif queue == "delta":
-            yield queue, (nid, name)
-        elif queue == "TImp":
-            yield queue, (nid, f)
-        elif name == "Exp" or name == "Ins":
-            # The least parameter of the body to instantiate, or of the
-            # window, but not the body, to drop.
-            pars = par_set(f.body.body)
-            if name == "Exp":
-                pars = {w.name for w in f.body.window} - pars
-            if pars:
-                yield queue, (nid, RuleApp(name, (nid,), param=mk_param(min(pars))))
-        else:
-            yield queue, (nid, RuleApp(name, (nid,)))
+def _param_of(name: str, premise: Formula) -> Optional[Atom]:
+    """The parameter that Exp drops or Ins instantiates on ``premise``:
+    the least one of the window, but not the body, to drop, or of the
+    body to instantiate; None if there is none."""
+    pars = par_set(premise.body.body)
+    if name == "Exp":
+        pars = {w.name for w in premise.body.window} - pars
+    return mk_param(min(pars)) if pars else None
 
 
 class _Agenda:
@@ -218,8 +203,10 @@ class _Agenda:
             for u in sorted(pars):
                 if u not in self.param_order:
                     self.append(self.param_order, u)
-        for queue, entry in _agenda_entries(nid, pos, f):
-            self.append(self.queues[queue], entry)
+        for name in premise_rules(f):
+            # Exp and Ins join only with a parameter to drop or to instantiate.
+            if name not in ("Exp", "Ins") or _param_of(name, f) is not None:
+                self.append(self.queues[_QUEUE_OF[name]], (nid, pos, name, f))
         # Index the subformulas not seen yet; a seen one had all of its
         # own subformulas indexed with it.
         stack = [f]
@@ -292,15 +279,7 @@ class _Search:
 
     def make_node(self, f: Formula, rule: Optional[RuleApp]) -> ProofNode:
         self.nodes_created += 1
-        if self.nodes_created > self.budget.max_nodes:
-            raise _ExhaustedError("max_nodes")
         return ProofNode(self.nodes_created, f, rule, len(self.table) - 1 if self.table else None)
-
-    def check_budget(self, agenda: _Agenda) -> None:
-        if time.monotonic() > self.deadline:
-            raise _ExhaustedError("time_limit")
-        if len(agenda.branch) > self.budget.max_depth:
-            raise _ExhaustedError("max_depth")
 
     # -- rule selection ----------------------------------------------------
 
@@ -321,10 +300,12 @@ class _Search:
         for name in _DETERMINISTIC:
             if agenda.heads[name] == len(agenda.queues[name]):
                 continue  # nothing past the head
-            for nid, rule in agenda.pending(name):
-                if name == "Ins":
-                    # A fresh variable per examination, applicable or not.
-                    rule = RuleApp(name, rule.premises, rule.param, var=self.fresh_name("v"))
+            for nid, _, _, premise in agenda.pending(name):
+                rule = RuleApp(
+                    name, (nid,), _param_of(name, premise) if name in ("Exp", "Ins") else None,
+                    # A fresh variable per Ins examination, applicable or not.
+                    var=self.fresh_name("v") if name == "Ins" else None,
+                )
                 choice = self._try_rule(agenda, rule)
                 if choice is not None:
                     return choice
@@ -332,14 +313,16 @@ class _Search:
                     # Inapplicable or redundant, and stays so on this branch.
                     agenda.add(agenda.spent, (name, nid))
         if agenda.heads["delta"] != len(agenda.queues["delta"]):
-            for nid, name in agenda.pending("delta"):
+            for nid, _, name, _ in agenda.pending("delta"):
                 if agenda.fresh_params >= self.budget.max_params:
                     agenda.hit("max_params")
                     continue
                 rule = RuleApp(name, (nid,), param=self.fresh_param())
                 return rule, apply_rule(agenda.branch, rule)
         if agenda.heads["TImp"] != len(agenda.queues["TImp"]):
-            for nid, f in agenda.pending("TImp"):
+            for nid, _, _, f in agenda.pending("TImp"):
+                # ``_try_rule``'s test for the children ``~left`` and
+                # ``right``, made without building ``~left``.
                 if f.left in agenda.negs or f.right in agenda.formulas:
                     agenda.add(agenda.spent, ("TImp", nid))
                     continue
@@ -424,16 +407,21 @@ class _Search:
 
     # -- main loop ---------------------------------------------------------
 
-    def close_tableau(self, root: ProofNode) -> Optional[Open]:
-        """Grow the tableau below ``root`` until every branch closes, or
-        return the first branch that saturates open.
+    def close_tableau(self, root: ProofNode) -> Optional[Union[Open, Exhausted]]:
+        """Grow the tableau below ``root`` until every branch closes, and
+        return None; or return how the search stopped: ``Open`` with the
+        first branch that saturates open, or ``Exhausted`` with the budget
+        dimension that ran out.  No other place makes either outcome.
 
         Branches grow depth first, children in order, off a stack of
         ``(node, branch point)`` pairs: the agenda is unwound to the branch
         point before the node joins the branch, so proof depth is not
-        bounded by the interpreter's stack.  Raises _ExhaustedError on
-        budget exhaustion.
+        bounded by the interpreter's stack.  The time and depth budgets
+        are tested before each rule is chosen, and ``max_nodes`` before
+        each node is made: a branching rule makes all of its children or
+        none.
         """
+        budget = self.budget
         agenda = _Agenda()
         stack = [(root, 0)]
         while stack:
@@ -441,11 +429,14 @@ class _Search:
             agenda.undo(branch_point)
             leaf.closure = self._note_and_close(agenda, leaf)
             while leaf.closure is None:
-                self.check_budget(agenda)
+                if time.monotonic() > self.deadline:
+                    return Exhausted("time_limit")
+                if len(agenda.branch) > budget.max_depth:
+                    return Exhausted("max_depth")
                 choice = self.select(agenda)
                 if choice is None:
                     if agenda.limit_hit is not None:
-                        raise _ExhaustedError(agenda.limit_hit)
+                        return Exhausted(agenda.limit_hit)
                     return Open(
                         tuple(agenda.branch.values()),
                         "branch saturated without closing; the goal may not be "
@@ -454,11 +445,15 @@ class _Search:
                 rule, extensions = choice
                 self._mark_applied(agenda, rule)
                 if len(extensions) > 1:
+                    if self.nodes_created + len(extensions) > budget.max_nodes:
+                        return Exhausted("max_nodes")
                     children = [self.make_node(ext[0], rule) for ext in extensions]
                     branch_point = len(agenda.trail)
                     stack.extend((child, branch_point) for child in reversed(children))
                     break
                 for f in extensions[0]:
+                    if self.nodes_created >= budget.max_nodes:
+                        return Exhausted("max_nodes")
                     leaf = self.make_node(f, rule)
                     leaf.closure = self._note_and_close(agenda, leaf)
                     if leaf.closure is not None:
@@ -496,11 +491,7 @@ class _Search:
     def run(self) -> SearchOutcome:
         root_formula = neg(self.goal)
         root = self.make_node(root_formula, None)
-        try:
-            opened = self.close_tableau(root)
-        except _ExhaustedError as ex:
-            return Exhausted(ex.dimension)
-        return opened or Proved(ProofTree([root_formula], self.table))
+        return self.close_tableau(root) or Proved(ProofTree([root_formula], self.table))
 
 
 def prove(

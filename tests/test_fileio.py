@@ -225,7 +225,11 @@ class TestCsFiles:
         ("const c, d.\nc : A -> A(x).\nd : (Q0 -> Q1 -> Q0)).",
          "in entry for c: 2:10: predicate A used with arity 1, previously 0"),
         ("const c.\nc : (p  q) : forall x. Q0).", "in entry for c: 2:9: expected ')', found 'q'"),
-        ("const c.\nc : Q0 -> Q1).", "2:13: expected '.', found ')'"),
+        # So is an entry whose formula parses and is followed by a ")"
+        # that closes no "(" where its "." should be.
+        ("const c.\nc : Q0 -> Q1).", "in entry for c: 2:13: unmatched ')'"),
+        ("const c.\nc : (Q0 -> Q1)).", "in entry for c: 2:15: unmatched ')'"),
+        ("const c.\nc : Q0 -> Q1 Q2.", "2:14: expected '.', found 'Q2'"),
         ("total Q0.", "1:7: expected '.', found 'Q0'"),
         ("variant-closed", "1:15: expected '.', found 'end of input'"),
         ("const c d.", "1:9: expected '.', found 'd'"),
@@ -238,6 +242,16 @@ class TestCsFiles:
     def test_malformed(self, text, match):
         with pytest.raises(FileFormatError, match=re.escape(match)):
             parse_cs(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("const c.\nc : Q0 -> Q1 Q2.", "2:14: expected '.', found 'Q2'"),
+        ("const c.\nc : scheme JT)", "2:14: expected '.', found ')'"),
+    ])
+    def test_terminator_message_is_whole(self, text, message):
+        # Only a formula entry's unmatched ")" gains the entry's context.
+        with pytest.raises(FileFormatError) as info:
+            parse_cs(text)
+        assert str(info.value) == message
 
 
 class TestCsMemo:

@@ -277,10 +277,15 @@ def test_rename_identity():
 # to be reported at a ``)`` that closes no ``(`` before the next ``.``:
 # one line changed, the mutated ``corpus.cs`` text ``...A:x).ctotal....``,
 # from ``in entry for c: 4:23: predicate A used with arity 0, previously
-# 1`` to ``in entry for c: 4:26: unmatched ')'``.
+# 1`` to ``in entry for c: 4:26: unmatched ')'``.  It was re-pinned a
+# fourth time when a CS entry whose formula parses but is followed by a
+# ``)`` that closes no ``(`` came to be reported in the entry's context:
+# one line changed, the mutated ``corpus.cs`` text ``...Ax) -> A(x)...``,
+# from ``4:17: expected '.', found ')'`` to ``in entry for c: 4:17:
+# unmatched ')'``.
 
 PARSED_DIGEST = "cb94d424a1a2c357f96896d60b63dc4509333a93e3f68e0583d833c8e7fedc25"
-PARSE_DIGEST = "05aaca3c6b68797549544115f81bebf2d8b31c1a209645cf13d9c8c173011cd8"
+PARSE_DIGEST = "fe414b57546da58dfe06f3ce4d566877787cb14a2028fbf25a46b509518ff59d"
 
 _MUTATION_CHARS = "()~:.,[]<>+*!-#@$ \n\tpqxcPQ0A_%"
 

@@ -20,7 +20,9 @@ from folp import (
     prove,
 )
 from folp import search
-from conftest import CORPUS_GOALS, DATA, FAMILY_BUDGET, SCHEME_GOALS, app, cases, run_fresh
+from conftest import (
+    CORPUS_GOALS, DATA, FAMILY_BUDGET, SCHEME_GOALS, app, cases, run_fresh, sum_family,
+)
 from conftest import chain as chain_goal
 
 
@@ -107,6 +109,10 @@ class TestNonVerdicts:
         (chain_goal(16), {"max_depth": 10}, "max_depth"),
         (chain_goal(16), {"time_limit": 1e-9}, "time_limit"),
         (cases(3), {"max_nodes": 50}, "max_nodes"),
+        # The third goal's gamma premise makes no node for the fresh
+        # parameter it is refused: the branch stops at its sixth node.
+        ("(exists x. Q(x)) -> (forall x. Q(x)) -> Q1", {"max_params": 1, "max_nodes": 6},
+         "max_params"),
     ])
     def test_exhausted_dimension(self, text, limits, dimension, corpus_cs):
         goal = parse_formula(text, corpus_cs.constants)
@@ -122,6 +128,41 @@ class TestNonVerdicts:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
+
+
+class TestBudgetBoundaries:
+    """A budget that equals what a proof uses still proves it, and one
+    less is exhausted in that dimension.  cases-3's last node comes from
+    a branching step (TImp, refused whole); sum-4's and ``Q0 -> Q1 ->
+    Q0``'s from a non-branching one with two conclusions (FPlus, FImp),
+    refused before its second node."""
+
+    # (goal, last node's rule, branching, node count, least max_depth that proves)
+    PROOFS = [
+        (cases(3), "TImp", True, 155, 26),
+        (sum_family(4), "FPlus", False, 10, 9),
+        ("Q0 -> Q1 -> Q0", "FImp", False, 5, 3),
+    ]
+
+    @pytest.mark.parametrize("text, rule, branching, nodes, depth", PROOFS,
+                             ids=[text for text, *_ in PROOFS])
+    def test_max_nodes(self, text, rule, branching, nodes, depth, corpus_cs):
+        goal = parse_formula(text, corpus_cs.constants)
+        outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=nodes))
+        assert isinstance(outcome, Proved)
+        table = outcome.tree.table
+        last = table[-1]
+        siblings = [n for n in table if n.parent == last.parent and n.rule == last.rule]
+        assert (len(table), last.rule.name, len(siblings) > 1) == (nodes, rule, branching)
+        assert prove(goal, corpus_cs, SearchBudget(max_nodes=nodes - 1)) == Exhausted("max_nodes")
+
+    @pytest.mark.parametrize("text, rule, branching, nodes, depth", PROOFS,
+                             ids=[text for text, *_ in PROOFS])
+    def test_max_depth(self, text, rule, branching, nodes, depth, corpus_cs):
+        goal = parse_formula(text, corpus_cs.constants)
+        outcome = prove(goal, corpus_cs, SearchBudget(max_depth=depth))
+        assert isinstance(outcome, Proved) and len(outcome.tree.table) == nodes
+        assert prove(goal, corpus_cs, SearchBudget(max_depth=depth - 1)) == Exhausted("max_depth")
 
 
 class TestDeterminism:
