@@ -11,18 +11,23 @@ side's ``cli.main``, as perfbench takes a proof item: ``prove GOAL --cs
 corpus.cs --out F`` with the flags of perfbench's ``families`` workload,
 then ``check F --cs corpus.cs --goal GOAL``.  The items are the
 ``families`` goals, read from ``perfbench/workloads.py`` (``chain-32``
-... ``app-16``), and the corpus goals of ``perfbench/data``
-(``corpus-g00`` ... ``corpus-g54``); ``--items`` runs only those named.
+... ``app-16``), the corpus goals of ``perfbench/data`` (``corpus-g00``
+... ``corpus-g54``), and the model and non-theorem items of perfbench's
+``models`` workload: ``model-check MODEL --cs corpus.cs --formula GOAL``
+for each model file and corpus goal (``model01-g00`` ...), and, for each
+non-theorem (``non-theorem-0`` ...), ``prove GOAL --cs corpus.cs
+--timeout 10`` and then the side's ``find_countermodel`` with
+``max_domain=2``.  ``--items`` runs only those named.
 
-Each round runs every item on both sides, timing each side's two calls;
+Each round runs every item on both sides, timing each side's calls;
 which side goes first alternates from item to item and from round to
 round, so that drift in the host's speed falls on both.  It prints, per
 item, each side's median time, the median of the paired ratios new/old
 and how many rounds the new side was faster, then the same over the
-families items, the corpus items and all items.  The two sides must
-reach the same exit codes on every item (chain-256 exits 2 on both while
-its proof is too deep to write); an item where they differ is reported,
-and the run exits 1.
+families items, the corpus items, the models items and all items.  The
+two sides must reach the same exit codes (and countermodel status) on
+every item (chain-256 exits 2 on both while its proof is too deep to
+write); an item where they differ is reported, and the run exits 1.
 
 ``--identity N`` times nothing: it checks that the two sides behave
 alike.  Each side runs once on every item and on N random sentences
@@ -30,8 +35,10 @@ alike.  Each side runs once on every item and on N random sentences
 same on every run, each proved under a random budget (``--max-nodes``,
 ``--max-depth``, ``--max-params`` and ``--max-cuts``; the time limit
 never binds).  Per item it compares the exit code, stdout and stderr of
-``prove --out`` and of the ``check`` after it, and the bytes of the
-proof file, with the package names ``folp_old`` and ``folp_new`` read
+each CLI call (``prove --out`` and the ``check`` after it, or
+``model-check``, or ``prove``), the bytes of the proof file, and a
+countermodel search's status, model count and model as ``write_model``
+writes it, with the package names ``folp_old`` and ``folp_new`` read
 as ``folp``.  It prints how many items ended each way, then each item
 that differs, and exits 1 if any does.
 
@@ -54,6 +61,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # nothing is written under perfbench/ or the copies
@@ -65,14 +73,28 @@ FAMILY_FLAGS = ("--timeout", str(workloads.LIMITS["families"]), *workloads.FAMIL
 SEED = 20261020  # of the random sentences of --identity
 
 
-def items() -> dict[str, tuple[str, str]]:
-    """Each item's goal and group, by id."""
+class Item(NamedTuple):
+    goal: str
+    group: str  # families, corpus or models
+    kind: str = workloads.PROOF  # or workloads.MODEL or workloads.REFUTE
+    model: str = ""  # the model file of a MODEL item
+
+
+def items() -> dict[str, Item]:
+    """Every item, by id."""
     out = {}
     for family, sizes in workloads.FAMILY_SIZES.items():
         for n in sizes:
-            out[f"{family}-{n}"] = (workloads.FAMILIES[family](n), "families")
-    for i, goal in enumerate(workloads.read_lines("corpus_goals.txt")):
-        out[f"corpus-g{i:02d}"] = (goal, "corpus")
+            out[f"{family}-{n}"] = Item(workloads.FAMILIES[family](n), "families")
+    goals = workloads.read_lines("corpus_goals.txt")
+    for i, goal in enumerate(goals):
+        out[f"corpus-g{i:02d}"] = Item(goal, "corpus")
+    # perfbench's models items, but for its proof items: those are the corpus goals.
+    for path in workloads.model_files():
+        for i, goal in enumerate(goals):
+            out[f"{path.stem}-g{i:02d}"] = Item(goal, "models", workloads.MODEL, str(path))
+    for i, goal in enumerate(workloads.read_lines("non_theorems.txt")):
+        out[f"non-theorem-{i}"] = Item(goal, "models", workloads.REFUTE)
     return out
 
 
@@ -101,57 +123,84 @@ def load(src: str, name: str, into: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_item(cli, goal: str, proof: str) -> tuple[float, tuple]:
-    """The time of ``prove --out`` and then ``check`` of ``goal``, and
-    their exit codes (the check's None if ``prove`` failed)."""
+def calls(item: Item, proof: str, flags: tuple[str, ...]) -> list[list[str]]:
+    """The CLI calls of ``item``, in order; each runs only if the one
+    before it exited 0."""
     cs = str(workloads.CS_PATH)
+    if item.kind == workloads.MODEL:
+        return [["model-check", item.model, "--cs", cs, "--formula", item.goal]]
+    if item.kind == workloads.REFUTE:
+        return [["prove", item.goal, "--cs", cs, "--timeout", str(workloads.LIMITS["models"])]]
+    return [["prove", item.goal, "--cs", cs, "--out", proof, *flags],
+            ["check", proof, "--cs", cs, "--goal", item.goal]]
+
+
+def countermodel(cli, goal: str):
+    """The side's countermodel search for ``goal``, as perfbench runs it
+    on a non-theorem that ``prove`` left unproved."""
+    folp = sys.modules[cli.__package__]
+    cs = folp.read_cs_file(workloads.CS_PATH)
+    return folp.find_countermodel(folp.parse_formula(goal, cs.constants), cs, max_domain=2)
+
+
+def run_item(cli, item: Item, proof: str) -> tuple[float, tuple]:
+    """The time of ``item``'s calls, and their exit codes, with a
+    countermodel search's status last."""
+    codes: list = []
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         start = time.perf_counter()
-        proved = cli.main(["prove", goal, "--cs", cs, "--out", proof, *FAMILY_FLAGS])
-        checked = cli.main(["check", proof, "--cs", cs, "--goal", goal]) if proved == 0 else None
+        for argv in calls(item, proof, FAMILY_FLAGS):
+            codes.append(cli.main(argv))
+            if codes[-1] != 0:
+                break
+        if item.kind == workloads.REFUTE and codes == [1]:
+            codes.append(countermodel(cli, item.goal).status)
         elapsed = time.perf_counter() - start
-    return elapsed, (proved, checked)
+    return elapsed, tuple(codes)
 
 
-def shown(cli, goal: str, flags: tuple[str, ...], proof: Path) -> tuple:
-    """What ``prove --out`` and then ``check`` of ``goal`` show: each
-    call's exit code, stdout and stderr, and the proof file's bytes
-    (None if none was written; no check if ``prove`` failed)."""
-    cs = str(workloads.CS_PATH)
+def shown(cli, item: Item, flags: tuple[str, ...], proof: Path) -> tuple:
+    """What ``item``'s calls show: each call's exit code, stdout and
+    stderr, the proof file's bytes after a ``prove --out`` (None if none
+    was written), and a countermodel search's status, model count and
+    model."""
     proof.unlink(missing_ok=True)
     out: list = []
-    for argv in (["prove", goal, "--cs", cs, "--out", str(proof), *flags],
-                 ["check", str(proof), "--cs", cs, "--goal", goal]):
+    for argv in calls(item, str(proof), flags):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
         out.append((code, *(s.getvalue().replace(cli.__package__, "folp")
                             for s in (stdout, stderr))))
-        if argv[0] == "prove":
+        if "--out" in argv:
             out.append(proof.read_bytes() if proof.exists() else None)
-            if code != 0:
-                break
+        if code != 0:
+            break
+    if item.kind == workloads.REFUTE and out[0][0] == 1:
+        search = countermodel(cli, item.goal)
+        model = search.model and sys.modules[cli.__package__].write_model(search.model)
+        out.append((search.status, search.models_checked, model))
     return tuple(out)
 
 
 def identity(clis: dict, chosen: list[str], every: dict, n: int, tmp: Path) -> int:
     """Run ``--identity``: print the outcomes and the differing items;
     1 if any item differs."""
-    runs = {item: (every[item][0], FAMILY_FLAGS) for item in chosen}
-    runs.update(random_items(n))
+    runs = {item: (every[item], FAMILY_FLAGS) for item in chosen}
+    runs.update({i: (Item(goal, "random"), flags) for i, (goal, flags) in random_items(n).items()})
     proof = tmp / "proof.json"  # one path, so that stdout names the same file
     ends: collections.Counter = collections.Counter()
     differ = []
-    for item, (goal, flags) in runs.items():
-        old, new = (shown(clis[side], goal, flags, proof) for side in SIDES)
+    for name, (item, flags) in runs.items():
+        old, new = (shown(clis[side], item, flags, proof) for side in SIDES)
         ends[(new[0][1] or new[0][2]).split()[0].rstrip(":;")] += 1
         if old != new:
-            differ.append((item, goal, flags, old, new))
+            differ.append((name, item.goal, flags, old, new))
     print(f"{len(runs)} items ({len(chosen)} named, {n} random): "
           + ", ".join(f"{end} {count}" for end, count in sorted(ends.items())))
-    for item, goal, flags, old, new in differ:
-        print(f"differs, {item}: {goal} {' '.join(flags)}\n  old {old!r:.2000}\n  new {new!r:.2000}")
+    for name, goal, flags, old, new in differ:
+        print(f"differs, {name}: {goal} {' '.join(flags)}\n  old {old!r:.2000}\n  new {new!r:.2000}")
     print(f"{len(differ)} of {len(runs)} items differ")
     return 1 if differ else 0
 
@@ -160,7 +209,7 @@ def summary(label: str, pairs: list[tuple[float, float]]) -> str:
     ratios = [new / old for old, new in pairs]
     wins = sum(new < old for old, new in pairs)
     olds, news = zip(*pairs)
-    return (f"{label:<12} old {statistics.median(olds) * 1e3:9.3f} ms  "
+    return (f"{label:<14} old {statistics.median(olds) * 1e3:9.3f} ms  "
             f"new {statistics.median(news) * 1e3:9.3f} ms  "
             f"ratio {statistics.median(ratios):.3f}  new faster {wins}/{len(pairs)}")
 
@@ -192,23 +241,22 @@ def main() -> int:
             return identity(clis, chosen, every, args.identity, Path(tmp))
         proofs = {side: str(Path(tmp) / f"{side}.json") for side in SIDES}
         for side in SIDES:  # untimed: each side's first call loads what it needs
-            run_item(clis[side], every[chosen[0]][0], proofs[side])
+            run_item(clis[side], every[chosen[0]], proofs[side])
         times: dict[str, list[tuple[float, float]]] = {i: [] for i in chosen}
         differ = set()
         for r in range(args.rounds):
             for k, item in enumerate(chosen):
-                goal = every[item][0]
                 order = SIDES if (k + r) % 2 == 0 else SIDES[::-1]
-                runs = {side: run_item(clis[side], goal, proofs[side]) for side in order}
+                runs = {side: run_item(clis[side], every[item], proofs[side]) for side in order}
                 if runs["old"][1] != runs["new"][1]:
                     differ.add(f"{item}: old exits {runs['old'][1]}, new {runs['new'][1]}")
                 times[item].append((runs["old"][0], runs["new"][0]))
 
-    print(f"{args.rounds} rounds, prove --out + check per item, times per item")
+    print(f"{args.rounds} rounds, times per item of all its calls")
     for item in chosen:
         print(summary(item, times[item]))
-    for group in ("families", "corpus"):
-        pairs = [p for i in chosen if every[i][1] == group for p in times[i]]
+    for group in ("families", "corpus", "models"):
+        pairs = [p for i in chosen if every[i].group == group for p in times[i]]
         if pairs:
             print(summary(group, pairs))
     print(summary("all", [p for i in chosen for p in times[i]]))

@@ -69,6 +69,14 @@ and how many models it checked, and fails if a count differs from the
 one pinned there: the counts change only if the enumeration order does.  ``(p + q) : Q0 -> p : Q0``
 enumerates the most, 4,098 models.
 
+Each line timed in this process ends with ``gc a/b/c`` (or one such
+triple per timed phase, named, where a line times several): how many
+collections of generations 0, 1 and 2 the cyclic garbage collector ran
+during the timed calls, summed over them and read from
+``gc.get_stats()`` before and after each.  ``timeit`` switches the
+collector off, so the ``Atom`` line reads 0/0/0; the lines timed in
+fresh interpreters have none.
+
 Garbage is collected before each timed call, so that no call pays for a
 collection of what the ones before it left: a full collection of the
 cases-5 proofs took 165-230 ms.  The script times this checkout's folp
@@ -156,24 +164,46 @@ print(elapsed, *sorted(m for m in sys.modules
 """ % (STARTUP_STDLIB,)
 
 
+def collections() -> list[int]:
+    """How many collections of each generation the cyclic garbage
+    collector has run so far."""
+    return [stats["collections"] for stats in gc.get_stats()]
+
+
+def ran(before: list[int], after: list[int]) -> list[int]:
+    """The collections of each generation between two ``collections()``."""
+    return [a - b for a, b in zip(after, before)]
+
+
+def gcs(counts: list[int]) -> str:
+    """Collections of generations 0, 1 and 2, as a timed line prints them."""
+    return "/".join(map(str, counts))
+
+
 def best_time(repeat: int, run, collect: bool = True):
     """The least time of ``repeat`` calls of ``run``, each after a
-    garbage collection if ``collect``, and the last result.  The least of
-    the hundreds of calls of a sub-millisecond ``run`` is one that no
-    collection landed in, so those need none."""
+    garbage collection if ``collect``, the last result, and the
+    collections of each generation that ran during the timed calls (the
+    ones made here before them not counted).  The least of the hundreds
+    of calls of a sub-millisecond ``run`` is one that no collection
+    landed in, so those need none."""
     best = float("inf")
+    during = [0, 0, 0]
     for _ in range(repeat):
         if collect:
             gc.collect()
+        before = collections()
         start = time.perf_counter()
         out = run()
         best = min(best, time.perf_counter() - start)
-    return best, out
+        during = [d + r for d, r in zip(during, ran(before, collections()))]
+    return best, out, during
 
 
 def timed_parts(module, names, run):
     """Call ``run()`` with the functions ``names`` of ``module`` timed;
-    return its time, the time spent in each of them, and its result."""
+    return its time, the time spent in each of them, its result and the
+    collections of each generation that ran during it."""
     spent = dict.fromkeys(names, 0.0)
     saved = {name: getattr(module, name) for name in names}
 
@@ -190,13 +220,15 @@ def timed_parts(module, names, run):
         setattr(module, name, timed(name, fn))
     try:
         gc.collect()
+        before = collections()
         start = time.perf_counter()
         out = run()
         total = time.perf_counter() - start
+        during = ran(before, collections())
     finally:
         for name, fn in saved.items():
             setattr(module, name, fn)
-    return total, spent, out
+    return total, spent, out, during
 
 
 def calls_of(owner, name: str, run) -> int:
@@ -284,10 +316,11 @@ def startup(src: str, runs: int) -> None:
     from folp.syntax import Atom
 
     number = 100_000
+    before = collections()
     best = min(timeit.repeat('Atom("var", "x")', number=number, repeat=runs,
                              globals={"Atom": Atom})) / number
     print(f'start-up, Atom("var", "x"): {best * 1e9:.0f} ns/call, '
-          f"best of {runs} runs of {number:,}")
+          f"best of {runs} runs of {number:,}; gc {gcs(ran(before, collections()))}")
 
 
 def main() -> None:
@@ -312,30 +345,32 @@ def main() -> None:
     cs = read_cs_file(ROOT / "tests" / "data" / "corpus.cs")
     budget = SearchBudget(max_nodes=100_000, max_depth=5_000, time_limit=300.0)
     text = chain(256)
-    lex, tokens = best_time(args.repeat, lambda: tokenize(text))
+    lex, tokens, swept = best_time(args.repeat, lambda: tokenize(text))
     print(f"chain-256 text: tokenize {lex / len(tokens) * 1e6:.2f} us/token, "
-          f"{len(tokens):,} tokens")
+          f"{len(tokens):,} tokens; gc {gcs(swept)}")
     texts = [text for path in sorted((ROOT / "tests" / "data" / "models").glob("*.json"))
              for entry in json.loads(path.read_text())["evidence"]
              for text in (entry["term"], *entry["formulas"])]
-    lex, lists = best_time(args.repeat, lambda: [tokenize(text) for text in texts])
+    lex, lists, swept = best_time(args.repeat, lambda: [tokenize(text) for text in texts])
     count = sum(map(len, lists))
-    scan, _ = best_time(args.repeat, lambda: [Parser(text) for text in texts])
+    scan, _, scan_swept = best_time(args.repeat, lambda: [Parser(text) for text in texts])
     print(f"model evidence texts: tokenize {lex / count * 1e6:.2f} us/token, "
           f"{count:,} tokens in {len(texts)} texts; the parser's own scan "
-          f"{scan / count * 1e6:.2f} us/token")
+          f"{scan / count * 1e6:.2f} us/token; gc tokenize {gcs(swept)}, "
+          f"scan {gcs(scan_swept)}")
 
     for entry in CS_ENTRIES:
         for n in (500, 8_000):
             cs_text = "const c.\n" + (entry + "\n") * n
-            best, spec = best_time(args.repeat, lambda: fileio._parse_cs(cs_text))
+            best, spec, swept = best_time(args.repeat, lambda: fileio._parse_cs(cs_text))
             assert len(spec.concrete) == n, (entry, len(spec.concrete))
-            print(f"parse_cs, {n:,} entries {entry!r}: {best / n * 1e6:.1f} us/entry")
+            print(f"parse_cs, {n:,} entries {entry!r}: {best / n * 1e6:.1f} us/entry; "
+                  f"gc {gcs(swept)}")
 
     formulas = matcher_inputs()
-    match, _ = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
+    match, _, swept = best_time(args.repeat, lambda: [match_axiom(f) for f in formulas])
     print(f"match_axiom: {match / len(formulas) * 1e6:.2f} us/call, "
-          f"{len(formulas):,} formulas")
+          f"{len(formulas):,} formulas; gc {gcs(swept)}")
     del formulas  # so that the collections before later timed calls are short
 
     # What main builds and parses per call: the command's own parser.
@@ -344,33 +379,40 @@ def main() -> None:
 
     calls = 100 * args.repeat
     for argv in CLI_ARGVS:
-        best, _ = best_time(calls, lambda: parse(argv), collect=False)
-        print(f"cli arguments, {argv[0]}: build and parse {best * 1e3:.3f} ms/call")
+        best, _, swept = best_time(calls, lambda: parse(argv), collect=False)
+        print(f"cli arguments, {argv[0]}: build and parse {best * 1e3:.3f} ms/call; "
+              f"gc {gcs(swept)}")
     prove_argv = CLI_ARGVS[2]
-    best, _ = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv),
-                        collect=False)
-    print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} ms/call")
+    best, _, swept = best_time(calls, lambda: cli.build_parser().parse_args(prove_argv),
+                               collect=False)
+    print(f"cli arguments, prove with all commands: build and parse {best * 1e3:.3f} "
+          f"ms/call; gc {gcs(swept)}")
     cs_path = ROOT / "tests" / "data" / "corpus.cs"
 
     def first_read():
         parse_cs("const c.\n")  # corpus.cs is not the last text parsed
+        before = collections()
         start = time.perf_counter()
         read_cs_file(cs_path)
-        return time.perf_counter() - start
+        return time.perf_counter() - start, ran(before, collections())
 
-    first = min(first_read() for _ in range(calls))
-    again, _ = best_time(calls, lambda: read_cs_file(cs_path), collect=False)
+    firsts = [first_read() for _ in range(calls)]
+    first = min(elapsed for elapsed, _ in firsts)
+    first_swept = [sum(column) for column in zip(*(swept for _, swept in firsts))]
+    again, _, swept = best_time(calls, lambda: read_cs_file(cs_path), collect=False)
     print(f"cli CS file, corpus.cs: read_cs_file first {first * 1e3:.3f} ms/call, "
-          f"again {again * 1e3:.3f} ms/call")
+          f"again {again * 1e3:.3f} ms/call; gc first {gcs(first_swept)}, "
+          f"again {gcs(swept)}")
 
     goals = [("cases-4", cases(4)), ("cases-5", cases(5)), ("chain-256", chain(256)),
              *((f"qchain-{n}", qchain(n)) for n in (16, 64, 128)),
              *((f"app-{n}", app(n)) for n in (16, 64))]
     for name, text in goals:
         goal = parse_formula(text, cs.constants)
-        best, outcome = best_time(args.repeat, lambda: prove(goal, cs, budget))
+        best, outcome, swept = best_time(args.repeat, lambda: prove(goal, cs, budget))
         assert isinstance(outcome, Proved), outcome
-        check, verdict = best_time(args.repeat, lambda: check_proof(outcome.tree, cs, goal))
+        check, verdict, check_swept = best_time(
+            args.repeat, lambda: check_proof(outcome.tree, cs, goal))
         assert verdict.accepted, verdict
         nodes = len(outcome.tree.nodes())
         applied = calls_of(search, "apply_rule", lambda: prove(goal, cs, budget))
@@ -379,7 +421,8 @@ def main() -> None:
         print(f"{name}: prove {best:.3f} s, {nodes} nodes, "
               f"{best / nodes * 1e6:.1f} us/node, {applied / nodes:.2f} apply_rule "
               f"calls/node, {noted / nodes:.2f} agenda notes/node, {walks / nodes:.2f} "
-              f"formula == calls/node on distinct objects, check {check:.3f} s")
+              f"formula == calls/node on distinct objects, check {check:.3f} s; "
+              f"gc prove {gcs(swept)}, check {gcs(check_swept)}")
         assert nodes == PROOF_NODES.get(name, nodes), (name, nodes, PROOF_NODES[name])
 
     parts = ("_read_json", "_parse_tree")
@@ -391,15 +434,18 @@ def main() -> None:
         assert isinstance(outcome, Proved), outcome
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "proof.json"
-            write, _ = best_time(args.repeat, lambda: write_proof_file(path, outcome.tree))
+            write, _, swept = best_time(args.repeat,
+                                        lambda: write_proof_file(path, outcome.tree))
             runs = [timed_parts(fileio, parts, lambda: read_proof_file(path, cs.constants))
                     for _ in range(args.repeat)]
             size = path.stat().st_size
         tree = runs[-1][2]
-        read = min(total for total, _, _ in runs)
-        decode, nodes = (min(spent[part] for _, spent, _ in runs) for part in parts)
-        roots = min(total - sum(spent.values()) for total, spent, _ in runs)
-        check, verdict = best_time(args.repeat, lambda: check_proof(tree, cs, goal))
+        read = min(total for total, *_ in runs)
+        decode, nodes = (min(spent[part] for _, spent, *_ in runs) for part in parts)
+        roots = min(total - sum(spent.values()) for total, spent, *_ in runs)
+        read_swept = [sum(column) for column in zip(*(r[3] for r in runs))]
+        check, verdict, check_swept = best_time(args.repeat,
+                                                lambda: check_proof(tree, cs, goal))
         assert verdict.accepted, verdict
         derived = [calls_of(checker, "apply_rule", lambda: check_proof(t, cs, goal))
                    for t in (tree, outcome.tree)]
@@ -407,15 +453,17 @@ def main() -> None:
               f"(JSON {decode * 1e3:.2f}, roots and table {roots * 1e3:.2f}, "
               f"nodes {nodes * 1e3:.2f}), {size:,} bytes, "
               f"check read back {check * 1e3:.1f} ms; checker apply_rule calls "
-              f"{derived[0]:,} read back, {derived[1]:,} on the prover's tree")
+              f"{derived[0]:,} read back, {derived[1]:,} on the prover's tree; "
+              f"gc write {gcs(swept)}, read {gcs(read_swept)}, check {gcs(check_swept)}")
 
     for text, pinned in NON_THEOREMS:
         goal = parse_formula(text, cs.constants)
-        best, search = best_time(args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
+        best, search, swept = best_time(args.repeat,
+                                        lambda: find_countermodel(goal, cs, max_domain=2))
         assert search.status == "found", (text, search.status)
         assert search.models_checked == pinned, (text, search.models_checked, pinned)
         print(f"countermodel for {text}: {best:.3f} s, "
-              f"{search.models_checked:,} models checked")
+              f"{search.models_checked:,} models checked; gc {gcs(swept)}")
 
 
 if __name__ == "__main__":

@@ -144,8 +144,9 @@ class _Agenda:
         # and the antecedents of asserted implications by consequent.
         self.subformulas: dict[Formula, None] = {}
         self.antecedents: dict[Formula, list[Formula]] = defaultdict(list)
-        self.fresh_params = 0
-        self.limit_hit: Optional[str] = None
+        # Fresh parameters introduced on the branch, and the first budget
+        # dimension that stopped a rule, kept in a dict for ``setitem``.
+        self.counts: dict[str, Any] = {"fresh_params": 0, "limit_hit": None}
         self.trail: list[tuple[Any, tuple]] = []  # (undo function, its arguments)
 
     # -- logged changes ----------------------------------------------------
@@ -172,15 +173,15 @@ class _Agenda:
             self.trail.append((d.pop, (key,)))
         d[key] = value
 
-    def assign(self, attr: str, value: Any) -> None:
-        self.trail.append((setattr, (self, attr, getattr(self, attr))))
-        setattr(self, attr, value)
+    def count_fresh(self) -> None:
+        """Count a fresh parameter introduced on the branch."""
+        self.setitem(self.counts, "fresh_params", self.counts["fresh_params"] + 1)
 
     def hit(self, dimension: str) -> None:
         """Record a budget dimension that stopped a rule; only the first
         one is reported."""
-        if self.limit_hit is None:
-            self.assign("limit_hit", dimension)
+        if self.counts["limit_hit"] is None:
+            self.setitem(self.counts, "limit_hit", dimension)
 
     def undo(self, mark: int) -> None:
         trail = self.trail
@@ -314,7 +315,7 @@ class _Search:
                     agenda.add(agenda.spent, (name, nid))
         if agenda.heads["delta"] != len(agenda.queues["delta"]):
             for nid, _, name, _ in agenda.pending("delta"):
-                if agenda.fresh_params >= self.budget.max_params:
+                if agenda.counts["fresh_params"] >= self.budget.max_params:
                     agenda.hit("max_params")
                     continue
                 rule = RuleApp(name, (nid,), param=self.fresh_param())
@@ -364,7 +365,7 @@ class _Search:
             agenda.add(used, p)
         if name == "Ctr" or nid in agenda.gamma_fresh_used:
             return None
-        if agenda.fresh_params >= self.budget.max_params:
+        if agenda.counts["fresh_params"] >= self.budget.max_params:
             agenda.hit("max_params")
             return None
         rule = RuleApp(name, (nid,), param=self.fresh_param())
@@ -435,8 +436,8 @@ class _Search:
                     return Exhausted("max_depth")
                 choice = self.select(agenda)
                 if choice is None:
-                    if agenda.limit_hit is not None:
-                        return Exhausted(agenda.limit_hit)
+                    if agenda.counts["limit_hit"] is not None:
+                        return Exhausted(agenda.counts["limit_hit"])
                     return Open(
                         tuple(agenda.branch.values()),
                         "branch saturated without closing; the goal may not be "
@@ -466,14 +467,14 @@ class _Search:
         if queue != "gamma":
             agenda.add(agenda.spent, (queue, nid))
             if queue == "delta":
-                agenda.assign("fresh_params", agenda.fresh_params + 1)
+                agenda.count_fresh()
             return
         if rule.name == "FDot":
             agenda.add(agenda.fdot_done[nid], rule.cut)
         else:
             assert rule.param is not None
             if rule.param.name not in agenda.param_order:
-                agenda.assign("fresh_params", agenda.fresh_params + 1)
+                agenda.count_fresh()
                 agenda.add(agenda.gamma_fresh_used, nid)
             agenda.add(agenda.gamma_used[nid], rule.param.name)
         agenda.setitem(agenda.gamma_uses, nid, agenda.gamma_uses.get(nid, 0) + 1)

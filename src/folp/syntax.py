@@ -15,17 +15,26 @@ atom facts, canonical form and negation.  Windows are sorted
 duplicate-free tuples, so structural equality of formulas is plain ``==``.
 
 Equal formulas may be one object, and the tableau's labels mostly are:
-the parser shares repeated subformulas within one text, and ``neg(f)``
-makes ``Neg(f)`` once per ``f``, in its ``_neg`` slot.  A dictionary
-lookup or ``==`` that meets the same object on both sides does not walk
-it.  No slot but a field is copied or pickled, so sharing never changes
-what a formula equals, hashes to or prints as.
+the parser shares repeated subformulas within one text, ``neg(f)``
+returns one ``Neg(f)`` while that negation is alive, and a renaming
+returns every part it leaves alone.  A dictionary lookup or ``==`` that
+meets the same object on both sides does not walk it.  No slot but a
+field is copied or pickled, so sharing never changes what a formula
+equals, hashes to or prints as.
+
+No value of this module is part of a reference cycle, so reference
+counting frees each one as soon as it is dropped.  The negation cache,
+``_neg``, is a weak reference, since the negation holds ``f`` as its
+body; a formula that is its own canonical form records that with a
+marker, not a reference to itself; and the renaming walk is made of
+methods, not of a closure that calls itself.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Optional
+from weakref import ref
 
 VAR = "var"
 PARAM = "param"
@@ -49,10 +58,10 @@ def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
     (see ``_repr``).  A copy or an unpickled instance is made by that
     ``__init__`` (see ``_reduce``), so it computes its own hash.
 
-    A term or formula, a class with a base, starts the base's other
-    slots (caches) as None and stores its hash in ``_hash``, read off
-    its children's, so hashing never recurses; nor does equality (see
-    ``_equal``).
+    A term or formula, a class with a base, starts the base's cache
+    slots (all but ``_hash`` and ``__weakref__``) as None and stores its
+    hash in ``_hash``, read off its children's, so hashing never
+    recurses; nor does equality (see ``_equal``).
 
     A record, a class without a base, compares the tuple of its fields
     with that of another of its class.  A ``frozen`` record refuses
@@ -69,7 +78,8 @@ def _node(name: str, bases: tuple, ns: dict, frozen: bool = False) -> type:
         read = "self." if post else ""
         key = [repr(name), *(f"{read}{field}._hash" if child else read + field
                              for field, child in fields)]
-        source += [*(f" self.{slot} = None" for slot in bases[0].__slots__ if slot != "_hash"),
+        caches = [slot for slot in bases[0].__slots__ if slot not in ("_hash", "__weakref__")]
+        source += [*(f" self.{slot} = None" for slot in caches),
                    *post, f" self._hash = hash(({', '.join(key)}))"]
         ns.update(__hash__=_cached_hash, __eq__=_equal)
     else:
@@ -270,9 +280,9 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 class Formula:
-    # The hash, the atom facts (see ``_facts``), the canonical form and
-    # the negation (see ``neg``).
-    __slots__ = ("_hash", "_facts", "_canon", "_neg")
+    # The hash, the atom facts (see ``_facts``), the canonical form (see
+    # ``canonical``) and a weak reference to the negation (see ``neg``).
+    __slots__ = ("_hash", "_facts", "_canon", "_neg", "__weakref__")
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -301,11 +311,15 @@ class Neg(Formula, metaclass=_node):
 
 
 def neg(f: Formula) -> Neg:
-    """``Neg(f)``, made on the first call for ``f`` and kept in its
-    ``_neg`` slot, so that every negation of ``f`` made here is one object."""
-    g = f._neg
+    """``Neg(f)``, one object for every call while it is alive.  ``f``'s
+    ``_neg`` slot holds a weak reference to it: the negation holds ``f``
+    as its body, so a strong one would make a cycle that only the cyclic
+    collector frees."""
+    r = f._neg
+    g = None if r is None else r()
     if g is None:
-        g = f._neg = Neg(f)
+        g = Neg(f)
+        f._neg = ref(g)
     return g
 
 
@@ -507,68 +521,89 @@ class _FirstSeen(dict):
         return b
 
 
-def _rebuild(
-    f: Formula,
-    kind: str,
-    swap: dict[str, Atom],
-    names: Optional[Iterator[Atom]] = None,
-    free: Optional[_FirstSeen] = None,
-) -> Formula:
-    """``f`` with each atom of ``kind`` that ``swap`` reaches replaced by
-    ``swap[name]``.  A window gates individual variables: only those in
-    ``X`` reach into ``A`` of ``t :_X A``.  Other atoms reach everywhere.
+class _Rebuild:
+    """The one renaming walk, behind substitution, canonical forms and
+    variable variants: ``walk(f, swap)`` is ``f`` with each atom of
+    ``kind`` that ``swap`` reaches replaced by ``swap[name]``.  A window
+    gates individual variables: only those in ``X`` reach into ``A`` of
+    ``t :_X A``.  Other atoms reach everywhere.
 
     With ``names`` None a binder keeps its name, hides its variable from
     ``swap`` and raises :class:`CaptureError` if ``swap`` puts that
     variable below it.  Otherwise binders, in preorder, take the next of
     ``names``, and ``gen`` binders follow.  ``free`` renames the variables
-    nothing else covers, wherever they are."""
-    i = _KIND_ORDER[kind]
+    nothing else covers, wherever they are.
 
-    def atom(a: Atom, m: dict[str, Atom]) -> Atom:
-        if a.kind != kind:
+    A subformula or subterm whose children, atoms and binders all come
+    out unchanged is returned itself, so the result shares every part
+    that the renaming leaves alone.  The walk is made of methods, not
+    closures: a nested function that calls itself is a reference cycle."""
+
+    __slots__ = ("kind", "index", "names", "free")
+
+    def __init__(self, kind: str, names: Optional[Iterator[Atom]] = None,
+                 free: Optional[_FirstSeen] = None):
+        self.kind, self.index, self.names, self.free = kind, _KIND_ORDER[kind], names, free
+
+    def atom(self, a: Atom, m: dict[str, Atom]) -> Atom:
+        if a.kind != self.kind:
             return a
-        return m.get(a.name) or (a if free is None else free[a.name])
+        return m.get(a.name) or (a if self.free is None else self.free[a.name])
 
-    def term(t: Term, m: dict[str, Atom]) -> Term:
+    def atoms(self, atoms: tuple[Atom, ...], m: dict[str, Atom]) -> tuple[Atom, ...]:
+        out = tuple([self.atom(a, m) for a in atoms])
+        return atoms if out == atoms else out
+
+    def term(self, t: Term, m: dict[str, Atom]) -> Term:
         cls = type(t)
         if cls is Sum or cls is App:
-            return cls(term(t.left, m), term(t.right, m))
+            left, right = self.term(t.left, m), self.term(t.right, m)
+            return t if left is t.left and right is t.right else cls(left, right)
         if cls is Bang:
-            return Bang(term(t.inner, m))
+            inner = self.term(t.inner, m)
+            return t if inner is t.inner else Bang(inner)
         if cls is Gen:
-            return Gen(atom(var(t.bound), m).name, term(t.inner, m))
+            bound, inner = self.atom(var(t.bound), m).name, self.term(t.inner, m)
+            return t if bound == t.bound and inner is t.inner else Gen(bound, inner)
         return t
 
-    def walk(g: Formula, m: dict[str, Atom]) -> Formula:
-        if names is None and m.keys().isdisjoint(_facts(g)[i]):
+    def walk(self, g: Formula, m: dict[str, Atom]) -> Formula:
+        names = self.names
+        if names is None and m.keys().isdisjoint(_facts(g)[self.index]):
             return g
         cls = type(g)
         if cls is Pred:
-            return Pred(g.name, tuple([atom(a, m) for a in g.args]))
+            args = self.atoms(g.args, m)
+            return g if args is g.args else Pred(g.name, args)
         if cls is Neg:
-            return Neg(walk(g.body, m))
+            body = self.walk(g.body, m)
+            return g if body is g.body else Neg(body)
         if cls is Impl:
-            return Impl(walk(g.left, m), walk(g.right, m))
+            left, right = self.walk(g.left, m), self.walk(g.right, m)
+            return g if left is g.left and right is g.right else Impl(left, right)
         if cls is Forall or cls is Exists:
+            bound = g.bound
             if names is not None:
                 new = next(names)
-                return cls(new.name, walk(g.body, {**m, g.bound: new}))
-            for x, b in m.items():
-                if b.name == g.bound and b.kind == VAR and x in _facts(g.body)[i]:
-                    raise CaptureError(f"{b} replacing {Atom(kind, x)} would be captured")
-            if kind == VAR and g.bound in m:
-                m = {x: b for x, b in m.items() if x != g.bound}
-            return cls(g.bound, walk(g.body, m))
+                bound, m = new.name, {**m, bound: new}
+            else:
+                for x, b in m.items():
+                    if b.name == bound and b.kind == VAR and x in _facts(g.body)[self.index]:
+                        raise CaptureError(f"{b} replacing {Atom(self.kind, x)} would be captured")
+                if self.kind == VAR and bound in m:
+                    m = {x: b for x, b in m.items() if x != bound}
+            body = self.walk(g.body, m)
+            return g if bound == g.bound and body is g.body else cls(bound, body)
         if cls is Assert:
-            t = g.term if names is None else term(g.term, m)
-            window = tuple([atom(a, m) for a in g.window])
-            if kind == VAR:
+            t = g.term if names is None else self.term(g.term, m)
+            window = self.atoms(g.window, m)
+            if self.kind == VAR:
                 m = {x: b for x, b in m.items() if x in free_vars(g)}
-            return Assert(t, window, walk(g.body, m))
+            body = self.walk(g.body, m)
+            if t is g.term and window is g.window and body is g.body:
+                return g
+            return Assert(t, window, body)
         raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, swap)
 
 
 def substitute(f: Formula, x: str, a: Atom) -> Formula:
@@ -578,7 +613,7 @@ def substitute(f: Formula, x: str, a: Atom) -> Formula:
     captured by a quantifier.  Occurrences in an assertion are touched
     only when ``x`` belongs to its window.
     """
-    return _rebuild(f, VAR, {x: a})
+    return _Rebuild(VAR).walk(f, {x: a})
 
 
 def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
@@ -589,19 +624,28 @@ def substitute_param(f: Formula, u: str, a: Atom) -> Formula:
     individual variable, placing it under a quantifier binding the same
     name raises :class:`CaptureError`.
     """
-    return _rebuild(f, PARAM, {u: a})
+    return _Rebuild(PARAM).walk(f, {u: a})
+
+
+# ``_canon`` of a formula that is its own canonical form.
+_ITSELF = object()
 
 
 def canonical(f: Formula) -> Formula:
     """Rename bound variables to a canonical sequence ``0, 1, ...`` by
     preorder position (de Bruijn's nameless dummies).  No parser produces
     such a name, so a bound variable never meets a free one of the same
-    name.  The result is cached on ``f`` and is its own canonical form."""
+    name.  The result shares every subformula the renaming leaves
+    unchanged, so a formula without binders is its own canonical form,
+    and every result is.  It is cached in ``f``'s ``_canon`` slot, as
+    ``_ITSELF`` when it is ``f``, so that no formula refers to itself."""
     g = f._canon
     if g is None:
-        g = f._canon = _rebuild(f, VAR, {}, map(var, map(str, count())))
-        g._canon = g
-    return g
+        g = _Rebuild(VAR, map(var, map(str, count()))).walk(f, {})
+        f._canon = _ITSELF if g is f else g
+        if g is not f:
+            g._canon = _ITSELF
+    return f if g is _ITSELF else g
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
@@ -616,6 +660,6 @@ def variable_variant(f: Formula, g: Formula) -> bool:
     occurrence, to ``_f0, _f1, ...``."""
 
     def renamed(h: Formula) -> Formula:
-        return _rebuild(h, VAR, {}, map(var, map(str, count())), _FirstSeen())
+        return _Rebuild(VAR, map(var, map(str, count())), _FirstSeen()).walk(h, {})
 
     return renamed(f) == renamed(g)

@@ -1,8 +1,10 @@
 """Core AST semantics: variables, substitution, canonical forms."""
 
 import copy
+import gc
 import importlib
 import pickle
+import weakref
 
 import pytest
 
@@ -145,6 +147,18 @@ class TestCanonical:
         c = canonical(g)
         assert canonical(g) is c and canonical(c) is c
         assert canonical(f("forall y. exists x. R(y, x)")) == c
+
+    def test_renaming_shares_what_it_leaves_alone(self):
+        # A formula without binders is its own canonical form.
+        g = f("p :[x] (q * !p) : Q(x) -> ~R(x, $a)")
+        assert canonical(g) is g and canonical(g) is g  # the second from the cache
+        h = f("(forall x. Q(x)) -> p :[y] (q * !p) : Q(y)")
+        c = canonical(h)
+        assert c.left == Forall("0", Pred("Q", (var("0"),))) and c.right is h.right
+        s = substitute(h, "y", elem("a"))
+        assert s.left is h.left and s.right.body.term is h.right.body.term
+        assert substitute(h, "z", elem("a")) is h
+        assert substitute_param(h, "u", var("v")) is h
 
 
 class TestEquality:
@@ -403,8 +417,9 @@ _FORMULA_FIELDS = [(cls, fields) for cls, fields in NODE_FIELDS if issubclass(cl
 
 
 class TestNeg:
-    """``neg(f)`` is one object per ``f``, and making it changes nothing
-    that ``f`` or its copies equal, hash to, print as or pickle to."""
+    """``neg(f)`` is one object per ``f`` while it is held, and making it
+    changes nothing that ``f`` or its copies equal, hash to, print as or
+    pickle to."""
 
     @pytest.mark.parametrize("cls, fields", _FORMULA_FIELDS,
                              ids=[cls.__name__ for cls, _ in _FORMULA_FIELDS])
@@ -412,10 +427,20 @@ class TestNeg:
         g = cls(**fields)
         assert g._neg is None
         n = neg(g)
-        assert neg(g) is n is g._neg and n.body is g
+        assert neg(g) is n and g._neg() is n and n.body is g
         assert n == Neg(g) and hash(n) == hash(Neg(g)) and type(n) is Neg
         assert neg(n) is neg(n) and neg(n).body is n
         assert neg(cls(**fields)) is not n and neg(cls(**fields)) == n
+        # The cache is weak, so reference counting frees both: no cycle.
+        gone = [weakref.ref(g), weakref.ref(n)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del g, n
+            assert [r() for r in gone] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("cls, fields", _FORMULA_FIELDS,
                              ids=[cls.__name__ for cls, _ in _FORMULA_FIELDS])
