@@ -18,6 +18,14 @@ call.  It computes each formula's canonical key once, interned so that
 equal keys are one object and a bucket hit stops at the identity test,
 together with the instances E6 demands of the formula.  Every candidate
 of a search, and its truth evaluation, reuses them.
+
+Countermodel search first reads a model off the prover's open branch, as
+the completeness proof does (Smullyan, *First-Order Logic*, 1968; the
+evidence as in Mkrtychev, "Models for the logic of proofs", 1997): the
+branch's parameters are the domain, its atoms the true rows, and its
+assertions seed the evidence, which the E1-E6 closure completes.  Only
+where that model is refused, or the search does not end ``Open``, does
+it enumerate small models blindly.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .syntax import (
     predicate_arities,
     subformulas,
     substitute,
+    substitute_param,
     subterms,
     universal_closure,
 )
@@ -331,6 +340,10 @@ class CountermodelSearch(metaclass=_node):
 
 _DOMAIN_NAMES = "abcdefgh"
 _POOL_CAP = 8
+# The prover's node budget on the branch path: at about 10 us per node
+# the default time limit never binds, so the outcome does not depend on
+# the host's speed.
+_BRANCH_NODES = 2_000
 
 
 def find_countermodel(
@@ -339,17 +352,16 @@ def find_countermodel(
     max_domain: int = 2,
     max_models: int = 200_000,
 ) -> CountermodelSearch:
-    """Enumerate small models looking for one that falsifies ``goal``.
+    """Look for a model of at most ``max_domain`` elements that falsifies
+    ``goal``: first the model of the open branch the prover stops on
+    (``_branch_model``), then by enumeration (``_enumerate``).
 
-    Evidence sets are drawn from the goal's assertion bodies (and CS
-    bodies), instantiated over the domain, assigned to every term and
-    closed under E1-E6 in one subterms-first pass, so every candidate is
-    admissible by construction.  Only a candidate that falsifies the goal
-    is passed to ``validate_model``, so a returned model is always valid.
-    Absence proves nothing; hitting ``max_models`` or a formula pool of
-    more than 8 formulas is reported as exhaustion, distinct from absence.
-    ``max_domain`` runs from 1 to 8 and ``max_models`` from 1; other
-    values raise ``ValueError``.
+    A returned model always validates and falsifies ``goal``.  Absence
+    proves nothing; hitting ``max_models`` or a formula pool of more than
+    8 formulas is reported as exhaustion, distinct from absence.
+    ``models_checked`` counts the enumerated models only, so it is 0 when
+    the branch path answers.  ``max_domain`` runs from 1 to 8 and
+    ``max_models`` from 1; other values raise ``ValueError``.
     """
     if not 1 <= max_domain <= len(_DOMAIN_NAMES):
         raise ValueError(f"max_domain must be between 1 and {len(_DOMAIN_NAMES)}")
@@ -357,7 +369,84 @@ def find_countermodel(
         raise ValueError("max_models must be at least 1")
     if free_vars(goal) or par_set(goal) or elem_set(goal):
         raise ModelError(f"countermodel goals must be sentences: {goal}")
+    model = _branch_model(goal, cs, max_domain)
+    if model is not None:
+        return CountermodelSearch(model, "found", 0)
+    return _enumerate(goal, cs, max_domain, max_models)
 
+
+def _closure_order(terms: Iterable[Term], cs: ConstantSpecification) -> list[Term]:
+    """``terms``, which holds the subterms of each of its terms, and each
+    constant with a concrete CS entry: smaller terms first, then by text."""
+    every = {*terms, *(TermConst(c) for c, _ in cs.concrete)}
+    return sorted(every, key=lambda t: (sum(1 for _ in subterms(t)), str(t)))
+
+
+def _branch_model(
+    goal: Formula, cs: ConstantSpecification, max_domain: int
+) -> Optional[MkrtychevModel]:
+    """The Mkrtychev model of the branch ``prove`` leaves open on
+    ``goal``, if the search ends ``Open`` within ``_BRANCH_NODES`` nodes,
+    and if the model validates and falsifies ``goal``; otherwise None.
+
+    Each parameter of the branch, in sorted order, is one element (one
+    element if there are none, None if there are more than
+    ``max_domain``).  Each atom on the branch is a true row, and each
+    ``t :[X] A`` on it puts ``A`` into ``evidence(t)``, which is then
+    closed under E1-E6 over every term of the goal, the branch and the
+    CS.  ``validate_model`` checks E1 for concrete CS entries only, so a
+    goal or branch that names a constant the CS covers by a scheme, or
+    any declared constant under a total CS, gets None; so does a
+    predicate that the goal, the branch and the CS use at two arities.
+    """
+    from .search import Open, SearchBudget, prove
+
+    outcome = prove(goal, cs, SearchBudget(max_nodes=_BRANCH_NODES))
+    if not isinstance(outcome, Open):
+        return None
+    params = sorted(frozenset().union(*map(par_set, outcome.branch)))
+    if len(params) > max_domain:
+        return None
+    named = {t for f in (goal, *outcome.branch) for t in formula_terms(f)}
+    covered = cs.constants if cs.total else {c for c, _ in cs.schematic}
+    if any(isinstance(t, TermConst) and t.name in covered for t in named):
+        return None
+    arities: dict[str, set[int]] = {}
+    for f in [goal, *outcome.branch, *(a for _, a in cs.concrete)]:
+        for q, used in predicate_arities(f).items():
+            arities.setdefault(q, set()).update(used)
+    if any(len(used) > 1 for used in arities.values()):
+        return None
+
+    domain = tuple(_DOMAIN_NAMES[: max(1, len(params))])
+    table = _Table(domain)
+    rows: dict[str, set[tuple[str, ...]]] = {q: set() for q in sorted(arities)}
+    ev: Evidence = {}
+    for f in outcome.branch:
+        for u, d in zip(params, domain):
+            f = substitute_param(f, u, elem(d))
+        if isinstance(f, Pred):
+            rows[f.name].add(tuple(a.name for a in f.args))
+        elif isinstance(f, Assert):
+            _add(ev.setdefault(f.term, {}), [f.body], table)
+    _close_evidence(ev, _closure_order(named, cs), table, cs)
+    model = MkrtychevModel(domain, {q: frozenset(r) for q, r in rows.items()}, ev)
+    if validate_model(model, cs) or satisfies(model, goal):
+        return None
+    return model
+
+
+def _enumerate(
+    goal: Formula, cs: ConstantSpecification, max_domain: int, max_models: int
+) -> CountermodelSearch:
+    """Enumerate small models looking for one that falsifies ``goal``.
+
+    Evidence sets are drawn from the goal's assertion bodies (and CS
+    bodies), instantiated over the domain, assigned to every term and
+    closed under E1-E6 in one subterms-first pass, so every candidate is
+    admissible by construction.  Only a candidate that falsifies the goal
+    is passed to ``validate_model``, so a returned model is always valid.
+    """
     arities: dict[str, int] = {}
     for q, used in predicate_arities(goal).items():
         arities[q] = min(used)
@@ -365,13 +454,8 @@ def find_countermodel(
         for q, used in predicate_arities(a).items():
             arities.setdefault(q, min(used))
 
-    terms: set[Term] = set(formula_terms(goal))
-    for c, _ in cs.concrete:
-        terms.add(TermConst(c))
-    for t in list(terms):
-        terms.update(subterms(t))
-    term_list = sorted(terms, key=str)
-    closure_order = sorted(term_list, key=lambda t: sum(1 for _ in subterms(t)))
+    closure_order = _closure_order(formula_terms(goal), cs)
+    term_list = sorted(closure_order, key=str)
 
     bodies = [f.body for f in subformulas(goal) if isinstance(f, Assert)]
     bodies += [a for _, a in cs.concrete]

@@ -262,6 +262,25 @@ _VALID_SHAPES = (
 )
 
 
+# The census signature: every sentence up to a size over ``Q0``, ``Q1``,
+# ``~``, ``->`` and ``t : A``, with ``t`` one of these terms.
+CENSUS_TERMS = (_P, _Q, Sum(_P, _Q), App(_P, _Q))
+
+
+def census_sentences(k: int) -> list[Formula]:
+    """Every sentence of size at most ``k`` over the census signature, by
+    size: an atom has size 1, and ``~A``, ``t : A`` and ``A -> B`` one
+    more than their parts together."""
+    by_size: dict[int, list[Formula]] = {1: [Pred("Q0", ()), Pred("Q1", ())]}
+    for n in range(2, k + 1):
+        smaller = by_size[n - 1]
+        by_size[n] = [Neg(f) for f in smaller]
+        by_size[n] += [Assert(t, (), f) for t in CENSUS_TERMS for f in smaller]
+        by_size[n] += [Impl(a, b) for i in range(1, n - 1)
+                       for a in by_size[i] for b in by_size[n - 1 - i]]
+    return [f for formulas in by_size.values() for f in formulas]
+
+
 def random_sentence(rng: random.Random) -> Formula:
     """A ``random_formula``, or one of a few valid shapes built of two,
     closed universally, so that most are provable; a draw that keeps a

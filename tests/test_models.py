@@ -1,5 +1,6 @@
 """Model validation (E1-E6), truth evaluation, and countermodel search."""
 
+import collections
 import hashlib
 import json
 
@@ -9,15 +10,20 @@ from folp import (
     ConstantSpecification,
     MkrtychevModel,
     ModelError,
+    Open,
     Proved,
+    SearchBudget,
+    Violation,
+    check_proof,
     find_countermodel,
+    models,
     parse_formula,
     prove,
     satisfies,
     validate_model,
 )
-from folp.fileio import parse_model, read_model_file, write_model
-from conftest import CORPUS_GOALS, DATA, NON_THEOREMS, model_paths
+from folp.fileio import parse_cs, parse_model, read_model_file, write_model
+from conftest import CORPUS_GOALS, DATA, NON_THEOREMS, census_sentences, model_paths
 
 
 def build(data, decls=("c",)):
@@ -239,17 +245,29 @@ class TestBoundNameClash:
         assert not satisfies(m, parse_formula("p : forall x. R(x, x)"))
 
 
+def enumerate_models(goal, cs, max_domain=2, max_models=200_000):
+    """The blind enumeration alone, without the branch path."""
+    return models._enumerate(goal, cs, max_domain, max_models)
+
+
 class TestCountermodels:
     @pytest.mark.parametrize(
         "text, checked", NON_THEOREMS, ids=[text for text, _ in NON_THEOREMS]
     )
     def test_falsified(self, text, checked, corpus_cs):
         goal = parse_formula(text, corpus_cs.constants)
-        result = find_countermodel(goal, corpus_cs, max_domain=2)
-        assert result.status == "found"
-        assert result.models_checked == checked
-        assert validate_model(result.model, corpus_cs) == []
-        assert not satisfies(result.model, goal)
+        enumerated = enumerate_models(goal, corpus_cs)
+        assert enumerated.models_checked == checked
+        for result in (find_countermodel(goal, corpus_cs, max_domain=2), enumerated):
+            assert result.status == "found"
+            assert validate_model(result.model, corpus_cs) == []
+            assert not satisfies(result.model, goal)
+
+    @pytest.mark.parametrize("text", [text for text, _ in NON_THEOREMS])
+    def test_read_off_the_branch(self, text, corpus_cs):
+        # Each non-theorem ends Open, and its branch is a countermodel.
+        result = find_countermodel(parse_formula(text, corpus_cs.constants), corpus_cs)
+        assert (result.status, result.models_checked) == ("found", 0)
 
     def test_deep_sum_closes_in_one_pass(self, corpus_cs):
         # z's evidence must climb 60 nested sums to reach the outer term;
@@ -258,10 +276,11 @@ class TestCountermodels:
         for _ in range(60):
             term = f"(q + {term})"
         goal = parse_formula(f"z : ~Q0 -> {term} : ~Q1", corpus_cs.constants)
-        result = find_countermodel(goal, corpus_cs, max_domain=1, max_models=40)
-        assert result.status == "found"
-        assert validate_model(result.model, corpus_cs) == []
-        assert not satisfies(result.model, goal)
+        for result in (find_countermodel(goal, corpus_cs, max_domain=1, max_models=40),
+                       enumerate_models(goal, corpus_cs, 1, 40)):
+            assert result.status == "found"
+            assert validate_model(result.model, corpus_cs) == []
+            assert not satisfies(result.model, goal)
 
     def test_theorem_has_no_small_countermodel(self, corpus_cs):
         goal = parse_formula("p : Q0 -> Q0", corpus_cs.constants)
@@ -283,25 +302,115 @@ class TestCountermodels:
             find_countermodel(parse_formula("Q0", corpus_cs.constants), corpus_cs, **limits)
 
 
-# Countermodel identity: one digest over every search's status, count
-# and model, recorded before the closure went through a per-search table.
-COUNTERMODEL_DIGEST = "5fb6d833dcdd895bcbc78886d5ea4159197b9290e6642099a0a8c9d2f440f275"
+class TestBranchRefusals:
+    """Each case where the branch path gives way to the enumeration.  No
+    goal is known whose branch model fails ``validate_model`` or
+    ``satisfies``, so the last two tests replace those checks with ones
+    that refuse it."""
+
+    def test_more_elements_than_max_domain(self, corpus_cs):
+        # The open branch has two parameters; no 1-element model is one.
+        goal = parse_formula("exists x. Q(x) -> forall x. Q(x)")
+        assert find_countermodel(goal, corpus_cs, max_domain=2).models_checked == 0
+        result = find_countermodel(goal, corpus_cs, max_domain=1)
+        assert (result.status, result.model) == ("absent", None)
+
+    @pytest.mark.parametrize("cs_text, text, answered", [
+        ("const c. c : forall x. A(x) -> A(x). total.", "Q0 -> c : Q0", False),
+        ("const d. d : scheme P1.", "d : Q0", False),
+        ("const c. c : forall x. A(x) -> A(x).", "Q0 -> c : Q0", True),
+    ], ids=["total", "schematic", "concrete"])
+    def test_constant_gate(self, cs_text, text, answered):
+        # E1 is checked for concrete entries only, so a constant that a
+        # scheme or ``total`` covers leaves the branch model unchecked.
+        cs = parse_cs(cs_text)
+        goal = parse_formula(text, cs.constants)
+        assert isinstance(prove(goal, cs), Open)
+        result = find_countermodel(goal, cs)
+        assert result.status == "found"
+        assert (result.models_checked == 0) == answered
+        assert validate_model(result.model, cs) == [] and not satisfies(result.model, goal)
+
+    def test_predicate_at_two_arities(self, corpus_cs):
+        # The goal's A has arity 0, the CS entry's arity 1: the branch
+        # model's evidence would fix A at 1, and the goal would then be
+        # outside its language.
+        goal = parse_formula("p : A", corpus_cs.constants)
+        result = find_countermodel(goal, corpus_cs)
+        assert (result.status, result.models_checked) == ("found", 1)
+
+    def test_model_that_does_not_validate(self, corpus_cs, monkeypatch):
+        branch_models = []
+
+        def reject_the_first(m, cs):
+            branch_models.append(m)
+            return [Violation("E1", "refused")] if len(branch_models) == 1 else validate_model(m, cs)
+
+        monkeypatch.setattr(models, "validate_model", reject_the_first)
+        result = find_countermodel(parse_formula("Q0 -> p : Q0"), corpus_cs)
+        assert (result.status, result.models_checked) == ("found", 65)
+        assert result.model is not branch_models[0]
+
+    def test_model_that_satisfies_the_goal(self, corpus_cs, monkeypatch):
+        monkeypatch.setattr(models, "satisfies", lambda m, f: True)
+        result = find_countermodel(parse_formula("Q0 -> p : Q0"), corpus_cs)
+        assert (result.status, result.models_checked) == ("found", 65)
 
 
-def test_countermodel_identity(corpus_cs):
+def test_size_4_census(corpus_cs):
+    """Every sentence of size at most 4 over the census signature is
+    decided: proved with a proof the checker accepts, or refuted by a
+    countermodel; and each one the prover leaves Open is refuted by its
+    branch.  The counts change only if the prover or the branch path does."""
+    ends = collections.Counter()
+    for goal in census_sentences(4):
+        result = find_countermodel(goal, corpus_cs, max_domain=1)
+        outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=models._BRANCH_NODES))
+        if isinstance(outcome, Proved):
+            assert check_proof(outcome.tree, corpus_cs, goal).accepted, goal
+            assert result.status != "found", goal
+            ends["proved"] += 1
+            continue
+        assert result.status == "found", goal
+        assert validate_model(result.model, corpus_cs) == [], goal
+        assert not satisfies(result.model, goal), goal
+        assert (result.models_checked == 0) == isinstance(outcome, Open), goal
+        ends["branch" if result.models_checked == 0 else "enumeration"] += 1
+    assert ends == {"proved": 10, "branch": 294, "enumeration": 72}
+
+
+# The countermodel searches of the two identity digests: the non-theorems
+# at ``max_domain=2``, then the corpus goals and ``p : Q0 -> Q0`` with
+# ``max_models=300``.
+SEARCHES = [(text, 200_000) for text, _ in NON_THEOREMS]
+SEARCHES += [(text, 300) for text in (*CORPUS_GOALS, "p : Q0 -> Q0")]
+
+
+def search_digest(search, cs) -> str:
     """The SHA-256 of one JSON line ``[goal, status, models_checked,
-    write_model(model)]`` per search: the non-theorems at
-    ``max_domain=2``, then the corpus goals and ``p : Q0 -> Q0`` with
-    ``max_models=300``."""
-    searches = [(text, {}) for text, _ in NON_THEOREMS]
-    searches += [(text, {"max_models": 300}) for text in (*CORPUS_GOALS, "p : Q0 -> Q0")]
+    write_model(model)]`` per search of ``SEARCHES``."""
     lines = []
-    for text, limits in searches:
-        goal = parse_formula(text, corpus_cs.constants)
-        result = find_countermodel(goal, corpus_cs, max_domain=2, **limits)
+    for text, max_models in SEARCHES:
+        result = search(parse_formula(text, cs.constants), cs, 2, max_models)
         model = None if result.model is None else write_model(result.model)
         lines.append(json.dumps(
             [text, result.status, result.models_checked, model], sort_keys=True
         ))
-    text = "\n".join(lines)
-    assert hashlib.sha256(text.encode()).hexdigest() == COUNTERMODEL_DIGEST
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Enumeration identity, recorded before the closure went through a
+# per-search table, and before the branch path came first.
+COUNTERMODEL_DIGEST = "5fb6d833dcdd895bcbc78886d5ea4159197b9290e6642099a0a8c9d2f440f275"
+# What ``find_countermodel`` answers: the branch path's models, with 0
+# models checked, for the five non-theorems, and the enumeration's for
+# the rest.
+FIND_COUNTERMODEL_DIGEST = "09f2ed40eea4431f59c4e1f84219cad2dfd57dd0efc261acedf7e8c98c40f59e"
+
+
+def test_countermodel_identity(corpus_cs):
+    assert search_digest(enumerate_models, corpus_cs) == COUNTERMODEL_DIGEST
+
+
+def test_find_countermodel_identity(corpus_cs):
+    assert search_digest(find_countermodel, corpus_cs) == FIND_COUNTERMODEL_DIGEST

@@ -6,7 +6,7 @@ import json
 
 from folp import parse_formula, prove
 from folp.fileio import write_proof_file
-from conftest import DATA, run_fresh
+from conftest import DATA, model_paths, run_fresh
 
 # Each exported name, by the module that defines it; the module names
 # are exported too.
@@ -122,3 +122,18 @@ def test_cli_loads_no_dataclasses(tmp_path):
     out = json.loads(done.stdout)
     assert out["codes"] == [0, 0, 0]
     assert out["import"] == out["commands"] == []
+
+
+def test_set_up_path_loads_no_prover():
+    # ``find_countermodel`` imports the prover when it runs, so reading a
+    # CS file and a model file compiles neither ``search`` nor ``tableau``.
+    model = model_paths()[0]
+    done = run_fresh(
+        "import sys\n"
+        "from folp.fileio import read_cs_file, read_model_file\n"
+        f"cs = read_cs_file({str(DATA / 'corpus.cs')!r})\n"
+        f"read_model_file({str(model)!r}, cs.constants)\n"
+        "print(sorted(m for m in ('folp.search', 'folp.tableau') if m in sys.modules))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
