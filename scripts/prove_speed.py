@@ -63,14 +63,9 @@ lookup table), the file's size, the best ``check_proof`` time of
 the proof read back, and how many times ``check_proof`` calls
 ``apply_rule`` on the proof read back and on the prover's own tree.
 Last, for each non-theorem of ``tests/data/non_theorems.txt``, it prints
-the best time of the countermodel enumeration alone
-(``models._enumerate``, ``max_domain=2``) and how many models it
-checked, and fails if a count differs from the one pinned there: the
-counts change only if the enumeration order does.  ``(p + q) : Q0 ->
-p : Q0`` enumerates the most, 4,098 models.  On the same line it prints
 the best time of ``find_countermodel`` (``max_domain=2``), which reads
-each of them off the prover's open branch, and its models checked,
-which must be 0.
+each countermodel off the prover's open branch, and fails unless it
+finds one after checking that branch's one model.
 
 Each line timed in this process ends with ``gc a/b/c`` (or one such
 triple per timed phase, named, where a line times several): how many
@@ -89,7 +84,7 @@ from 0.21 to 0.34 s across four runs on a shared 2-CPU VM.  A
 comparison needs both versions interleaved in one process, alternating
 item by item, as ``scripts/ab.py`` does.
 
-The goal families and the pinned model counts are those of
+The goal families and the non-theorems are those of
 ``tests/conftest.py`` (``chain``, ``cases``, ``qchain``, ``sum_family``,
 ``app`` and ``NON_THEOREMS``), which, like ``tests/test_golden.py``,
 needs pytest.  chain-n is ``P0 -> (P0 -> P1) -> ... -> (P{n-1} -> Pn)
@@ -332,7 +327,7 @@ def main() -> None:
     args = ap.parse_args()
     code_size(SRC)
     startup(SRC, args.repeat)  # puts ``SRC`` on ``sys.path``
-    from folp import checker, cli, models, search
+    from folp import checker, cli, search
     from folp import (
         Proved, SearchBudget, check_proof, find_countermodel, match_axiom, parse_formula,
         prove,
@@ -459,20 +454,13 @@ def main() -> None:
               f"{derived[0]:,} read back, {derived[1]:,} on the prover's tree; "
               f"gc write {gcs(swept)}, read {gcs(read_swept)}, check {gcs(check_swept)}")
 
-    for text, pinned in NON_THEOREMS:
+    for text in NON_THEOREMS:
         goal = parse_formula(text, cs.constants)
-        best, search, swept = best_time(args.repeat,
-                                        lambda: models._enumerate(goal, cs, 2, 200_000))
-        assert search.status == "found", (text, search.status)
-        assert search.models_checked == pinned, (text, search.models_checked, pinned)
-        branch, found, branch_swept = best_time(
+        best, found, swept = best_time(
             args.repeat, lambda: find_countermodel(goal, cs, max_domain=2))
-        assert (found.status, found.models_checked) == ("found", 0), (text, found)
-        print(f"countermodel for {text}: {best:.3f} s, "
-              f"{search.models_checked:,} models checked by the enumeration alone; "
-              f"find_countermodel {branch * 1e3:.2f} ms, {found.models_checked} checked; "
-              f"gc enumeration {gcs(swept)}, find_countermodel {gcs(branch_swept)}")
-
+        assert (found.status, found.models_checked) == ("found", 1), (text, found)
+        print(f"countermodel for {text}: find_countermodel {best * 1e3:.2f} ms, "
+              f"{found.models_checked} model checked; gc {gcs(swept)}")
 
 if __name__ == "__main__":
     main()

@@ -1,5 +1,5 @@
 """Finite Mkrtychev models: admissible-evidence validation, truth
-evaluation, and bounded countermodel search.
+evaluation, and countermodel search.
 
 A model is a finite domain, a predicate interpretation, and a finitely
 presented evidence function.  Evidence is stored once, as ``Evidence``:
@@ -12,20 +12,17 @@ require in the evidence of one term.  ``validate_model`` reports the
 demands the presented fragment does not meet; countermodel search and
 the evidence of unlisted terms close under the same demands.
 
-The closure reads through a ``_Table``, one per domain size of a
-countermodel search and one per ``validate_model`` or ``satisfies``
-call.  It computes each formula's canonical key once, interned so that
-equal keys are one object and a bucket hit stops at the identity test,
-together with the instances E6 demands of the formula.  Every candidate
-of a search, and its truth evaluation, reuses them.
+The closure reads through a ``_Table``, one per model a countermodel
+search builds and one per ``validate_model`` or ``satisfies`` call.  It
+computes each formula's canonical key once, interned so that equal keys
+are one object and a bucket hit stops at the identity test, together
+with the instances E6 demands of the formula.
 
-Countermodel search first reads a model off the prover's open branch, as
-the completeness proof does (Smullyan, *First-Order Logic*, 1968; the
-evidence as in Mkrtychev, "Models for the logic of proofs", 1997): the
-branch's parameters are the domain, its atoms the true rows, and its
-assertions seed the evidence, which the E1-E6 closure completes.  Only
-where that model is refused, or the search does not end ``Open``, does
-it enumerate small models blindly.
+Countermodel search reads a model off the branch the prover stops on,
+as the completeness proof does (Smullyan, *First-Order Logic*, 1968;
+the evidence as in Mkrtychev, "Models for the logic of proofs", 1997):
+the branch's parameters are the domain, its atoms the true rows, and
+its assertions seed the evidence, which the E1-E6 closure completes.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from .syntax import (
     mkwindow,
     par_set,
     predicate_arities,
-    subformulas,
     substitute,
     substitute_param,
     subterms,
@@ -329,7 +325,7 @@ def _eval(m: MkrtychevModel, f: Formula, table: _Table) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bounded countermodel search
+# Countermodel search
 
 
 class CountermodelSearch(metaclass=_node):
@@ -339,168 +335,94 @@ class CountermodelSearch(metaclass=_node):
 
 
 _DOMAIN_NAMES = "abcdefgh"
-_POOL_CAP = 8
-# The prover's node budget on the branch path: at about 10 us per node
-# the default time limit never binds, so the outcome does not depend on
-# the host's speed.
+# The prover's node budget: at about 10 us per node the default time
+# limit never binds, so the outcome does not depend on the host's speed.
 _BRANCH_NODES = 2_000
 
 
 def find_countermodel(
-    goal: Formula,
-    cs: ConstantSpecification,
-    max_domain: int = 2,
-    max_models: int = 200_000,
+    goal: Formula, cs: ConstantSpecification, max_domain: int = 2
 ) -> CountermodelSearch:
     """Look for a model of at most ``max_domain`` elements that falsifies
-    ``goal``: first the model of the open branch the prover stops on
-    (``_branch_model``), then by enumeration (``_enumerate``).
+    ``goal``: the Mkrtychev model of the branch ``prove`` stops on, as
+    the completeness proof reads one off an open branch.
 
-    A returned model always validates and falsifies ``goal``.  Absence
-    proves nothing; hitting ``max_models`` or a formula pool of more than
-    8 formulas is reported as exhaustion, distinct from absence.
-    ``models_checked`` counts the enumerated models only, so it is 0 when
-    the branch path answers.  ``max_domain`` runs from 1 to 8 and
-    ``max_models`` from 1; other values raise ``ValueError``.
+    ``prove`` runs under ``_BRANCH_NODES`` nodes.  ``Proved`` gives
+    ``absent``: by soundness, no model falsifies ``goal``.  On ``Open``
+    or ``Exhausted``, each parameter of the branch is an element (one
+    element if there are none): one each, in sorted order, if there are
+    at most ``max_domain``, and otherwise each way of merging them into
+    at most ``max_domain`` elements, in turn (``_merges``).  Each atom
+    on the branch is a true row, and each ``t :[X] A`` on it puts ``A``
+    into ``evidence(t)``, which is then closed under E1-E6 over every
+    term of the goal, the branch and the CS.  The first model that
+    validates and falsifies ``goal`` is ``found``; ``models_checked``
+    counts the models built.
+
+    Anything else is ``exhausted``.  ``validate_model`` checks E1 for
+    concrete CS entries only, so a goal or branch that names a constant
+    the CS covers by a scheme, or any declared constant under a total
+    CS, gets no model; nor does a predicate that the goal, the branch
+    and the CS use at two arities.  ``max_domain`` runs from 1 to 8;
+    other values raise ``ValueError``.
     """
     if not 1 <= max_domain <= len(_DOMAIN_NAMES):
         raise ValueError(f"max_domain must be between 1 and {len(_DOMAIN_NAMES)}")
-    if max_models < 1:
-        raise ValueError("max_models must be at least 1")
     if free_vars(goal) or par_set(goal) or elem_set(goal):
         raise ModelError(f"countermodel goals must be sentences: {goal}")
-    model = _branch_model(goal, cs, max_domain)
-    if model is not None:
-        return CountermodelSearch(model, "found", 0)
-    return _enumerate(goal, cs, max_domain, max_models)
-
-
-def _closure_order(terms: Iterable[Term], cs: ConstantSpecification) -> list[Term]:
-    """``terms``, which holds the subterms of each of its terms, and each
-    constant with a concrete CS entry: smaller terms first, then by text."""
-    every = {*terms, *(TermConst(c) for c, _ in cs.concrete)}
-    return sorted(every, key=lambda t: (sum(1 for _ in subterms(t)), str(t)))
-
-
-def _branch_model(
-    goal: Formula, cs: ConstantSpecification, max_domain: int
-) -> Optional[MkrtychevModel]:
-    """The Mkrtychev model of the branch ``prove`` leaves open on
-    ``goal``, if the search ends ``Open`` within ``_BRANCH_NODES`` nodes,
-    and if the model validates and falsifies ``goal``; otherwise None.
-
-    Each parameter of the branch, in sorted order, is one element (one
-    element if there are none, None if there are more than
-    ``max_domain``).  Each atom on the branch is a true row, and each
-    ``t :[X] A`` on it puts ``A`` into ``evidence(t)``, which is then
-    closed under E1-E6 over every term of the goal, the branch and the
-    CS.  ``validate_model`` checks E1 for concrete CS entries only, so a
-    goal or branch that names a constant the CS covers by a scheme, or
-    any declared constant under a total CS, gets None; so does a
-    predicate that the goal, the branch and the CS use at two arities.
-    """
-    from .search import Open, SearchBudget, prove
+    from .search import Proved, SearchBudget, prove
 
     outcome = prove(goal, cs, SearchBudget(max_nodes=_BRANCH_NODES))
-    if not isinstance(outcome, Open):
-        return None
-    params = sorted(frozenset().union(*map(par_set, outcome.branch)))
-    if len(params) > max_domain:
-        return None
+    if isinstance(outcome, Proved):
+        return CountermodelSearch(None, "absent", 0)
     named = {t for f in (goal, *outcome.branch) for t in formula_terms(f)}
     covered = cs.constants if cs.total else {c for c, _ in cs.schematic}
     if any(isinstance(t, TermConst) and t.name in covered for t in named):
-        return None
+        return CountermodelSearch(None, "exhausted", 0)
     arities: dict[str, set[int]] = {}
     for f in [goal, *outcome.branch, *(a for _, a in cs.concrete)]:
         for q, used in predicate_arities(f).items():
             arities.setdefault(q, set()).update(used)
     if any(len(used) > 1 for used in arities.values()):
-        return None
+        return CountermodelSearch(None, "exhausted", 0)
 
-    domain = tuple(_DOMAIN_NAMES[: max(1, len(params))])
-    table = _Table(domain)
-    rows: dict[str, set[tuple[str, ...]]] = {q: set() for q in sorted(arities)}
-    ev: Evidence = {}
-    for f in outcome.branch:
-        for u, d in zip(params, domain):
-            f = substitute_param(f, u, elem(d))
-        if isinstance(f, Pred):
-            rows[f.name].add(tuple(a.name for a in f.args))
-        elif isinstance(f, Assert):
-            _add(ev.setdefault(f.term, {}), [f.body], table)
-    _close_evidence(ev, _closure_order(named, cs), table, cs)
-    model = MkrtychevModel(domain, {q: frozenset(r) for q, r in rows.items()}, ev)
-    if validate_model(model, cs) or satisfies(model, goal):
-        return None
-    return model
-
-
-def _enumerate(
-    goal: Formula, cs: ConstantSpecification, max_domain: int, max_models: int
-) -> CountermodelSearch:
-    """Enumerate small models looking for one that falsifies ``goal``.
-
-    Evidence sets are drawn from the goal's assertion bodies (and CS
-    bodies), instantiated over the domain, assigned to every term and
-    closed under E1-E6 in one subterms-first pass, so every candidate is
-    admissible by construction.  Only a candidate that falsifies the goal
-    is passed to ``validate_model``, so a returned model is always valid.
-    """
-    arities: dict[str, int] = {}
-    for q, used in predicate_arities(goal).items():
-        arities[q] = min(used)
-    for _, a in cs.concrete:
-        for q, used in predicate_arities(a).items():
-            arities.setdefault(q, min(used))
-
-    closure_order = _closure_order(formula_terms(goal), cs)
-    term_list = sorted(closure_order, key=str)
-
-    bodies = [f.body for f in subformulas(goal) if isinstance(f, Assert)]
-    bodies += [a for _, a in cs.concrete]
-
+    # Every named term and each constant with a concrete CS entry,
+    # smaller terms first, then by text.
+    order = sorted(
+        {*named, *(TermConst(c) for c, _ in cs.concrete)},
+        key=lambda t: (sum(1 for _ in subterms(t)), str(t)),
+    )
+    params = sorted(frozenset().union(*map(par_set, outcome.branch)))
     checked = 0
-    for n in range(1, max_domain + 1):
-        domain = tuple(_DOMAIN_NAMES[:n])
+    for blocks in _merges(len(params), max_domain):
+        domain = tuple(_DOMAIN_NAMES[: max(blocks, default=0) + 1])
         table = _Table(domain)
-        pool: dict[Formula, Formula] = {}
-        _add(pool, bodies, table)
-        if len(pool) > _POOL_CAP:
-            return CountermodelSearch(None, "exhausted", checked)
-        # (canonical form, formula) pairs, so a subset is a bucket.
-        pairs = sorted(pool.items(), key=lambda kv: str(kv[1]))
-
-        pred_tuples = {
-            q: list(itertools.product(domain, repeat=k)) for q, k in arities.items()
-        }
-        pred_names = sorted(arities)
-        interp_choices = [
-            list(_subsets(pred_tuples[q])) for q in pred_names
-        ]
-        # Subsets are assigned to every term, compound terms included:
-        # some countermodels need evidence on a compound term that the
-        # minimal closure of its parts would not provide.
-        ev_choices = list(_subsets(pairs))
-
-        for interp_rows in itertools.product(*interp_choices):
-            interp = {
-                q: frozenset(rows) for q, rows in zip(pred_names, interp_rows)
-            }
-            for assignment in itertools.product(ev_choices, repeat=len(term_list)):
-                checked += 1
-                if checked > max_models:
-                    return CountermodelSearch(None, "exhausted", checked)
-                ev: Evidence = {
-                    t: dict(subset) for t, subset in zip(term_list, assignment)
-                }
-                _close_evidence(ev, closure_order, table, cs)
-                model = MkrtychevModel(domain, interp, ev)
-                if not _eval(model, goal, table) and not validate_model(model, cs):
-                    return CountermodelSearch(model, "found", checked)
-    return CountermodelSearch(None, "absent", checked)
+        rows: dict[str, set[tuple[str, ...]]] = {q: set() for q in sorted(arities)}
+        ev: Evidence = {}
+        for f in outcome.branch:
+            for u, b in zip(params, blocks):
+                f = substitute_param(f, u, elem(domain[b]))
+            if isinstance(f, Pred):
+                rows[f.name].add(tuple(a.name for a in f.args))
+            elif isinstance(f, Assert):
+                _add(ev.setdefault(f.term, {}), [f.body], table)
+        _close_evidence(ev, order, table, cs)
+        model = MkrtychevModel(domain, {q: frozenset(r) for q, r in rows.items()}, ev)
+        checked += 1
+        if not validate_model(model, cs) and not satisfies(model, goal):
+            return CountermodelSearch(model, "found", checked)
+    return CountermodelSearch(None, "exhausted", checked)
 
 
-def _subsets(items: list) -> Iterable[tuple]:
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
+def _merges(n: int, k: int) -> list[tuple[int, ...]]:
+    """The element each of ``n`` parameters becomes in each model tried:
+    one each if ``n`` is at most ``k``; otherwise every way of merging
+    them into at most ``k`` elements, as restricted-growth strings in
+    lexicographic order (at most ``2 ** (n - 1)`` for ``k = 2``)."""
+    if n <= k:
+        return [tuple(range(n))]
+    strings: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        # Each next element is one already used or the first unused one.
+        strings = [s + (b,) for s in strings for b in range(min(max(s, default=-1) + 2, k))]
+    return strings

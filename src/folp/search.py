@@ -96,6 +96,7 @@ class Open(metaclass=_node, frozen=True):
 
 class Exhausted(metaclass=_node, frozen=True):
     dimension: str
+    branch: tuple[Formula, ...]
 
 
 SearchOutcome = Union[Proved, Open, Exhausted]
@@ -412,7 +413,8 @@ class _Search:
         """Grow the tableau below ``root`` until every branch closes, and
         return None; or return how the search stopped: ``Open`` with the
         first branch that saturates open, or ``Exhausted`` with the budget
-        dimension that ran out.  No other place makes either outcome.
+        dimension that ran out and the branch it stopped on.  No other
+        place makes either outcome.
 
         Branches grow depth first, children in order, off a stack of
         ``(node, branch point)`` pairs: the agenda is unwound to the branch
@@ -431,15 +433,16 @@ class _Search:
             leaf.closure = self._note_and_close(agenda, leaf)
             while leaf.closure is None:
                 if time.monotonic() > self.deadline:
-                    return Exhausted("time_limit")
+                    return Exhausted("time_limit", tuple(agenda.branch.values()))
                 if len(agenda.branch) > budget.max_depth:
-                    return Exhausted("max_depth")
+                    return Exhausted("max_depth", tuple(agenda.branch.values()))
                 choice = self.select(agenda)
                 if choice is None:
+                    branch = tuple(agenda.branch.values())
                     if agenda.counts["limit_hit"] is not None:
-                        return Exhausted(agenda.counts["limit_hit"])
+                        return Exhausted(agenda.counts["limit_hit"], branch)
                     return Open(
-                        tuple(agenda.branch.values()),
+                        branch,
                         "branch saturated without closing; the goal may not be "
                         "provable with the current strategy",
                     )
@@ -447,14 +450,14 @@ class _Search:
                 self._mark_applied(agenda, rule)
                 if len(extensions) > 1:
                     if self.nodes_created + len(extensions) > budget.max_nodes:
-                        return Exhausted("max_nodes")
+                        return Exhausted("max_nodes", tuple(agenda.branch.values()))
                     children = [self.make_node(ext[0], rule) for ext in extensions]
                     branch_point = len(agenda.trail)
                     stack.extend((child, branch_point) for child in reversed(children))
                     break
                 for f in extensions[0]:
                     if self.nodes_created >= budget.max_nodes:
-                        return Exhausted("max_nodes")
+                        return Exhausted("max_nodes", tuple(agenda.branch.values()))
                     leaf = self.make_node(f, rule)
                     leaf.closure = self._note_and_close(agenda, leaf)
                     if leaf.closure is not None:
@@ -505,7 +508,7 @@ def prove(
 
     ``proved`` outcomes carry a tree whose root is the negated goal and
     in which every branch closes; ``open`` and ``exhausted`` are
-    non-verdicts.
+    non-verdicts, each with the branch the search stopped on.
     """
     if free_vars(goal) or par_set(goal) or elem_set(goal):
         raise ValueError(f"goal must be a sentence: {goal}")

@@ -17,6 +17,7 @@ from folp import (
     check_proof,
     find_countermodel,
     models,
+    par_set,
     parse_formula,
     prove,
     satisfies,
@@ -245,29 +246,33 @@ class TestBoundNameClash:
         assert not satisfies(m, parse_formula("p : forall x. R(x, x)"))
 
 
-def enumerate_models(goal, cs, max_domain=2, max_models=200_000):
-    """The blind enumeration alone, without the branch path."""
-    return models._enumerate(goal, cs, max_domain, max_models)
-
-
 class TestCountermodels:
-    @pytest.mark.parametrize(
-        "text, checked", NON_THEOREMS, ids=[text for text, _ in NON_THEOREMS]
-    )
-    def test_falsified(self, text, checked, corpus_cs):
+    @pytest.mark.parametrize("text", NON_THEOREMS)
+    def test_falsified(self, text, corpus_cs):
         goal = parse_formula(text, corpus_cs.constants)
-        enumerated = enumerate_models(goal, corpus_cs)
-        assert enumerated.models_checked == checked
-        for result in (find_countermodel(goal, corpus_cs, max_domain=2), enumerated):
-            assert result.status == "found"
-            assert validate_model(result.model, corpus_cs) == []
-            assert not satisfies(result.model, goal)
+        result = find_countermodel(goal, corpus_cs, max_domain=2)
+        assert result.status == "found"
+        assert validate_model(result.model, corpus_cs) == []
+        assert not satisfies(result.model, goal)
 
-    @pytest.mark.parametrize("text", [text for text, _ in NON_THEOREMS])
+    @pytest.mark.parametrize("text", NON_THEOREMS)
     def test_read_off_the_branch(self, text, corpus_cs):
-        # Each non-theorem ends Open, and its branch is a countermodel.
-        result = find_countermodel(parse_formula(text, corpus_cs.constants), corpus_cs)
-        assert (result.status, result.models_checked) == ("found", 0)
+        # Each non-theorem ends Open, and its branch's one model is a countermodel.
+        goal = parse_formula(text, corpus_cs.constants)
+        assert isinstance(prove(goal, corpus_cs), Open)
+        result = find_countermodel(goal, corpus_cs)
+        assert (result.status, result.models_checked) == ("found", 1)
+
+    def test_read_off_a_stopped_branch(self, corpus_cs):
+        # The search runs out of cut candidates; the branch it stops on
+        # is a countermodel all the same.
+        goal = parse_formula("p * q : Q0", corpus_cs.constants)
+        outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=models._BRANCH_NODES))
+        assert outcome.dimension == "max_cut_candidates"
+        result = find_countermodel(goal, corpus_cs, max_domain=1)
+        assert (result.status, result.models_checked) == ("found", 1)
+        assert validate_model(result.model, corpus_cs) == []
+        assert not satisfies(result.model, goal)
 
     def test_deep_sum_closes_in_one_pass(self, corpus_cs):
         # z's evidence must climb 60 nested sums to reach the outer term;
@@ -276,44 +281,85 @@ class TestCountermodels:
         for _ in range(60):
             term = f"(q + {term})"
         goal = parse_formula(f"z : ~Q0 -> {term} : ~Q1", corpus_cs.constants)
-        for result in (find_countermodel(goal, corpus_cs, max_domain=1, max_models=40),
-                       enumerate_models(goal, corpus_cs, 1, 40)):
-            assert result.status == "found"
-            assert validate_model(result.model, corpus_cs) == []
-            assert not satisfies(result.model, goal)
+        result = find_countermodel(goal, corpus_cs, max_domain=1)
+        assert result.status == "found"
+        assert validate_model(result.model, corpus_cs) == []
+        assert not satisfies(result.model, goal)
 
     def test_theorem_has_no_small_countermodel(self, corpus_cs):
+        # By soundness, no model falsifies a proved goal.
         goal = parse_formula("p : Q0 -> Q0", corpus_cs.constants)
         result = find_countermodel(goal, corpus_cs, max_domain=1)
-        assert result.status in ("absent", "exhausted")
-        assert result.model is None
+        assert (result.status, result.model, result.models_checked) == ("absent", None, 0)
 
     def test_open_goal_rejected(self, corpus_cs):
         with pytest.raises(ModelError):
             find_countermodel(parse_formula("Q(x)"), corpus_cs)
 
-    @pytest.mark.parametrize("limits", [
-        {"max_domain": 0}, {"max_domain": 9}, {"max_models": 0}, {"max_models": -1},
-    ])
+    @pytest.mark.parametrize("text", ["c : (Q0 -> Q1 -> Q0)", "p : Q0 -> ((c * p) * p) : Q0"])
+    def test_proved_goal_naming_c_is_not_refuted(self, text, corpus_cs):
+        # Both are theorems under the total corpus CS, but a model that
+        # names ``c`` validates whether or not ``c`` has the axiom
+        # instances the CS gives it: ``validate_model`` checks E1 for
+        # concrete CS entries only.
+        goal = parse_formula(text, corpus_cs.constants)
+        assert find_countermodel(goal, corpus_cs).status != "found"
+
+    @pytest.mark.parametrize("limits", [{"max_domain": 0}, {"max_domain": 9}])
     def test_limits_out_of_range_rejected(self, limits, corpus_cs):
-        # Nothing is capped silently: 0 elements would check no model and
-        # report absence, and 9 would re-enumerate the 8-element domain.
+        # Nothing is capped silently: 0 elements admit no model, and
+        # only 8 elements have names.
         with pytest.raises(ValueError):
             find_countermodel(parse_formula("Q0", corpus_cs.constants), corpus_cs, **limits)
 
 
 class TestBranchRefusals:
-    """Each case where the branch path gives way to the enumeration.  No
-    goal is known whose branch model fails ``validate_model`` or
-    ``satisfies``, so the last two tests replace those checks with ones
-    that refuse it."""
+    """Each case where the branch gives no countermodel, and the merges
+    tried when it has more parameters than ``max_domain``.  No goal is
+    known whose branch model, one element per parameter, fails
+    ``validate_model`` or ``satisfies``, so the last two tests replace
+    those checks with ones that refuse it."""
 
     def test_more_elements_than_max_domain(self, corpus_cs):
-        # The open branch has two parameters; no 1-element model is one.
+        # The open branch has two parameters; merged into one element,
+        # they give no countermodel.
         goal = parse_formula("exists x. Q(x) -> forall x. Q(x)")
-        assert find_countermodel(goal, corpus_cs, max_domain=2).models_checked == 0
+        assert find_countermodel(goal, corpus_cs, max_domain=2).models_checked == 1
         result = find_countermodel(goal, corpus_cs, max_domain=1)
-        assert (result.status, result.model) == ("absent", None)
+        assert (result.status, result.model, result.models_checked) == ("exhausted", None, 1)
+
+    def test_merged_parameters(self, corpus_cs):
+        # The branch has three parameters; a merge of two of them is a
+        # 2-element countermodel.
+        goal = parse_formula(
+            "forall x. forall y. forall z. ((R(y) -> Q1) -> R(z) -> R(x))", corpus_cs.constants
+        )
+        outcome = prove(goal, corpus_cs)
+        assert isinstance(outcome, Open)
+        assert len(frozenset().union(*map(par_set, outcome.branch))) == 3
+        # The first merge, all three in one element, is refused; the
+        # second, (0, 0, 1), is a countermodel.
+        result = find_countermodel(goal, corpus_cs, max_domain=2)
+        assert (result.status, result.models_checked) == ("found", 2)
+        assert len(result.model.domain) == 2
+        assert validate_model(result.model, corpus_cs) == []
+        assert not satisfies(result.model, goal)
+
+    @pytest.mark.parametrize("n, k, merges", [
+        (0, 1, [()]),
+        (2, 2, [(0, 1)]),
+        (3, 1, [(0, 0, 0)]),
+        (3, 2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]),
+        (4, 3, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 2),
+                (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 0), (0, 1, 1, 1),
+                (0, 1, 1, 2), (0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 2, 2)]),
+    ])
+    def test_merges(self, n, k, merges):
+        assert models._merges(n, k) == merges
+
+    def test_merges_of_eight_parameters(self):
+        assert len(models._merges(8, 2)) == 128
+        assert len(models._merges(8, 7)) == 4139  # Bell(8) - 1: all but one each
 
     @pytest.mark.parametrize("cs_text, text, answered", [
         ("const c. c : forall x. A(x) -> A(x). total.", "Q0 -> c : Q0", False),
@@ -327,71 +373,63 @@ class TestBranchRefusals:
         goal = parse_formula(text, cs.constants)
         assert isinstance(prove(goal, cs), Open)
         result = find_countermodel(goal, cs)
-        assert result.status == "found"
-        assert (result.models_checked == 0) == answered
-        assert validate_model(result.model, cs) == [] and not satisfies(result.model, goal)
+        if answered:
+            assert (result.status, result.models_checked) == ("found", 1)
+            assert validate_model(result.model, cs) == [] and not satisfies(result.model, goal)
+        else:
+            assert (result.status, result.model, result.models_checked) == ("exhausted", None, 0)
 
     def test_predicate_at_two_arities(self, corpus_cs):
         # The goal's A has arity 0, the CS entry's arity 1: the branch
         # model's evidence would fix A at 1, and the goal would then be
-        # outside its language.
+        # outside its language, so that ``satisfies`` raises on it.
         goal = parse_formula("p : A", corpus_cs.constants)
         result = find_countermodel(goal, corpus_cs)
-        assert (result.status, result.models_checked) == ("found", 1)
+        assert (result.status, result.model, result.models_checked) == ("exhausted", None, 0)
 
     def test_model_that_does_not_validate(self, corpus_cs, monkeypatch):
-        branch_models = []
-
-        def reject_the_first(m, cs):
-            branch_models.append(m)
-            return [Violation("E1", "refused")] if len(branch_models) == 1 else validate_model(m, cs)
-
-        monkeypatch.setattr(models, "validate_model", reject_the_first)
+        monkeypatch.setattr(models, "validate_model", lambda m, cs: [Violation("E1", "refused")])
         result = find_countermodel(parse_formula("Q0 -> p : Q0"), corpus_cs)
-        assert (result.status, result.models_checked) == ("found", 65)
-        assert result.model is not branch_models[0]
+        assert (result.status, result.model, result.models_checked) == ("exhausted", None, 1)
 
     def test_model_that_satisfies_the_goal(self, corpus_cs, monkeypatch):
         monkeypatch.setattr(models, "satisfies", lambda m, f: True)
         result = find_countermodel(parse_formula("Q0 -> p : Q0"), corpus_cs)
-        assert (result.status, result.models_checked) == ("found", 65)
+        assert (result.status, result.model, result.models_checked) == ("exhausted", None, 1)
 
 
 def test_size_4_census(corpus_cs):
     """Every sentence of size at most 4 over the census signature is
-    decided: proved with a proof the checker accepts, or refuted by a
-    countermodel; and each one the prover leaves Open is refuted by its
-    branch.  The counts change only if the prover or the branch path does."""
+    decided: proved with a proof the checker accepts, or refuted by the
+    model of the branch the prover stops on.  ``scripts/census.py`` runs
+    the same check at larger sizes.  The counts change only if the
+    prover or the branch path does."""
     ends = collections.Counter()
     for goal in census_sentences(4):
         result = find_countermodel(goal, corpus_cs, max_domain=1)
-        outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=models._BRANCH_NODES))
-        if isinstance(outcome, Proved):
+        if result.status == "absent":
+            outcome = prove(goal, corpus_cs, SearchBudget(max_nodes=models._BRANCH_NODES))
             assert check_proof(outcome.tree, corpus_cs, goal).accepted, goal
-            assert result.status != "found", goal
             ends["proved"] += 1
             continue
         assert result.status == "found", goal
         assert validate_model(result.model, corpus_cs) == [], goal
         assert not satisfies(result.model, goal), goal
-        assert (result.models_checked == 0) == isinstance(outcome, Open), goal
-        ends["branch" if result.models_checked == 0 else "enumeration"] += 1
-    assert ends == {"proved": 10, "branch": 294, "enumeration": 72}
+        ends["branch"] += 1
+    assert ends == {"proved": 10, "branch": 366}
 
 
-# The countermodel searches of the two identity digests: the non-theorems
-# at ``max_domain=2``, then the corpus goals and ``p : Q0 -> Q0`` with
-# ``max_models=300``.
-SEARCHES = [(text, 200_000) for text, _ in NON_THEOREMS]
-SEARCHES += [(text, 300) for text in (*CORPUS_GOALS, "p : Q0 -> Q0")]
+# The countermodel searches of the identity digest: the non-theorems,
+# the corpus goals and ``p : Q0 -> Q0``, each at ``max_domain=2``.
+SEARCHES = [*NON_THEOREMS, *CORPUS_GOALS, "p : Q0 -> Q0"]
 
 
-def search_digest(search, cs) -> str:
+def search_digest(cs) -> str:
     """The SHA-256 of one JSON line ``[goal, status, models_checked,
     write_model(model)]`` per search of ``SEARCHES``."""
     lines = []
-    for text, max_models in SEARCHES:
-        result = search(parse_formula(text, cs.constants), cs, 2, max_models)
+    for text in SEARCHES:
+        result = find_countermodel(parse_formula(text, cs.constants), cs, max_domain=2)
         model = None if result.model is None else write_model(result.model)
         lines.append(json.dumps(
             [text, result.status, result.models_checked, model], sort_keys=True
@@ -399,18 +437,10 @@ def search_digest(search, cs) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# Enumeration identity, recorded before the closure went through a
-# per-search table, and before the branch path came first.
-COUNTERMODEL_DIGEST = "5fb6d833dcdd895bcbc78886d5ea4159197b9290e6642099a0a8c9d2f440f275"
-# What ``find_countermodel`` answers: the branch path's models, with 0
-# models checked, for the five non-theorems, and the enumeration's for
-# the rest.
-FIND_COUNTERMODEL_DIGEST = "09f2ed40eea4431f59c4e1f84219cad2dfd57dd0efc261acedf7e8c98c40f59e"
-
-
-def test_countermodel_identity(corpus_cs):
-    assert search_digest(enumerate_models, corpus_cs) == COUNTERMODEL_DIGEST
+# What ``find_countermodel`` answers: the branch's model, after 1 model
+# checked, for the five non-theorems, and ``absent`` for the rest.
+FIND_COUNTERMODEL_DIGEST = "8ed99f7e695c0246993514517dbcd4d4aacb1d2c3a4933ddbe8bcfebaf7704b7"
 
 
 def test_find_countermodel_identity(corpus_cs):
-    assert search_digest(find_countermodel, corpus_cs) == FIND_COUNTERMODEL_DIGEST
+    assert search_digest(corpus_cs) == FIND_COUNTERMODEL_DIGEST

@@ -10,6 +10,7 @@ from folp import (
     Contradiction,
     CsClosure,
     Exhausted,
+    Neg,
     Open,
     Proved,
     SearchBudget,
@@ -96,6 +97,10 @@ class TestNonVerdicts:
         outcome = prove(goal, corpus_cs, budget=SearchBudget(max_nodes=3))
         assert isinstance(outcome, Exhausted)
         assert outcome.dimension == "max_nodes"
+        # The branch the search stopped on: the root and FImp's two conclusions.
+        assert outcome.branch == (
+            Neg(goal), goal.left, parse_formula("~forall x. (c * p) :[x] A(x)", corpus_cs.constants)
+        )
 
     @pytest.mark.parametrize("text, limits, dimension", [
         # A second delta premise finds the one parameter spent.
@@ -117,7 +122,7 @@ class TestNonVerdicts:
     def test_exhausted_dimension(self, text, limits, dimension, corpus_cs):
         goal = parse_formula(text, corpus_cs.constants)
         outcome = prove(goal, corpus_cs, SearchBudget(**limits))
-        assert outcome == Exhausted(dimension)
+        assert isinstance(outcome, Exhausted) and outcome.dimension == dimension
 
     def test_goal_must_be_sentence(self, corpus_cs):
         with pytest.raises(ValueError):
@@ -154,7 +159,7 @@ class TestBudgetBoundaries:
         last = table[-1]
         siblings = [n for n in table if n.parent == last.parent and n.rule == last.rule]
         assert (len(table), last.rule.name, len(siblings) > 1) == (nodes, rule, branching)
-        assert prove(goal, corpus_cs, SearchBudget(max_nodes=nodes - 1)) == Exhausted("max_nodes")
+        assert prove(goal, corpus_cs, SearchBudget(max_nodes=nodes - 1)).dimension == "max_nodes"
 
     @pytest.mark.parametrize("text, rule, branching, nodes, depth", PROOFS,
                              ids=[text for text, *_ in PROOFS])
@@ -162,7 +167,7 @@ class TestBudgetBoundaries:
         goal = parse_formula(text, corpus_cs.constants)
         outcome = prove(goal, corpus_cs, SearchBudget(max_depth=depth))
         assert isinstance(outcome, Proved) and len(outcome.tree.table) == nodes
-        assert prove(goal, corpus_cs, SearchBudget(max_depth=depth - 1)) == Exhausted("max_depth")
+        assert prove(goal, corpus_cs, SearchBudget(max_depth=depth - 1)).dimension == "max_depth"
 
 
 class TestDeterminism:

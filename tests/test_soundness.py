@@ -5,13 +5,14 @@ of ``tests/data/models``, and a countermodel means no proof.
 
 A model file lists evidence for finitely many terms; a term it does not
 list reads the least E1-E6 closure of its subterms' evidence, so the
-sentences also use terms no model file lists, such as ``p + p``.  They
-leave out the constant ``c``: the corpus CS is total, so ``c`` justifies
-every axiom instance, but validation checks E1 on the concrete CS
-entries only.
+sentences also use terms no model file lists, such as ``p + p``.  The
+truth property leaves out the constant ``c``: the corpus CS is total, so
+``c`` justifies every axiom instance, but validation checks E1 on the
+concrete CS entries only.  The countermodel property draws ``c`` and
+``c * p`` too: no countermodel may rest on that unchecked E1.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from folp import (
     Assert,
@@ -23,6 +24,7 @@ from folp import (
     Proved,
     SearchBudget,
     find_countermodel,
+    parse_formula,
     parse_term,
     prove,
     satisfies,
@@ -49,29 +51,34 @@ TERMS = (
     BANG_P,
     *map(parse_term, ("q + p", "!q", "p + p", "!(p + q)", "(p * q) + p")),
 )
+# The countermodel property's terms, which name ``c``.
+TERMS_WITH_C = (*TERMS, *(parse_term(t, CS.constants) for t in ("c", "c * p")))
 
 atomic = st.one_of(
     st.sampled_from([Pred("Q0"), Pred("Q1")]),
     st.builds(Pred, st.sampled_from(["Q", "R"]), st.tuples(st.just(var("x")))),
 )
-formulas = st.recursive(
-    atomic,
-    lambda f: st.one_of(
-        st.builds(Neg, f),
-        st.builds(Impl, f, f),
-        st.builds(Forall, st.just("x"), f),
-        st.builds(Exists, st.just("x"), f),
-        st.builds(Assert, st.sampled_from(TERMS), st.just(()), f),
-    ),
-    max_leaves=4,
-)
+
+
+def formulas(terms):
+    return st.recursive(
+        atomic,
+        lambda f: st.one_of(
+            st.builds(Neg, f),
+            st.builds(Impl, f, f),
+            st.builds(Forall, st.just("x"), f),
+            st.builds(Exists, st.just("x"), f),
+            st.builds(Assert, st.sampled_from(terms), st.just(()), f),
+        ),
+        max_leaves=4,
+    )
 
 
 @st.composite
-def sentences(draw):
-    """Random formulas, and instances of valid shapes so that some are
-    provable; every free variable is closed universally."""
-    a, b = draw(formulas), draw(formulas)
+def sentences(draw, terms=TERMS):
+    """Random formulas over ``terms``, and instances of valid shapes so
+    that some are provable; every free variable is closed universally."""
+    a, b = draw(formulas(terms)), draw(formulas(terms))
     shapes = [
         a,
         Impl(a, a),
@@ -102,8 +109,10 @@ def test_proved_is_true_in_every_model(goal):
 
 
 @FAST
-@given(sentences())
+@given(sentences(TERMS_WITH_C))
+# A theorem under the total CS, since its body is an axiom instance.
+@example(parse_formula("c : (Q0 -> Q1 -> Q0)", CS.constants))
 def test_countermodel_means_no_proof(goal):
-    result = find_countermodel(goal, CS, max_domain=1, max_models=30)
+    result = find_countermodel(goal, CS, max_domain=1)
     if result.status == "found":
         assert not isinstance(prove(goal, CS, BUDGET), Proved), goal

@@ -298,7 +298,7 @@ RECORDS = (
       "time_limit": 30.0}, True),
     (Proved, {"tree": _TREE}, {}, True),
     (Open, {"branch": (_A, Neg(_B)), "diagnostics": "no rule applies"}, {}, True),
-    (Exhausted, {"dimension": "max_nodes"}, {}, True),
+    (Exhausted, {"dimension": "max_nodes", "branch": (_A, Neg(_B))}, {}, True),
     (Verdict, {"accepted": False, "node_id": 1, "condition": "closure-cs", "message": "no"},
      {"node_id": None, "condition": None, "message": ""}, True),
     (Token, {"kind": "PRED", "text": "Q", "offset": 2, "source": "~ Q"}, {}, False),
